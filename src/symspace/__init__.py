@@ -9,34 +9,32 @@ cut/conjugate predicates for every space in the classification.
 from .catalog import (InvalidParams, MissingSatakeData, SpaceEntry, SpaceLabel,
                       enumerate_table, parse_label, resolve,
                       restriction_factor_crosscheck)
-from .geometry import (EmptyProduct, GeometryReport, MetricSpec,
+from .geometry import (CutDetails, EmptyProduct, GeometryReport, MetricSpec,
                        NoCanonicalMetric, cut_classify, cut_details,
                        is_conjugate, kappa_relation_check, product, report)
 from .killing import (KillingData, NonReducedInput, delta_sq_formula,
                       killing_data, killing_delta_sq, killing_self_consistency,
                       perp_decomposition, perp_subsystem)
 from .linalg import (DimensionMismatch, Matrix, NegativeFactor, PiSqrtValue,
-                     Rational, SingularMatrix, invert, pi_sqrt, pi_sqrt_scale,
-                     solve)
+                     Rational, SingularMatrix)
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
 from .roots import (InvalidRank, NonTerminating, RootKind, RootSystem, build,
-                    generate_roots, highest_root, inner, parse_kind, root_count)
+                    generate_roots, inner, parse_kind, root_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanPolytope", "DimensionMismatch", "EmptyProduct", "GeometryReport",
-    "InvalidParams", "InvalidRank", "KillingData", "Matrix", "MetricSpec",
-    "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
+    "CartanPolytope", "CutDetails", "DimensionMismatch", "EmptyProduct",
+    "GeometryReport", "InvalidParams", "InvalidRank", "KillingData", "Matrix",
+    "MetricSpec", "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
     "NonReducedInput", "NonTerminating", "PiSqrtValue", "Rational", "RootKind",
     "RootSystem", "SingularMatrix", "SliceClass", "SpaceEntry", "SpaceLabel",
     "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
     "delta_sq_formula", "dominant_representative", "enumerate_table",
-    "generate_roots", "highest_root", "inner", "invert", "is_conjugate",
-    "kappa_relation_check", "killing_data", "killing_delta_sq",
-    "killing_self_consistency", "parse_kind", "parse_label",
-    "perp_decomposition", "perp_subsystem", "pi_sqrt", "pi_sqrt_scale",
+    "generate_roots", "inner", "is_conjugate", "kappa_relation_check",
+    "killing_data", "killing_delta_sq", "killing_self_consistency",
+    "parse_kind", "parse_label", "perp_decomposition", "perp_subsystem",
     "product", "report", "resolve", "restriction_factor_crosscheck",
-    "root_count", "solve",
+    "root_count",
 ]

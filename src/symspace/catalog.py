@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
-from .roots import InvalidRank, RootKind, build, parse_kind
+from .roots import MAX_RANK, InvalidRank, RootKind, build, parse_kind, split_kind
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -128,14 +128,7 @@ _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1}
 
 def _nominal_to_kind(name: str) -> RootKind:
     """Parse a nominal label like "c2" and collapse rank coincidences."""
-    s = name.strip().lower()
-    i = 0
-    while i < len(s) and s[i].isalpha():
-        i += 1
-    fam, rank = s[:i], int(s[i:])
-    if fam == "bc":
-        return RootKind("bc", rank)
-    return canonical_kind(fam, rank)
+    return canonical_kind(*split_kind(name))
 
 
 def _entry(label, name, space_type, ambient_name, restricted_name, factor,
@@ -311,6 +304,8 @@ def enumerate_table(which: str, param_bound: int) -> list[SpaceEntry]:
     """All rows of classification table "4.1" or "4.2" with parameters <= bound."""
     if param_bound < 1:
         raise InvalidParams("param_bound must be >= 1")
+    if param_bound > MAX_RANK:
+        raise InvalidParams(f"param_bound must be <= {MAX_RANK}")
     if which not in ("4.1", "4.2"):
         raise InvalidParams(f"unknown table {which!r}; use 4.1 or 4.2")
     out: list[SpaceEntry] = []

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, geometry, killing, polytope, roots, verify
+from . import catalog, geometry, killing, polytope, roots
 from .linalg import DimensionMismatch, format_rational
 
 FORMATS = ("text", "markdown", "json", "tsv")
@@ -48,7 +48,8 @@ def cmd_rootsystem(args) -> int:
     data = roots.to_json_dict(rs)
     data["polytope"] = polytope.to_json_dict(poly)
     if kind.is_reduced:
-        data["killing"] = killing.to_json_dict(killing.killing_data(rs))
+        kd = killing.killing_data(rs)
+        data["killing"] = killing.to_json_dict(kd)
     if args.format == "json":
         print(json.dumps(data, indent=2))
         return 0
@@ -65,7 +66,6 @@ def cmd_rootsystem(args) -> int:
         ["argmax vertex", str(poly.argmax_vertex)],
     ]
     if kind.is_reduced:
-        kd = killing.killing_data(rs)
         rows.append(["killing delta_sq", format_rational(kd.delta_sq)])
         rows.append(["perp subsystem", " ".join(str(k) for k in kd.perp_subsystem) or "-"])
     print(_emit_rows(["field", "value"], rows, args.format))
@@ -141,11 +141,11 @@ def cmd_cut(args) -> int:
     data = {
         "label": str(entry.label),
         "point": [format_rational(c) for c in point],
-        "classification": str(details["classification"]),
+        "classification": str(details.classification),
         "dominant_representative": [format_rational(c)
-                                    for c in details["dominant_representative"]],
-        "reflections": details["reflections"],
-        "conjugate": details["conjugate"],
+                                    for c in details.dominant_representative],
+        "reflections": details.reflections,
+        "conjugate": details.conjugate,
     }
     if args.format == "json":
         print(json.dumps(data, indent=2))
@@ -175,9 +175,10 @@ def cmd_product(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify              # imports numpy; only verify needs it
+    from .oracle import TSV_HEADER
     reports = verify.run_all(args.seed, samples=args.samples,
                              table_bound=args.max_param)
-    from .oracle import TSV_HEADER
     print(TSV_HEADER)
     for r in reports:
         print(r.tsv_row())

@@ -128,12 +128,44 @@ def kappa_relation_check(rep: GeometryReport) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _killing_weights(entry: SpaceEntry) -> tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]:
-    """Pairs (root, Killing-Gram row action of the root) for the restricted system."""
+def _killing_weights(entry: SpaceEntry) -> tuple[tuple[Fraction, ...], ...]:
+    """Killing-Gram row action of each root of the restricted system."""
     rs = _system(entry.restricted)
     gram_k = rs.gram.scaled(entry.psi_sq_killing)
-    return tuple((r, gram_k.mul_vec(tuple(Fraction(c) for c in r)))
-                 for r in sorted(rs.roots))
+    return tuple(gram_k.mul_vec(tuple(Fraction(c) for c in r)) for r in sorted(rs.roots))
+
+
+@dataclass(frozen=True)
+class CutDetails:
+    classification: SliceClass
+    dominant_representative: tuple[Fraction, ...]
+    reflections: int
+    conjugate: bool
+
+
+def _slice_point(label: SpaceLabel | str,
+                 h) -> tuple[SpaceEntry, RootSystem, tuple[Fraction, ...]]:
+    entry = resolve(label)
+    rs = _system(entry.restricted)
+    h = tuple(Fraction(c) for c in h)
+    if len(h) != rs.rank:
+        raise DimensionMismatch(f"point length {len(h)} != rank {rs.rank}")
+    return entry, rs, h
+
+
+def _conjugate(entry: SpaceEntry, h: tuple[Fraction, ...]) -> bool:
+    for w in _killing_weights(entry):
+        v = sum((hi * wi for hi, wi in zip(h, w)), Fraction(0))
+        if v != 0 and v.denominator == 1:
+            return True
+    return False
+
+
+def _classify(entry: SpaceEntry, rs: RootSystem,
+              h: tuple[Fraction, ...]) -> tuple[SliceClass, tuple[Fraction, ...], int]:
+    dom, nrefl = dominant_representative(rs, h)
+    scaled = tuple(entry.psi_sq_killing * c for c in dom)
+    return classify_point(_polytope(entry.restricted), scaled), dom, nrefl
 
 
 def is_conjugate(label: SpaceLabel | str, h) -> bool:
@@ -142,16 +174,8 @@ def is_conjugate(label: SpaceLabel | str, h) -> bool:
     h is a rational vector in simple-root coordinates of the restricted
     system, Killing units, divided by pi.
     """
-    entry = resolve(label)
-    rs = _system(entry.restricted)
-    h = tuple(Fraction(c) for c in h)
-    if len(h) != rs.rank:
-        raise DimensionMismatch(f"point length {len(h)} != rank {rs.rank}")
-    for _root, w in _killing_weights(entry):
-        v = sum((hi * wi for hi, wi in zip(h, w)), Fraction(0))
-        if v != 0 and v.denominator == 1:
-            return True
-    return False
+    entry, _rs, h = _slice_point(label, h)
+    return _conjugate(entry, h)
 
 
 def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
@@ -162,24 +186,17 @@ def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
     the ray is still minimizing past this point, the cut face marks cut
     points, Outside lies beyond them.
     """
-    return cut_details(label, h)["classification"]
+    entry, rs, h = _slice_point(label, h)
+    return _classify(entry, rs, h)[0]
 
 
-def cut_details(label: SpaceLabel | str, h) -> dict:
-    entry = resolve(label)
-    rs = _system(entry.restricted)
-    h = tuple(Fraction(c) for c in h)
-    if len(h) != rs.rank:
-        raise DimensionMismatch(f"point length {len(h)} != rank {rs.rank}")
-    dom, nrefl = dominant_representative(rs, h)
-    scaled = tuple(entry.psi_sq_killing * c for c in dom)
-    cls = classify_point(_polytope(entry.restricted), scaled)
-    return {
-        "classification": cls,
-        "dominant_representative": dom,
-        "reflections": nrefl,
-        "conjugate": is_conjugate(label, h),
-    }
+def cut_details(label: SpaceLabel | str, h) -> CutDetails:
+    """cut_classify's answer with the dominant representative, the number
+    of reflections that reached it, and is_conjugate's answer."""
+    entry, rs, h = _slice_point(label, h)
+    cls, dom, nrefl = _classify(entry, rs, h)
+    return CutDetails(classification=cls, dominant_representative=dom,
+                      reflections=nrefl, conjugate=_conjugate(entry, h))
 
 
 def product(reports: list[GeometryReport] | tuple[GeometryReport, ...]) -> tuple[PiSqrtValue, PiSqrtValue]:

@@ -71,9 +71,11 @@ def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
     """
     if not rs.kind.is_reduced:
         raise NonReducedInput("orthogonal-subsystem typing needs a reduced system")
-    simple = perp_simple_indices(rs)
-    perp = perp_subsystem(rs)
-    comps = _graph_components(rs, simple)
+    return _decompose(rs, perp_subsystem(rs))
+
+
+def _decompose(rs: RootSystem, perp: frozenset) -> tuple[RootKind, ...]:
+    comps = _graph_components(rs, perp_simple_indices(rs))
     kinds = [_identify_component(rs, comp, perp) for comp in comps]
     return tuple(sorted(kinds, key=lambda k: (k.family, k.rank)))
 
@@ -124,11 +126,20 @@ def _identify_component(rs: RootSystem, comp: tuple[int, ...],
     return canonical_kind("b" if n_long == rank - 1 else "c", rank)
 
 
+def _delta_sq(total: int, perp: int) -> Fraction:
+    """(delta, delta) from the root count and the count orthogonal to delta."""
+    return Fraction(4, total - perp + 6)
+
+
+def _require_reduced(kind: RootKind) -> None:
+    if not kind.is_reduced:
+        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
+
+
 def killing_delta_sq(rs: RootSystem) -> Fraction:
     """Killing-normalized (delta, delta), computed from enumerated root counts."""
-    if not rs.kind.is_reduced:
-        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
-    return Fraction(4, len(rs.roots) - len(perp_subsystem(rs)) + 6)
+    _require_reduced(rs.kind)
+    return _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
 
 
 # Orthogonal-subsystem types per ambient family, including low-rank cases.
@@ -163,11 +174,9 @@ def perp_kinds_formula(kind: RootKind) -> tuple[RootKind, ...]:
 
 def delta_sq_formula(kind: RootKind) -> Fraction:
     """(delta, delta) from classical root counts, valid at any rank."""
-    if not kind.is_reduced:
-        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
-    total = root_count(kind)
-    perp = sum(root_count(k) for k in perp_kinds_formula(kind))
-    return Fraction(4, total - perp + 6)
+    _require_reduced(kind)
+    return _delta_sq(root_count(kind),
+                     sum(root_count(k) for k in perp_kinds_formula(kind)))
 
 
 def killing_self_consistency(rs: RootSystem) -> Fraction:
@@ -178,7 +187,7 @@ def killing_self_consistency(rs: RootSystem) -> Fraction:
     independently.  Works for the non-reduced family too, where the count
     formula extends verbatim.
     """
-    c = Fraction(4, len(rs.roots) - len(perp_subsystem(rs)) + 6)
+    c = _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
     w = rs.gram.scaled(c).mul_vec(tuple(Fraction(x) for x in rs.highest_root))
     total = sum((sum(ri * wi for ri, wi in zip(r, w)) ** 2 for r in rs.roots),
                 Fraction(0))
@@ -186,13 +195,14 @@ def killing_self_consistency(rs: RootSystem) -> Fraction:
 
 
 def killing_data(rs: RootSystem) -> KillingData:
+    _require_reduced(rs.kind)
     perp = perp_subsystem(rs)
     return KillingData(
         system=rs.kind,
         total_roots=len(rs.roots),
         perp_roots=len(perp),
-        delta_sq=killing_delta_sq(rs),
-        perp_subsystem=perp_decomposition(rs),
+        delta_sq=_delta_sq(len(rs.roots), len(perp)),
+        perp_subsystem=_decompose(rs, perp),
     )
 
 

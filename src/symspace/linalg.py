@@ -2,7 +2,7 @@
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
 denominator), vectors are tuples of Fractions, and :class:`Matrix` is an
-immutable dense rational matrix.  Inversion and linear solves use
+immutable dense rational matrix.  Inversion and determinants use
 fraction-free Bareiss elimination on a denominator-cleared integer copy,
 so every intermediate quantity is an exact integer minor; results are
 returned as Fractions.
@@ -26,7 +26,7 @@ Vector = tuple[Fraction, ...]
 
 
 class SingularMatrix(ValueError):
-    """Raised when inverting or solving with a singular matrix."""
+    """Raised when inverting a singular matrix."""
 
 
 class DimensionMismatch(ValueError):
@@ -36,29 +36,6 @@ class DimensionMismatch(ValueError):
 class NegativeFactor(ValueError):
     """Raised when a nonnegative scale factor is required but not given."""
 
-
-def vec(*entries) -> Vector:
-    """Build a rational vector, coercing ints/strings to Fraction."""
-    return tuple(Fraction(e) for e in entries)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-def vscale(u: Vector, c) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 def dot(u: Vector, v: Vector) -> Fraction:
     """Plain coordinate dot product (no Gram matrix)."""
@@ -104,9 +81,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -171,26 +145,6 @@ class Matrix:
         inv_rows = tuple(tuple(d * cols[j][i] for j in range(n)) for i in range(n))
         return Matrix(inv_rows)
 
-    def solve(self, b: Vector) -> Vector:
-        """Solve self @ x = b exactly."""
-        if not self.is_square():
-            raise DimensionMismatch("solve needs a square matrix")
-        if len(b) != self.rows:
-            raise DimensionMismatch(f"rhs length {len(b)} != {self.rows}")
-        n = self.rows
-        d = 1
-        for r in self.entries:
-            for x in r:
-                d = lcm(d, x.denominator)
-        for x in b:
-            d = lcm(d, Fraction(x).denominator)
-        aug = [[int(x * d) for x in self.entries[i]] + [int(Fraction(b[i]) * d)]
-               for i in range(n)]
-        sign, last = _bareiss_forward(aug, n)
-        if last is None:
-            raise SingularMatrix("matrix is singular")
-        return _back_substitute(aug, n, n)
-
 
 def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
     """Fraction-free forward elimination in place on integer rows.
@@ -233,14 +187,6 @@ def _back_substitute(m: list[list[int]], n: int, col: int) -> Vector:
             s -= m[i][k] * x[k]
         x[i] = s / m[i][i]
     return tuple(x)
-
-
-def invert(m: Matrix) -> Matrix:
-    return m.invert()
-
-
-def solve(m: Matrix, b: Vector) -> Vector:
-    return m.solve(b)
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -300,11 +246,3 @@ class PiSqrtValue:
 
     def __str__(self) -> str:
         return f"{self.exact_str()} = {self.decimal_str()}"
-
-
-def pi_sqrt(radicand) -> PiSqrtValue:
-    return PiSqrtValue(Fraction(radicand))
-
-
-def pi_sqrt_scale(v: PiSqrtValue, factor) -> PiSqrtValue:
-    return v.scaled(factor)

@@ -199,7 +199,8 @@ def closure_count_oracle(kind: RootKind) -> OracleReport:
         for j in range(kind.rank):
             num = float(np.array(simples[i]) @ np.array(simples[j])) / scale
             gram_err = max(gram_err, abs(num - float(rs.gram[i, j])))
-    passed = count == exact_count and gram_err <= 1e-9
+    # len(rs.roots) runs the exact enumeration and its self-checks
+    passed = count == exact_count == len(rs.roots) and gram_err <= 1e-9
     return OracleReport(
         name=f"closure-count {kind}",
         exact=str(exact_count),

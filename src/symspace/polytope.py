@@ -66,16 +66,6 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
     )
 
 
-def i_phi_sq(p: CartanPolytope) -> Fraction:
-    """Squared minimal norm over the far face, 1/(psi,psi)."""
-    return p.i_sq
-
-
-def d_phi_sq(p: CartanPolytope) -> Fraction:
-    """Squared maximal norm over the polytope, attained at a vertex."""
-    return p.d_sq
-
-
 def classify_point(p: CartanPolytope, x) -> SliceClass:
     """Classify a point given in simple-root coordinates of the stored system.
 

@@ -3,10 +3,12 @@
 Each family (a, b, c, d, e6, e7, e8, f4, g2 and the non-reduced bc) is
 built from three pieces of data: its Cartan matrix, the relative squared
 lengths of its simple roots, and the coefficients of the highest root.
-Roots are stored as integer coefficient vectors over the simple roots and
-generated by closing the simple roots under all simple reflections; all
-inner products go through the Gram matrix, which is normalized so that
-the highest root has squared length 1.
+All inner products go through the Gram matrix, which is normalized so
+that the highest root has squared length 1.  That O(rank^2) data is all
+the Cartan polytope needs, so ``build`` stops there; the roots themselves
+(integer coefficient vectors over the simple roots, generated by closing
+the simple roots under all simple reflections) are enumerated on first
+access, and only for systems of at most MAX_ROOTS roots.
 
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
 hanging off the chain comes last (it attaches to the chain node with the
@@ -17,17 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import DimensionMismatch, Matrix, format_rational
 
-MAX_ROOTS = 500
+MAX_ROOTS = 500     # largest root system whose roots are enumerated
+MAX_RANK = 128      # largest rank ``build`` accepts
 
 _EXCEPTIONAL_RANKS = {"e": (6, 7, 8), "f": (4,), "g": (2,)}
 _MIN_RANK = {"a": 1, "b": 2, "c": 3, "d": 4, "bc": 1}
 
 
 class InvalidRank(ValueError):
-    """Raised for a family/rank combination outside the classification."""
+    """Raised for a family/rank combination outside the classification,
+    or beyond the MAX_RANK / MAX_ROOTS limits."""
 
 
 class NonTerminating(RuntimeError):
@@ -61,8 +66,8 @@ class RootKind:
         return f"{self.family}{self.rank}"
 
 
-def parse_kind(text: str) -> RootKind:
-    """Parse "a3", "bc2", "E8" (case-insensitive) into a RootKind."""
+def split_kind(text: str) -> tuple[str, int]:
+    """Split "a3", "bc2", " E8 " (case-insensitive) into (family, rank)."""
     s = text.strip().lower()
     i = 0
     while i < len(s) and s[i].isalpha():
@@ -70,7 +75,12 @@ def parse_kind(text: str) -> RootKind:
     fam, digits = s[:i], s[i:]
     if not fam or not digits.isdigit():
         raise InvalidRank(f"cannot parse root-system kind {text!r}")
-    return RootKind(fam, int(digits))
+    return fam, int(digits)
+
+
+def parse_kind(text: str) -> RootKind:
+    """Parse "a3", "bc2", "E8" (case-insensitive) into a RootKind."""
+    return RootKind(*split_kind(text))
 
 
 def root_count(kind: RootKind) -> int:
@@ -207,15 +217,45 @@ def generate_roots(cartan) -> frozenset[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A realized root system with highest-root-normalized Gram matrix."""
+    """A root system with highest-root-normalized Gram matrix.
+
+    ``indivisible_roots`` and ``roots`` are enumerated on first access;
+    they raise InvalidRank for systems of more than MAX_ROOTS roots.
+    """
 
     kind: RootKind
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     gram: Matrix
-    roots: frozenset[tuple[int, ...]]
-    indivisible_roots: frozenset[tuple[int, ...]]
     highest_root: tuple[int, ...]
+
+    @cached_property
+    def indivisible_roots(self) -> frozenset[tuple[int, ...]]:
+        count = root_count(self.kind)
+        if count > MAX_ROOTS:
+            raise InvalidRank(f"{self.kind} has {count} roots; "
+                              f"enumeration is limited to {MAX_ROOTS}")
+        return generate_roots(self.cartan)
+
+    @cached_property
+    def roots(self) -> frozenset[tuple[int, ...]]:
+        kind, gram, indivisible = self.kind, self.gram, self.indivisible_roots
+        if kind.family == "bc":
+            short_sq = min(dot_gram(gram, r, r) for r in indivisible)
+            doubles = {tuple(2 * x for x in r) for r in indivisible
+                       if dot_gram(gram, r, r) == short_sq}
+            roots = frozenset(indivisible | doubles)
+        else:
+            roots = indivisible
+
+        if len(roots) != root_count(kind):
+            raise RuntimeError(
+                f"{kind}: generated {len(roots)} roots, expected {root_count(kind)}")
+
+        best = max(roots, key=lambda r: (sum(r), r))
+        if best != self.highest_root:
+            raise RuntimeError(f"{kind}: highest root {best} != expected {self.highest_root}")
+        return roots
 
     def root_norm_sq(self, r) -> Fraction:
         v = tuple(Fraction(x) for x in r)
@@ -237,10 +277,12 @@ def inner(rs: RootSystem, u, v) -> Fraction:
 
 
 def build(kind: RootKind | str) -> RootSystem:
-    """Construct the full root system of the given kind."""
+    """Construct the Cartan data of the given kind; roots come on demand."""
     if isinstance(kind, str):
         kind = parse_kind(kind)
     l = kind.rank
+    if l > MAX_RANK:
+        raise InvalidRank(f"{kind}: rank {l} exceeds the limit of {MAX_RANK}")
     cartan = cartan_matrix(kind)
     lengths = _relative_lengths(kind)
     # Omega_ij = A[j][i] * (a_i, a_i) / 2, then rescale so (psi, psi) = 1.
@@ -248,31 +290,7 @@ def build(kind: RootKind | str) -> RootSystem:
     psi = highest_root_coeffs(kind)
     norm = sum(psi[i] * raw[i][j] * psi[j] for i in range(l) for j in range(l))
     gram = Matrix.from_rows(raw).scaled(Fraction(1, 1) / norm)
-
-    indivisible = generate_roots(cartan)
-    if kind.family == "bc":
-        short_sq = min(dot_gram(gram, r, r) for r in indivisible)
-        doubles = {tuple(2 * x for x in r) for r in indivisible
-                   if dot_gram(gram, r, r) == short_sq}
-        roots = frozenset(indivisible | doubles)
-    else:
-        roots = indivisible
-
-    if len(roots) != root_count(kind):
-        raise RuntimeError(
-            f"{kind}: generated {len(roots)} roots, expected {root_count(kind)}")
-
-    best = max(roots, key=lambda r: (sum(r), r))
-    if best != psi:
-        raise RuntimeError(f"{kind}: highest root {best} != expected {psi}")
-    return RootSystem(kind=kind, rank=l, cartan=cartan, gram=gram,
-                      roots=roots, indivisible_roots=indivisible,
-                      highest_root=psi)
-
-
-def highest_root(rs: RootSystem) -> tuple[int, ...]:
-    """The unique root maximal in the coefficient-sum order."""
-    return max(rs.roots, key=lambda r: (sum(r), r))
+    return RootSystem(kind=kind, rank=l, cartan=cartan, gram=gram, highest_root=psi)
 
 
 def to_json_dict(rs: RootSystem) -> dict:

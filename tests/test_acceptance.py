@@ -68,6 +68,16 @@ def test_criterion_2_table42():
         _check_table("4.2", 12)
 
 
+def test_table41_bound_40():
+    with criterion("1b", "table 4.1 rows reproduce exactly for p,q,n <= 40"):
+        _check_table("4.1", 40)
+
+
+def test_table42_bound_40():
+    with criterion("2b", "table 4.2 rows reproduce exactly for ranks <= 40"):
+        _check_table("4.2", 40)
+
+
 def test_criterion_3_killing_closed_forms():
     with criterion(3, "highest-root Killing lengths match closed forms, ranks <= 12"):
         for kind in REDUCED_KINDS:

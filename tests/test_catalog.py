@@ -206,6 +206,8 @@ def test_enumerate_table_bound_check():
         enumerate_table("4.1", 0)
     with pytest.raises(InvalidParams):
         enumerate_table("9.9", 8)
+    with pytest.raises(InvalidParams):
+        enumerate_table("4.1", 129)
 
 
 def test_canonical_epsilon_only_bdi():

@@ -1,8 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import symspace
+from symspace.catalog import parse_label
 from symspace.cli import main
+from symspace.closedform import expected
+
+SRC = str(Path(symspace.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -147,11 +157,11 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
-    from symspace import cli
+    from symspace import verify
     from symspace.oracle import OracleReport
     fake = [OracleReport(name="forced", exact="0", numeric=1.0, error=1.0,
                          passed=False)]
-    monkeypatch.setattr(cli.verify, "run_all", lambda *a, **k: fake)
+    monkeypatch.setattr(verify, "run_all", lambda *a, **k: fake)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
@@ -163,3 +173,58 @@ def test_space_json_roundtrip(capsys):
     data = json.loads(out)
     assert data["injectivity_radius"]["exact"] == "pi*sqrt(30)"
     assert json.dumps(data, indent=2) == out.strip()
+
+
+def run_python(*args):
+    """A fresh interpreter with this package's source on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_cli_import_skips_numpy():
+    proc = run_python("-c", "import sys, symspace.cli; "
+                            "print('numpy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+LARGE = ["GROUP:a30", "BDI:p=20,q=30", "DIII:n=81"]
+
+
+@pytest.mark.parametrize("label", LARGE)
+def test_space_past_enumeration_limit(capsys, label):
+    code, out, _ = run(capsys, "space", label, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    want = expected(parse_label(label))
+    assert data["psi_sq"] == str(want.psi_sq)
+    assert data["injectivity_radius"]["radicand"] == str(want.i_radicand)
+    assert data["diameter"]["radicand"] == str(want.d_radicand)
+
+
+def test_product_past_enumeration_limit(capsys):
+    code, out, _ = run(capsys, "product", *LARGE, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    want = [expected(parse_label(label)) for label in LARGE]
+    assert data["injectivity_radius"]["radicand"] == \
+        str(min(w.i_radicand for w in want))
+    assert data["diameter"]["radicand"] == \
+        str(sum((w.d_radicand for w in want), Fraction(0)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("rootsystem", "c25"),
+    ("cut", "GROUP:a30", "--point", ",".join(["1"] + ["0"] * 29)),
+    ("space", "GROUP:a129"),
+    ("space", "AI:n=99999999999"),
+    ("table", "4.1", "--max-param", "100000"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_refused_inputs_exit_2(argv):
+    proc = run_python("-m", "symspace.cli", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -5,13 +5,13 @@ import pytest
 
 from symspace.catalog import resolve
 from symspace.closedform import expected
-from symspace.geometry import (EmptyProduct, MetricSpec, NoCanonicalMetric,
-                               cut_classify, cut_details, is_conjugate,
-                               kappa_relation_check, product, report,
-                               report_json_dict)
+from symspace.geometry import (CutDetails, EmptyProduct, MetricSpec,
+                               NoCanonicalMetric, cut_classify, cut_details,
+                               is_conjugate, kappa_relation_check, product,
+                               report, report_json_dict)
 from symspace.linalg import DimensionMismatch, PiSqrtValue
 from symspace.polytope import SliceClass, reflect_simple
-from symspace.roots import build
+from symspace.roots import InvalidRank, build
 
 
 def test_report_ai4():
@@ -97,8 +97,27 @@ def test_cut_classify_examples():
     assert refl != h
     assert cut_classify("AI:n=3", refl) is SliceClass.ON_CUT_FACE
     d = cut_details("AI:n=3", refl)
-    assert d["dominant_representative"] == h
-    assert d["conjugate"] is True
+    assert d.dominant_representative == h
+    assert d.conjugate is True
+
+
+def test_cut_details_fields():
+    _rs, h = _face_point("AI:n=3")
+    d = cut_details("AI:n=3", (0, 3))
+    assert d == CutDetails(classification=SliceClass.ON_CUT_FACE,
+                           dominant_representative=h, reflections=1,
+                           conjugate=True)
+
+
+def test_cut_classify_needs_no_roots():
+    # GROUP:a30 has 930 roots, past the enumeration limit: the cut face
+    # needs only the Gram matrix, conjugacy needs the roots.
+    origin = (0,) * 30
+    assert cut_classify("GROUP:a30", origin) is SliceClass.INTERIOR
+    with pytest.raises(InvalidRank):
+        is_conjugate("GROUP:a30", origin)
+    with pytest.raises(InvalidRank):
+        cut_details("GROUP:a30", origin)
 
 
 def test_cut_face_implies_conjugate_random():

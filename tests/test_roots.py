@@ -3,9 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from symspace.linalg import DimensionMismatch
+from symspace.polytope import build_polytope
 from symspace.roots import (InvalidRank, NonTerminating, RootKind, build,
-                            cartan_matrix, generate_roots, highest_root,
-                            inner, parse_kind, root_count, to_json_dict)
+                            cartan_matrix, generate_roots, inner, parse_kind,
+                            root_count, to_json_dict)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -69,7 +70,7 @@ def test_counts_and_normalization(kind):
     assert len(rs.roots) == root_count(kind)
     psi = rs.highest_root
     assert inner(rs, psi, psi) == 1
-    assert highest_root(rs) == psi
+    assert max(rs.roots, key=lambda r: (sum(r), r)) == psi
     # highest root weakly dominates every root coefficientwise
     assert all(all(p >= c for p, c in zip(psi, r)) for r in rs.roots)
     # closed under negation
@@ -114,6 +115,37 @@ def test_proportional_roots(kind):
                                                       for s in rs.indivisible_roots))
             assert (doubles in rs.roots) == is_short
             assert (r in rs.indivisible_roots) == (halves not in rs.roots)
+
+
+def test_roots_enumerated_on_first_access():
+    rs = build("e8")
+    build_polytope(rs)
+    assert "roots" not in vars(rs) and "indivisible_roots" not in vars(rs)
+    assert len(rs.roots) == 240
+    assert rs.roots is rs.roots
+
+
+@pytest.mark.parametrize("name", ["a21", "b15", "c15", "d16", "bc15"])
+def test_largest_enumerable_systems(name):
+    rs = build(name)
+    assert len(rs.roots) == root_count(rs.kind)
+
+
+@pytest.mark.parametrize("name", ["a22", "b16", "c16", "d17", "bc16", "a128"])
+def test_enumeration_refused_past_max_roots(name):
+    rs = build(name)                  # the Cartan data is still available
+    assert rs.gram.rows == rs.rank
+    with pytest.raises(InvalidRank):
+        rs.roots
+    with pytest.raises(InvalidRank):
+        rs.indivisible_roots
+
+
+def test_build_refuses_rank_past_limit():
+    assert build("a128").rank == 128
+    for kind in ("a129", "bc200", RootKind("d", 10 ** 11)):
+        with pytest.raises(InvalidRank):
+            build(kind)
 
 
 def test_highest_root_lists():

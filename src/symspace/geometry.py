@@ -131,8 +131,7 @@ def kappa_relation_check(rep: GeometryReport) -> Fraction:
 def _killing_weights(entry: SpaceEntry) -> tuple[tuple[Fraction, ...], ...]:
     """Killing-Gram row action of each root of the restricted system."""
     rs = _system(entry.restricted)
-    gram_k = rs.gram.scaled(entry.psi_sq_killing)
-    return tuple(gram_k.mul_vec(tuple(Fraction(c) for c in r)) for r in sorted(rs.roots))
+    return tuple(rs.gram.scaled(entry.psi_sq_killing).mul_int_vecs(sorted(rs.roots)))
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,12 @@ def cut_details(label: SpaceLabel | str, h) -> CutDetails:
     """cut_classify's answer with the dominant representative, the number
     of reflections that reached it, and is_conjugate's answer."""
     entry, rs, h = _slice_point(label, h)
+    # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
+    # refused before the reflections to the dominant chamber are paid for.
+    conjugate = _conjugate(entry, h)
     cls, dom, nrefl = _classify(entry, rs, h)
     return CutDetails(classification=cls, dominant_representative=dom,
-                      reflections=nrefl, conjugate=_conjugate(entry, h))
+                      reflections=nrefl, conjugate=conjugate)
 
 
 def product(reports: list[GeometryReport] | tuple[GeometryReport, ...]) -> tuple[PiSqrtValue, PiSqrtValue]:

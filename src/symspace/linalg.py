@@ -93,6 +93,22 @@ class Matrix:
             raise DimensionMismatch(f"matrix cols {self.cols} != vector length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
 
+    def mul_int_vecs(self, vecs) -> list[Vector]:
+        """``mul_vec`` of each integer vector in ``vecs``, in integer arithmetic.
+
+        Sums run over the denominator-cleared copy and skip zero
+        coefficients, so each entry costs one Fraction rather than a row of
+        Fraction products and sums.
+        """
+        m, d = self._cleared()
+        out = []
+        for v in vecs:
+            if len(v) != self.cols:
+                raise DimensionMismatch(f"matrix cols {self.cols} != vector length {len(v)}")
+            nz = [(j, c) for j, c in enumerate(v) if c]
+            out.append(tuple(Fraction(sum(row[j] * c for j, c in nz), d) for row in m))
+        return out
+
     def mul_mat(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import DimensionMismatch, Matrix, format_rational
+from .linalg import DimensionMismatch, Matrix, dot, format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 MAX_RANK = 128      # largest rank ``build`` accepts
@@ -241,9 +241,10 @@ class RootSystem:
     def roots(self) -> frozenset[tuple[int, ...]]:
         kind, gram, indivisible = self.kind, self.gram, self.indivisible_roots
         if kind.family == "bc":
-            short_sq = min(dot_gram(gram, r, r) for r in indivisible)
-            doubles = {tuple(2 * x for x in r) for r in indivisible
-                       if dot_gram(gram, r, r) == short_sq}
+            ordered = tuple(indivisible)
+            norms = {r: dot(r, w) for r, w in zip(ordered, gram.mul_int_vecs(ordered))}
+            short_sq = min(norms.values())
+            doubles = {tuple(2 * x for x in r) for r, n in norms.items() if n == short_sq}
             roots = frozenset(indivisible | doubles)
         else:
             roots = indivisible

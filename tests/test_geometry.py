@@ -120,6 +120,20 @@ def test_cut_classify_needs_no_roots():
         cut_details("GROUP:a30", origin)
 
 
+def test_cut_details_refuses_before_reflecting(monkeypatch):
+    # Past the enumeration limit cut_details is refused before the
+    # dominant-chamber reduction, which costs O(rank^2) per reflection.
+    import symspace.geometry as geometry
+
+    def unreachable(*_args):
+        raise AssertionError("dominant_representative ran before the refusal")
+
+    monkeypatch.setattr(geometry, "dominant_representative", unreachable)
+    point = tuple(F(i % 7 - 3, 5) for i in range(40))
+    with pytest.raises(InvalidRank):
+        cut_details("BDI:p=40,q=40", point)
+
+
 def test_cut_face_implies_conjugate_random():
     rng = random.Random(11)
     labels = ["AI:n=3", "CII:p=1,q=2", "BDI:p=2,q=5", "G", "GROUP:a2", "FII"]

@@ -70,6 +70,17 @@ def test_solve_consistent_with_invert(n, seed):
     assert m.mul_vec(m.invert().mul_vec(b)) == b
 
 
+def test_mul_int_vecs_matches_mul_vec():
+    rng = random.Random(7)
+    m = Matrix.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)]
+                          for _ in range(4)])
+    vecs = [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(5)) for _ in range(40)]
+    vecs.append((0,) * 5)
+    assert m.mul_int_vecs(vecs) == [m.mul_vec(tuple(F(c) for c in v)) for v in vecs]
+    with pytest.raises(DimensionMismatch):
+        m.mul_int_vecs([(1, 2)])
+
+
 def test_det_sign_with_pivoting():
     m = Matrix.from_rows([[0, 1], [1, 0]])
     assert m.det() == -1

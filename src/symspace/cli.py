@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,11 +20,33 @@ from .linalg import DimensionMismatch, format_rational
 FORMATS = ("text", "markdown", "json", "tsv")
 
 
-def _parse_fraction(text: str) -> Fraction:
+# A decimal literal split at its exponent: Fraction's grammar for the part
+# before "e" (no "/", no second exponent, no space before "e") and after it.
+_EXPONENT = re.compile(r"([^/eE]*[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
+    """``Fraction(text)``.  With ``max_digits`` > 0, a value whose numerator
+    or denominator has more digits is refused, and a decimal exponent is
+    read before 10**exponent is formed, so "1e10000000" costs nothing."""
     try:
-        return Fraction(text)
+        m = _EXPONENT.fullmatch(text) if max_digits else None
+        if m is None:
+            value = Fraction(text)
+        else:
+            value, exp = Fraction(m[1]), int(m[2])
+            if value:
+                # Past +-bound a nonzero value has more than max_digits
+                # digits (2**bits <= 10**bits) and is refused below either
+                # way, so the exponent is clamped there: 10**exp stays small.
+                bound = (max_digits + 1 + value.numerator.bit_length()
+                         + value.denominator.bit_length())
+                value *= Fraction(10) ** max(-bound, min(exp, bound))
     except (ValueError, ZeroDivisionError) as e:
         raise catalog.InvalidParams(f"bad rational {text!r}") from e
+    if max_digits and max(abs(value.numerator), value.denominator) >= 10 ** max_digits:
+        raise catalog.InvalidParams(f"bad rational {text!r}: more than {max_digits} digits")
+    return value
 
 
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -136,7 +159,9 @@ def cmd_table(args) -> int:
 
 def cmd_cut(args) -> int:
     entry = catalog.resolve(args.label)
-    point = tuple(_parse_fraction(c) for c in args.point.split(","))
+    # The point is echoed, and str() of an int is capped at this many digits.
+    max_digits = sys.get_int_max_str_digits()
+    point = tuple(_parse_fraction(c, max_digits) for c in args.point.split(","))
     details = geometry.cut_details(entry.label, point)
     data = {
         "label": str(entry.label),

@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .linalg import DimensionMismatch, PiSqrtValue, format_rational
+from .linalg import (DimensionMismatch, PiSqrtValue, clear_denominators,
+                     format_rational)
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
 from .roots import RootKind, RootSystem, build
@@ -128,10 +130,17 @@ def kappa_relation_check(rep: GeometryReport) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _killing_weights(entry: SpaceEntry) -> tuple[tuple[Fraction, ...], ...]:
-    """Killing-Gram row action of each root of the restricted system."""
+def _killing_weights(entry: SpaceEntry) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Killing-Gram row action of each positive root of the restricted
+    system, as integer rows W over one denominator den: the Killing pairing
+    of h with the root is h . W_r / den.  A root and its negative pair to
+    opposite values, so the positive roots decide conjugacy alone."""
     rs = _system(entry.restricted)
-    return tuple(rs.gram.scaled(entry.psi_sq_killing).mul_int_vecs(sorted(rs.roots)))
+    m, g = rs.int_gram
+    k = entry.psi_sq_killing
+    rows = tuple(tuple(k.numerator * sum(map(mul, row, r)) for row in m)
+                 for r in sorted(rs.roots) if sum(r) > 0)
+    return rows, k.denominator * g
 
 
 @dataclass(frozen=True)
@@ -153,9 +162,12 @@ def _slice_point(label: SpaceLabel | str,
 
 
 def _conjugate(entry: SpaceEntry, h: tuple[Fraction, ...]) -> bool:
-    for w in _killing_weights(entry):
-        v = sum((hi * wi for hi, wi in zip(h, w)), Fraction(0))
-        if v != 0 and v.denominator == 1:
+    rows, den = _killing_weights(entry)
+    n, d = clear_denominators(h)
+    q = den * d                       # (h, r) = n . W_r / q
+    for w in rows:
+        v = sum(map(mul, n, w))
+        if v and v % q == 0:
             return True
     return False
 
@@ -194,7 +206,7 @@ def cut_details(label: SpaceLabel | str, h) -> CutDetails:
     of reflections that reached it, and is_conjugate's answer."""
     entry, rs, h = _slice_point(label, h)
     # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
-    # refused before the reflections to the dominant chamber are paid for.
+    # refused before any work on the point, whatever the point is.
     conjugate = _conjugate(entry, h)
     cls, dom, nrefl = _classify(entry, rs, h)
     return CutDetails(classification=cls, dominant_representative=dom,

@@ -44,6 +44,13 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def clear_denominators(xs) -> tuple[list[int], int]:
+    """Return (D*x as integers, D) for D the lcm of the denominators of xs."""
+    xs = [Fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical rendering: "p/q", or "p" when the denominator is 1."""
     return str(Fraction(x))
@@ -93,22 +100,6 @@ class Matrix:
             raise DimensionMismatch(f"matrix cols {self.cols} != vector length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
 
-    def mul_int_vecs(self, vecs) -> list[Vector]:
-        """``mul_vec`` of each integer vector in ``vecs``, in integer arithmetic.
-
-        Sums run over the denominator-cleared copy and skip zero
-        coefficients, so each entry costs one Fraction rather than a row of
-        Fraction products and sums.
-        """
-        m, d = self._cleared()
-        out = []
-        for v in vecs:
-            if len(v) != self.cols:
-                raise DimensionMismatch(f"matrix cols {self.cols} != vector length {len(v)}")
-            nz = [(j, c) for j, c in enumerate(v) if c]
-            out.append(tuple(Fraction(sum(row[j] * c for j, c in nz), d) for row in m))
-        return out
-
     def mul_mat(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
@@ -122,14 +113,11 @@ class Matrix:
     def to_json(self) -> list[list[str]]:
         return [[format_rational(x) for x in r] for r in self.entries]
 
-    def _cleared(self) -> tuple[list[list[int]], int]:
+    def cleared(self) -> tuple[list[list[int]], int]:
         """Return (D*self as integer rows, D) for D = lcm of denominators."""
-        d = 1
-        for r in self.entries:
-            for x in r:
-                d = lcm(d, x.denominator)
-        ints = [[int(x * d) for x in r] for r in self.entries]
-        return ints, d
+        flat, d = clear_denominators(x for r in self.entries for x in r)
+        c = self.cols
+        return [flat[i * c:(i + 1) * c] for i in range(self.rows)], d
 
     def det(self) -> Fraction:
         """Exact determinant via fraction-free Bareiss elimination."""
@@ -138,7 +126,7 @@ class Matrix:
         n = self.rows
         if n == 0:
             return Fraction(1)
-        m, d = self._cleared()
+        m, d = self.cleared()
         sign, last = _bareiss_forward(m, n)
         if last is None:
             return Fraction(0)
@@ -149,7 +137,7 @@ class Matrix:
         if not self.is_square():
             raise DimensionMismatch("inverse needs a square matrix")
         n = self.rows
-        ints, d = self._cleared()
+        ints, d = self.cleared()
         aug = [ints[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
         sign, last = _bareiss_forward(aug, n)
         if last is None:

@@ -10,6 +10,12 @@ at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
 For non-reduced (bc) systems the chamber walls come from the indivisible
 simple roots and the far face from psi = 2 * sum a_i; nothing else changes.
+
+The slice predicates run in integer coordinates, with the same answers
+as rational arithmetic: a point x = n/D has its denominators cleared
+once, the reduction to the dominant chamber pairs n with the simple
+roots through the integer Cartan matrix, and the cut-face level reads
+the integer Gram matrix M/g of ``RootSystem.int_gram``.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .linalg import DimensionMismatch, Vector
+from .linalg import DimensionMismatch, Vector, clear_denominators
 from .roots import RootSystem, dot_gram
 
 
@@ -66,23 +73,31 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
     )
 
 
+def _cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
+    """(n, D) with x == n / D, for a point in simple-root coordinates of rs."""
+    n, den = clear_denominators(x)
+    if len(n) != rs.rank:
+        raise DimensionMismatch(f"point length {len(n)} != rank {rs.rank}")
+    return n, den
+
+
 def classify_point(p: CartanPolytope, x) -> SliceClass:
     """Classify a point given in simple-root coordinates of the stored system.
 
     Units: the Gram matrix of the system, under which the cut face is the
-    exact level set (x, psi) = 1.
+    exact level set (x, psi) = 1.  With gram = M/g and x = n/D, the
+    pairings (a_i, x) are (Mn)_i / (gD), so the test runs on integers.
     """
     rs = p.system
-    x = tuple(Fraction(c) for c in x)
-    if len(x) != rs.rank:
-        raise DimensionMismatch(f"point length {len(x)} != rank {rs.rank}")
-    w = rs.gram.mul_vec(x)
+    n, den = _cleared_point(rs, x)
+    m, g = rs.int_gram
+    w = [sum(map(mul, row, n)) for row in m]
     if any(wi < 0 for wi in w):
         return SliceClass.NOT_DOMINANT
-    level = sum((Fraction(di) * wi for di, wi in zip(rs.highest_root, w)), Fraction(0))
-    if level > 1:
+    level, one = sum(map(mul, rs.highest_root, w)), g * den
+    if level > one:
         return SliceClass.OUTSIDE
-    if level == 1:
+    if level == one:
         return SliceClass.ON_CUT_FACE
     return SliceClass.INTERIOR
 
@@ -93,29 +108,38 @@ def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
     Reflects at the lowest-index violated wall until none remains; the
     result is the unique dominant point in the Weyl orbit of x.  Returns
     (representative, number of reflections applied).
+
+    With x = n/D, p_k = sum_j n_j A[j][k] has the sign of (a_k, x), and
+    s_i sends n_i to n_i - p_i; that changes only the p_k with A[i][k] != 0,
+    and no wall below the first such k can have become violated.
     """
-    cur = list(Fraction(c) for c in x)
-    if len(cur) != rs.rank:
-        raise DimensionMismatch(f"point length {len(cur)} != rank {rs.rank}")
-    gram = rs.gram
+    n, den = _cleared_point(rs, x)
+    rows = rs.cartan_rows
+    p = [0] * rs.rank
+    for nj, row in zip(n, rows):
+        if nj:
+            for k, a in row:
+                p[k] += nj * a
     count = 0
-    while True:
-        w = gram.mul_vec(tuple(cur))
-        for i, wi in enumerate(w):
-            if wi < 0:
-                cur[i] -= 2 * wi / gram[i, i]
-                count += 1
-                break
-        else:
-            return tuple(cur), count
+    i = 0
+    while i < rs.rank:
+        c = p[i]
+        if c >= 0:
+            i += 1
+            continue
+        n[i] -= c
+        for k, a in rows[i]:
+            p[k] -= c * a
+        count += 1
+        i = rows[i][0][0]
+    return tuple(Fraction(v, den) for v in n), count
 
 
 def reflect_simple(rs: RootSystem, x, i: int) -> Vector:
     """Apply the simple reflection s_i to a coefficient vector."""
-    cur = list(Fraction(c) for c in x)
-    w = rs.gram.mul_vec(tuple(cur))[i]
-    cur[i] -= 2 * w / rs.gram[i, i]
-    return tuple(cur)
+    n, den = _cleared_point(rs, x)
+    n[i] -= sum(nj * row[i] for nj, row in zip(n, rs.cartan))
+    return tuple(Fraction(v, den) for v in n)
 
 
 def to_json_dict(p: CartanPolytope) -> dict:

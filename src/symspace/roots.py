@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .linalg import DimensionMismatch, Matrix, dot, format_rational
+from .linalg import DimensionMismatch, Matrix, format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 MAX_RANK = 128      # largest rank ``build`` accepts
@@ -221,6 +222,9 @@ class RootSystem:
 
     ``indivisible_roots`` and ``roots`` are enumerated on first access;
     they raise InvalidRank for systems of more than MAX_ROOTS roots.
+    ``int_gram`` and ``cartan_rows``, the integer forms of the Gram and
+    Cartan matrices that the slice predicates use, are also built once,
+    on first access.
     """
 
     kind: RootKind
@@ -239,10 +243,11 @@ class RootSystem:
 
     @cached_property
     def roots(self) -> frozenset[tuple[int, ...]]:
-        kind, gram, indivisible = self.kind, self.gram, self.indivisible_roots
+        kind, indivisible = self.kind, self.indivisible_roots
         if kind.family == "bc":
-            ordered = tuple(indivisible)
-            norms = {r: dot(r, w) for r, w in zip(ordered, gram.mul_int_vecs(ordered))}
+            m, _ = self.int_gram       # norms up to the common factor 1/g
+            norms = {r: sum(map(mul, r, (sum(map(mul, row, r)) for row in m)))
+                     for r in indivisible}
             short_sq = min(norms.values())
             doubles = {tuple(2 * x for x in r) for r, n in norms.items() if n == short_sq}
             roots = frozenset(indivisible | doubles)
@@ -257,6 +262,17 @@ class RootSystem:
         if best != self.highest_root:
             raise RuntimeError(f"{kind}: highest root {best} != expected {self.highest_root}")
         return roots
+
+    @cached_property
+    def int_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(M, g) with ``gram == M / g``: integer rows over one positive denominator."""
+        m, g = self.gram.cleared()
+        return tuple(map(tuple, m)), g
+
+    @cached_property
+    def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
+        return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan)
 
     def root_norm_sq(self, r) -> Fraction:
         v = tuple(Fraction(x) for x in r)

@@ -228,3 +228,26 @@ def test_refused_inputs_exit_2(argv):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("coord", ["1e10000000", "1" * 5000, "5e-4301"],
+                         ids=["exponent", "numerator", "denominator"])
+def test_cut_oversized_coordinate_exit_2(coord):
+    # Refused before 10**exponent is formed, with the parse error.
+    proc = run_python("-m", "symspace.cli", "cut", "AI:n=3", "--point", f"{coord},0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: bad rational")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cut_coordinate_digit_limit(capsys):
+    # The refusal starts where echoing the point would fail; a zero stays
+    # zero whatever its exponent.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "cut", "AI:n=3", "--point", f"1e{limit - 1},0e99999999",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["point"] == [str(10 ** (limit - 1)), "0"]
+    code, _, err = run(capsys, "cut", "AI:n=3", "--point", f"1e{limit},0")
+    assert code == 2 and "bad rational" in err

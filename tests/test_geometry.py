@@ -122,7 +122,7 @@ def test_cut_classify_needs_no_roots():
 
 def test_cut_details_refuses_before_reflecting(monkeypatch):
     # Past the enumeration limit cut_details is refused before the
-    # dominant-chamber reduction, which costs O(rank^2) per reflection.
+    # dominant-chamber reduction runs.
     import symspace.geometry as geometry
 
     def unreachable(*_args):

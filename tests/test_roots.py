@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from symspace.linalg import DimensionMismatch
+from symspace.linalg import DimensionMismatch, Matrix
 from symspace.polytope import build_polytope
 from symspace.roots import (InvalidRank, NonTerminating, RootKind, build,
                             cartan_matrix, generate_roots, inner, parse_kind,
@@ -103,6 +103,8 @@ def test_cartan_recovered_from_gram(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_proportional_roots(kind):
     rs = build(kind)
+    if not kind.is_reduced:
+        short_sq = min(rs.root_norm_sq(s) for s in rs.indivisible_roots)
     for r in rs.roots:
         doubles = tuple(2 * c for c in r)
         halves = tuple(F(c, 2) for c in r)
@@ -111,10 +113,20 @@ def test_proportional_roots(kind):
         else:
             # exactly the short indivisible roots double
             is_short = (r in rs.indivisible_roots
-                        and rs.root_norm_sq(r) == min(rs.root_norm_sq(s)
-                                                      for s in rs.indivisible_roots))
+                        and rs.root_norm_sq(r) == short_sq)
             assert (doubles in rs.roots) == is_short
             assert (r in rs.indivisible_roots) == (halves not in rs.roots)
+
+
+def test_int_gram_matches_gram():
+    for kind in ALL_KINDS:
+        rs = build(kind)
+        m, g = rs.int_gram
+        assert g > 0 and all(type(x) is int for row in m for x in row)
+        assert Matrix.from_rows(m).scaled(F(1, g)) == rs.gram
+        assert rs.int_gram is rs.int_gram
+        assert rs.cartan_rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                                       for row in rs.cartan)
 
 
 def test_roots_enumerated_on_first_access():

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
-from .roots import MAX_RANK, InvalidRank, RootKind, build, parse_kind, split_kind
+from .roots import (MAX_RANK, InvalidRank, RootKind, build, check_rank, parse_kind,
+                    split_kind)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -131,6 +132,14 @@ def _nominal_to_kind(name: str) -> RootKind:
     return canonical_kind(*split_kind(name))
 
 
+def _restricted(family: str, rank: int) -> str:
+    """The nominal restricted label; past MAX_RANK, InvalidRank (as ``build``
+    would raise) before anything as large as the label's parameters is built."""
+    if rank > MAX_RANK:
+        check_rank(RootKind(family, rank))
+    return f"{family}{rank}"
+
+
 def _entry(label, name, space_type, ambient_name, restricted_name, factor,
            satake, canonical_eps=None) -> SpaceEntry:
     ambient = _nominal_to_kind(ambient_name)
@@ -170,20 +179,21 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         n = _need(label.n, "n", "AI")
         if n < 2:
             raise InvalidParams("AI requires n >= 2")
-        return _entry(label, f"SU({n})/SO({n})", "I", f"a{n - 1}", f"a{n - 1}",
-                      ONE, frozenset())
+        return _entry(label, f"SU({n})/SO({n})", "I", f"a{n - 1}",
+                      _restricted("a", n - 1), ONE, frozenset())
 
     if s == "AII":
         n = _need(label.n, "n", "AII")
         if n < 2:
             raise InvalidParams("AII requires n >= 2")
+        restr = _restricted("a", n - 1)
         satake = frozenset(range(1, 2 * n, 2))
         return _entry(label, f"SU({2 * n})/Sp({n})", "I", f"a{2 * n - 1}",
-                      f"a{n - 1}", HALF, satake)
+                      restr, HALF, satake)
 
     if s == "AIII":
         p, q = _need_pq(label, "AIII")
-        restr = "bc1" if p == 1 else (f"c{p}" if p == q else f"bc{p}")
+        restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = frozenset(range(p + 1, q))
         return _entry(label, f"G_{{{p},{q}}}(C)", "I", f"a{p + q - 1}", restr,
                       ONE, satake)
@@ -192,12 +202,12 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         n = _need(label.n, "n", "CI")
         if n < 1:
             raise InvalidParams("CI requires n >= 1")
-        return _entry(label, f"Sp({n})/U({n})", "I", f"c{n}", f"c{n}",
+        return _entry(label, f"Sp({n})/U({n})", "I", f"c{n}", _restricted("c", n),
                       ONE, frozenset())
 
     if s == "CII":
         p, q = _need_pq(label, "CII")
-        restr = "bc1" if p == 1 else (f"c{p}" if p == q else f"bc{p}")
+        restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = None
         if p + q >= 3:
             satake = frozenset(range(1, 2 * p, 2)) | frozenset(range(2 * p + 1, p + q + 1))
@@ -211,12 +221,8 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         n = _need(label.n, "n", "DIII")
         if n < 4:
             raise InvalidParams("DIII requires n >= 4")
-        if n % 2 == 0:
-            restr = f"c{n // 2}"
-            satake = frozenset(range(1, n, 2))
-        else:
-            restr = f"bc{(n - 1) // 2}"
-            satake = frozenset(range(1, n - 1, 2))
+        restr = _restricted("bc" if n % 2 else "c", n // 2)
+        satake = frozenset(range(1, n, 2))      # the odd nodes below n
         return _entry(label, f"SO({2 * n})/U({n})", "I", f"d{n}", restr,
                       ONE, satake)
 
@@ -244,6 +250,12 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
     if p == q and p < 4:
         raise InvalidParams("BDI with p=q requires p >= 4 "
                             "(p=q=2 splits as a product; p=q=3 is AI:n=4)")
+    if p == 1:
+        restr = "a1"
+        factor = HALF if q >= 3 else ONE
+    else:
+        restr = _restricted("b" if p < q else "d", p)
+        factor = ONE
     total = p + q
     if total % 2 == 1:
         m = (total - 1) // 2
@@ -256,16 +268,6 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
         black = frozenset(range(p + 1, m + 1)) if p <= m - 2 else frozenset()
         aliased = m < 4
     satake = black if (not black or not aliased) else None
-
-    if p == 1:
-        restr = "a1"
-        factor = HALF if q >= 3 else ONE
-    elif p < q:
-        restr = f"b{p}"
-        factor = ONE
-    else:
-        restr = f"d{p}"
-        factor = ONE
 
     if ambient_name == "d2":
         # so(4) splits into two a1 ideals swapped by the involution; the

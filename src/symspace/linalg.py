@@ -115,9 +115,8 @@ class Matrix:
 
     def cleared(self) -> tuple[list[list[int]], int]:
         """Return (D*self as integer rows, D) for D = lcm of denominators."""
-        flat, d = clear_denominators(x for r in self.entries for x in r)
-        c = self.cols
-        return [flat[i * c:(i + 1) * c] for i in range(self.rows)], d
+        d = lcm(*(x.denominator for r in self.entries for x in r))
+        return [[x.numerator * (d // x.denominator) for x in r] for r in self.entries], d
 
     def det(self) -> Fraction:
         """Exact determinant via fraction-free Bareiss elimination."""
@@ -133,21 +132,32 @@ class Matrix:
         return Fraction(sign * last, d ** n)
 
     def invert(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrix when the determinant is zero."""
+        """Exact inverse; raises SingularMatrix when the determinant is zero.
+
+        After the forward phase on [N | I], N = d*self, the last pivot is
+        delta = +-det(N), so y = delta * N^{-1} is integral (Cramer's rule)
+        and the back phase solves for y with exact integer division.
+        """
         if not self.is_square():
             raise DimensionMismatch("inverse needs a square matrix")
         n = self.rows
         ints, d = self.cleared()
         aug = [ints[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        sign, last = _bareiss_forward(aug, n)
-        if last is None:
+        _, delta = _bareiss_forward(aug, n)
+        if delta is None:
             raise SingularMatrix("matrix is singular")
-        cols = []
-        for j in range(n):
-            cols.append(_back_substitute(aug, n, n + j))
-        # aug solved N x = e_j with N = d*M, so M^{-1} columns are d*x.
-        inv_rows = tuple(tuple(d * cols[j][i] for j in range(n)) for i in range(n))
-        return Matrix(inv_rows)
+        y = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = aug[i]
+            acc = [delta * x for x in row[n:]]
+            for k in range(i + 1, n):
+                c = row[k]
+                if c:
+                    acc = [a - c * b for a, b in zip(acc, y[k])]
+            piv = row[i]
+            y[i] = [a // piv for a in acc]
+        # self^{-1} = d * N^{-1} = d * y / delta
+        return Matrix(tuple(tuple(Fraction(d * v, delta) for v in r) for r in y))
 
 
 def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
@@ -180,17 +190,6 @@ def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
             row_i[k] = 0
         prev = piv
     return sign, m[n - 1][n - 1] if n else 1
-
-
-def _back_substitute(m: list[list[int]], n: int, col: int) -> Vector:
-    """Solve the upper-triangular system left by the forward phase."""
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][col])
-        for k in range(i + 1, n):
-            s -= m[i][k] * x[k]
-        x[i] = s / m[i][i]
-    return tuple(x)
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")

@@ -7,6 +7,11 @@ LU (numpy), and the polytope maximum is attacked by random sampling of
 the simplex.  Agreement with the exact values is then evidence, not
 tautology.  All randomness flows from an explicit seed through numpy's
 PCG64 generator, so reports are bit-reproducible.
+
+The closure keeps a reflected vector unless it lies within 1e-7
+(Chebyshev) of a vector already found, testing it against all of them in
+one array reduction.  Nothing is rounded or hashed, so no bucket boundary
+decides whether two vectors are duplicates.
 """
 
 from __future__ import annotations
@@ -144,31 +149,37 @@ def float_simple_roots(kind: RootKind) -> list[tuple[float, ...]]:
 
 def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
                    cap: int = 600) -> list[np.ndarray]:
-    """Reflection closure of float vectors with tolerance deduplication."""
+    """Reflection closure of float vectors with tolerance deduplication.
+
+    The found vectors are the first k rows of one array, so testing a
+    candidate against all of them is a single reduction.
+    """
     vs = [np.array(s) for s in simples]
     norms = [float(v @ v) for v in vs]
-    found: list[np.ndarray] = []
+    # k <= max(cap, len(vs)) before each runaway check, plus one row per simple
+    found = np.empty((max(cap, len(vs)) + len(vs), len(vs[0])))
+    k = 0
 
-    def seen(x) -> bool:
-        return any(np.max(np.abs(x - y)) < tol for y in found)
+    def add(x) -> bool:
+        nonlocal k
+        if (np.abs(found[:k] - x).max(axis=1) < tol).any():
+            return False
+        found[k] = x
+        k += 1
+        return True
 
-    frontier = []
-    for v in vs:
-        if not seen(v):
-            found.append(v)
-            frontier.append(v)
+    frontier = [v for v in vs if add(v)]
     while frontier:
         nxt = []
         for r in frontier:
             for s, n in zip(vs, norms):
                 img = r - (2.0 * float(r @ s) / n) * s
-                if not seen(img):
-                    found.append(img)
+                if add(img):
                     nxt.append(img)
-            if len(found) > cap:
+            if k > cap:
                 raise RuntimeError("float closure runaway")
         frontier = nxt
-    return found
+    return list(found[:k])
 
 
 def closure_count_oracle(kind: RootKind) -> OracleReport:

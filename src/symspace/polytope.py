@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import DimensionMismatch, Vector, clear_denominators
-from .roots import RootSystem, dot_gram
+from .roots import RootSystem
 
 
 class SliceClass(enum.Enum):
@@ -61,7 +61,8 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
         coeffs = tuple(inv[k, j] / d[j] for k in range(l))
         verts.append(coeffs)
         norms.append(inv[j, j] / (d[j] * d[j]))
-    psi_sq = dot_gram(rs.gram, d, d)
+    m, g = rs.int_gram
+    psi_sq = Fraction(sum(di * sum(map(mul, row, d)) for di, row in zip(d, m)), g)
     d_sq = max(norms)
     return CartanPolytope(
         system=rs,

@@ -84,6 +84,13 @@ def parse_kind(text: str) -> RootKind:
     return RootKind(*split_kind(text))
 
 
+def check_rank(kind: RootKind) -> RootKind:
+    """Return ``kind``; raise InvalidRank when its rank exceeds MAX_RANK."""
+    if kind.rank > MAX_RANK:
+        raise InvalidRank(f"{kind}: rank {kind.rank} exceeds the limit of {MAX_RANK}")
+    return kind
+
+
 def root_count(kind: RootKind) -> int:
     """Classical root count per family."""
     l = kind.rank
@@ -297,9 +304,7 @@ def build(kind: RootKind | str) -> RootSystem:
     """Construct the Cartan data of the given kind; roots come on demand."""
     if isinstance(kind, str):
         kind = parse_kind(kind)
-    l = kind.rank
-    if l > MAX_RANK:
-        raise InvalidRank(f"{kind}: rank {l} exceeds the limit of {MAX_RANK}")
+    l = check_rank(kind).rank
     cartan = cartan_matrix(kind)
     lengths = _relative_lengths(kind)
     # Omega_ij = A[j][i] * (a_i, a_i) / 2, then rescale so (psi, psi) = 1.

@@ -156,6 +156,14 @@ def test_verify_deterministic(capsys):
     assert "pass" in out1
 
 
+def test_verify_matches_golden_tsv(capsys):
+    # Recorded from an earlier revision; the oracle TSV must not drift.
+    golden = Path(__file__).parent / "data" / "verify_seed42_s1000.tsv"
+    code, out, _ = run(capsys, "verify", "--seed", "42", "--samples", "1000")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
     from symspace import verify
     from symspace.oracle import OracleReport
@@ -251,3 +259,32 @@ def test_cut_coordinate_digit_limit(capsys):
     assert json.loads(out)["point"] == [str(10 ** (limit - 1)), "0"]
     code, _, err = run(capsys, "cut", "AI:n=3", "--point", f"1e{limit},0")
     assert code == 2 and "bad rational" in err
+
+
+def peak_rss_kb(*argv):
+    """Exit code, stderr and peak RSS (KiB) of a fresh ``symspace`` process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "symspace.cli", *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, proc.stderr.read().decode(), usage.ru_maxrss
+
+
+@pytest.mark.parametrize("label,kind", [
+    ("AII:n=1000000", "a999999"),
+    ("AI:n=1000000", "a999999"),
+    ("AIII:p=1000000,q=3000000", "bc1000000"),
+    ("CI:n=1000000", "c1000000"),
+    ("CII:p=1000000,q=1000000", "c1000000"),
+    ("BDI:p=1000000,q=3000000", "b1000000"),
+    ("DIII:n=2000001", "bc1000000"),
+])
+def test_over_rank_label_refused_before_black_nodes(label, kind):
+    base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
+    assert base_code == 0
+    code, err, rss = peak_rss_kb("space", label)
+    rank = kind.lstrip("abc")
+    assert (code, err) == (2, f"error: {kind}: rank {rank} exceeds the limit of 128\n")
+    assert rss <= base_rss + 4096, (rss, base_rss)

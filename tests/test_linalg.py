@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from symspace.linalg import (DimensionMismatch, Matrix, NegativeFactor,
                              PiSqrtValue, SingularMatrix, format_rational)
+from symspace.roots import MAX_RANK, RootKind, build
 
 
 def test_invert_scalar():
@@ -74,6 +76,87 @@ def test_det_sign_with_pivoting():
     m = Matrix.from_rows([[0, 1], [1, 0]])
     assert m.det() == -1
     assert m.invert() == m
+
+
+def gauss_jordan_inverse(rows):
+    """Reference: Fraction Gauss-Jordan on [A | I]; None when A is singular."""
+    n = len(rows)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for r in range(n):
+            if r != k and a[r][k] != 0:
+                f = a[r][k]
+                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "zero-lead", "zero-mid", "swapped",
+                                  "singular"]))
+    if shape == "zero-lead":
+        rows[0][0] = F(0)                 # row swap at the first pivot
+    elif shape == "zero-mid" and n > 2 and rows[0][0]:
+        # (row 1 - f * row 0) vanishes in column 1: row swap at the second pivot
+        rows[1][1] = rows[0][1] * rows[1][0] / rows[0][0]
+    elif shape == "swapped" and n > 1:
+        rows[0], rows[1] = rows[1], rows[0]     # flips the sign of det
+    elif shape == "singular":
+        c = draw(rationals)
+        rows[-1] = [c * x for x in rows[0]] if n > 1 else [F(0)]
+    return rows
+
+
+@given(square_matrices())
+@settings(max_examples=400, deadline=None)
+def test_invert_matches_gauss_jordan(rows):
+    m = Matrix.from_rows(rows)
+    want = gauss_jordan_inverse(rows)
+    if want is None:
+        assert m.det() == 0
+        with pytest.raises(SingularMatrix):
+            m.invert()
+    else:
+        assert m.det() != 0
+        assert m.invert().entries == want
+
+
+@pytest.mark.parametrize("rows,det", [
+    ([[0, 2], [3, 1]], -6),
+    ([[0, 0, 1], [0, 2, 0], [F(1, 3), 0, 0]], F(-2, 3)),
+    ([[1, 1, 0], [1, 1, F(1, 2)], [0, 1, 1]], F(-1, 2)),
+])
+def test_invert_row_swaps_negative_det(rows, det):
+    m = Matrix.from_rows(rows)
+    assert m.det() == det
+    assert m.invert().entries == gauss_jordan_inverse(rows)
+    assert m.mul_mat(m.invert()) == Matrix.identity(m.rows)
+
+
+@pytest.mark.parametrize("kind", [RootKind(fam, MAX_RANK)
+                                  for fam in ("a", "b", "c", "d", "bc")]
+                         + [RootKind("e", 8), RootKind("f", 4), RootKind("g", 2)],
+                         ids=str)
+def test_invert_gram_at_max_rank(kind):
+    # M * M^{-1} == I, checked on the denominator-cleared integer forms.
+    gram = build(kind).gram
+    a, da = gram.cleared()
+    b, db = gram.invert().cleared()
+    cols = list(zip(*b))
+    n = len(a)
+    assert [[sum(map(mul, r, c)) for c in cols] for r in a] == \
+        [[da * db if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_pi_sqrt_identity_and_arith():

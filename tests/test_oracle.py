@@ -1,12 +1,56 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from symspace.linalg import Matrix
-from symspace.oracle import (closure_count_oracle, inverse_oracle,
+from symspace.oracle import (_float_closure, closure_count_oracle,
+                             float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
 from symspace.polytope import build_polytope
-from symspace.roots import build, parse_kind
+from symspace.roots import RootKind, build, parse_kind
+
+# The 39 kinds of standard_suite at its default max_rank.
+SUITE_KINDS = ([RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3),
+                                                ("d", 4), ("bc", 1))
+                for l in range(lo, 9)]
+               + [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
+                  RootKind("f", 4), RootKind("g", 2)])
+
+
+def linear_scan_closure(simples, tol=1e-7, cap=600):
+    """Reference: the closure with one tolerance test per found vector."""
+    vs = [np.array(s) for s in simples]
+    norms = [float(v @ v) for v in vs]
+    found = []
+
+    def seen(x) -> bool:
+        return any(np.max(np.abs(x - y)) < tol for y in found)
+
+    frontier = []
+    for v in vs:
+        if not seen(v):
+            found.append(v)
+            frontier.append(v)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s, n in zip(vs, norms):
+                img = r - (2.0 * float(r @ s) / n) * s
+                if not seen(img):
+                    found.append(img)
+                    nxt.append(img)
+            if len(found) > cap:
+                raise RuntimeError("float closure runaway")
+        frontier = nxt
+    return found
+
+
+def assert_same_vectors(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), (g, w)
 
 
 def test_simplex_max_a1():
@@ -73,3 +117,39 @@ def test_suite_deterministic():
 def test_suite_all_pass_small():
     for rep in standard_suite(seed=123, samples=2000, max_rank=4):
         assert rep.passed, rep.tsv_row()
+
+
+def test_suite_kinds_are_the_suite():
+    names = {r.name.split(" ", 1)[1] for r in standard_suite(seed=0, samples=1000)
+             if r.name.startswith("closure-count")}
+    assert names == {str(k) for k in SUITE_KINDS} and len(SUITE_KINDS) == 39
+
+
+def test_float_closure_matches_linear_scan():
+    total = 0
+    for kind in SUITE_KINDS:
+        simples = float_simple_roots(kind)
+        got = _float_closure(simples)
+        assert_same_vectors(got, linear_scan_closure(simples))
+        total += len(got)
+    assert total == 2270
+
+
+@pytest.mark.parametrize("offset,merged", [(0.9e-7, True), (1.1e-7, False),
+                                           (-0.9e-7, True), (-1.1e-7, False)])
+def test_float_closure_tolerance_edge(offset, merged):
+    # The second simple vector is a near-duplicate of the first (the same
+    # reflection); the closure is {+-v1} when it is merged, else {+-v1, +-v2}.
+    simples = [(1.0, 0.0), (1.0 + offset, 0.0)]
+    got = _float_closure(simples)
+    assert_same_vectors(got, linear_scan_closure(simples))
+    assert len(got) == (2 if merged else 4)
+
+
+def test_float_closure_runaway():
+    e8 = float_simple_roots(RootKind("e", 8))
+    assert len(_float_closure(e8, cap=240)) == 240
+    dihedral = [(1.0, 0.0), (math.cos(1.0), math.sin(1.0))]    # infinite group
+    for simples, cap in ((e8, 239), (e8, 0), (dihedral, 600)):
+        with pytest.raises(RuntimeError, match="float closure runaway"):
+            _float_closure(simples, cap=cap)

@@ -62,6 +62,14 @@ def test_dphi_matches_closed_form(kind):
     assert (p.d_sq == p.i_sq) == (str(kind) in ("a1", "bc1"))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS + [RootKind(fam, 40) for fam in
+                                              ("a", "b", "c", "d", "bc")], ids=str)
+def test_i_sq_matches_dot_gram(kind):
+    rs = build(kind)
+    d = rs.highest_root
+    assert build_polytope(rs).i_sq == 1 / dot_gram(rs.gram, d, d) == 1
+
+
 def test_classify_origin_interior():
     p = _poly("b3")
     assert classify_point(p, (0, 0, 0)) is SliceClass.INTERIOR

@@ -164,6 +164,14 @@ def test_verify_matches_golden_tsv(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_verify_default_samples_matches_golden_tsv(capsys):
+    # The default 100,000 samples, as the benchmark runs it.
+    golden = Path(__file__).parent / "data" / "verify_seed42.tsv"
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
     from symspace import verify
     from symspace.oracle import OracleReport

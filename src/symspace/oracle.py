@@ -9,15 +9,24 @@ tautology.  All randomness flows from an explicit seed through numpy's
 PCG64 generator, so reports are bit-reproducible.
 
 The closure keeps a reflected vector unless it lies within 1e-7
-(Chebyshev) of a vector already found, testing it against all of them in
-one array reduction.  Nothing is rounded or hashed, so no bucket boundary
-decides whether two vectors are duplicates.
+(Chebyshev) of a vector already found.  It works one frontier at a time:
+the images of all frontier vectors are formed in one product, tested
+against the vectors of earlier frontiers in one chunked reduction, and
+the survivors are settled against each other, in order, from one
+pairwise distance matrix.  Nothing is rounded or hashed, so no bucket
+boundary decides whether two vectors are duplicates.
+
+The simplex sample depends only on the seed, the sample count and the
+rank, so every kind of one rank gets the same one.  The suite runs the
+kinds grouped by rank and draws each rank's sample once; only one is
+held at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +59,20 @@ class OracleReport:
 TSV_HEADER = "name\texact\tnumeric\terror\tstatus\tnote"
 
 
+@lru_cache(maxsize=1)
+def _dirichlet_weights(seed: int, samples: int, rank: int) -> np.ndarray:
+    """Read-only Dirichlet-uniform weights, one row of rank + 1 per sample.
+
+    The draw depends only on (seed, samples, rank), so the kinds of one
+    rank share it; the suite evaluates them together to draw it once.
+    """
+    rng = np.random.default_rng(seed & (2 ** 64 - 1))   # accept signed seeds
+    w = rng.exponential(1.0, size=(samples, rank + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    w.flags.writeable = False
+    return w
+
+
 def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleReport:
     """Random convex combinations of the polytope vertices never beat d_sq.
 
@@ -59,15 +82,13 @@ def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleRepo
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    rng = np.random.default_rng(seed & (2 ** 64 - 1))   # accept signed seeds
     l = p.system.rank
     verts = np.array([[float(c) for c in v] for v in p.vertices])
     gram = np.array([[float(p.system.gram[i, j]) for j in range(l)] for i in range(l)])
-    w = rng.exponential(1.0, size=(samples, l + 1))
-    w /= w.sum(axis=1, keepdims=True)
-    pts = w[:, 1:] @ verts
-    norms = ((pts @ gram) * pts).sum(axis=1)
-    sampled_max = float(norms.max())
+    pts = _dirichlet_weights(seed, samples, l)[:, 1:] @ verts
+    q = pts @ gram
+    q *= pts                                   # in place: one temporary less
+    sampled_max = float(q.sum(axis=1).max())
     vertex_norms = ((verts @ gram) * verts).sum(axis=1)
     vertex_max = float(vertex_norms.max())
     exact = float(p.d_sq)
@@ -147,39 +168,60 @@ def float_simple_roots(kind: RootKind) -> list[tuple[float, ...]]:
     raise ValueError(fam)  # pragma: no cover
 
 
+_CHUNK_FLOATS = 1 << 18     # 2 MB of float64 per temporary in _chebyshev
+
+
+def _chebyshev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix of Chebyshev distances max_t |a[i, t] - b[j, t]|."""
+    d = np.abs(a[:, None, 0] - b[None, :, 0])
+    for t in range(1, a.shape[1]):
+        np.maximum(d, np.abs(a[:, None, t] - b[None, :, t]), out=d)
+    return d
+
+
 def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
                    cap: int = 600) -> list[np.ndarray]:
     """Reflection closure of float vectors with tolerance deduplication.
 
-    The found vectors are the first k rows of one array, so testing a
-    candidate against all of them is a single reduction.
+    A vector is kept unless it lies within ``tol`` (Chebyshev) of a vector
+    kept before it.  One frontier is handled at a time: all its images are
+    formed at once, tested against the vectors of earlier frontiers in
+    row chunks, and the survivors are settled against each other, in
+    order, from one pairwise distance matrix.
     """
-    vs = [np.array(s) for s in simples]
-    norms = [float(v @ v) for v in vs]
-    # k <= max(cap, len(vs)) before each runaway check, plus one row per simple
-    found = np.empty((max(cap, len(vs)) + len(vs), len(vs[0])))
-    k = 0
+    s = np.array(simples, dtype=float)
+    norms = np.array([v @ v for v in s])
 
-    def add(x) -> bool:
-        nonlocal k
-        if (np.abs(found[:k] - x).max(axis=1) < tol).any():
-            return False
-        found[k] = x
-        k += 1
-        return True
+    def settle(cands: np.ndarray) -> np.ndarray:
+        """Indices of the candidates kept, in order, among themselves."""
+        near = np.empty((len(cands), len(cands)), dtype=bool)
+        step = max(1, _CHUNK_FLOATS // len(cands))
+        for i in range(0, len(cands), step):
+            near[i:i + step] = _chebyshev(cands[i:i + step], cands) < tol
+        kept: list[int] = []
+        for i in range(len(cands)):
+            if not near[i, kept].any():
+                kept.append(i)
+        return np.array(kept, dtype=int)
 
-    frontier = [v for v in vs if add(v)]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s, n in zip(vs, norms):
-                img = r - (2.0 * float(r @ s) / n) * s
-                if add(img):
-                    nxt.append(img)
-            if k > cap:
-                raise RuntimeError("float closure runaway")
-        frontier = nxt
-    return list(found[:k])
+    found = s[settle(s)]
+    frontier = found
+    while len(frontier):
+        imgs = frontier[:, None, :] - ((2.0 * (frontier @ s.T)) / norms)[:, :, None] * s
+        cands = imgs.reshape(-1, s.shape[1])
+        old = np.zeros(len(cands), dtype=bool)
+        step = max(1, _CHUNK_FLOATS // len(found))
+        for i in range(0, len(cands), step):
+            old[i:i + step] = (_chebyshev(cands[i:i + step], found) < tol).any(axis=1)
+        new = np.flatnonzero(~old)
+        new = new[settle(cands[new])] if len(new) else new
+        # The count only grows, so it passes cap after some frontier row
+        # exactly when it does after the last one.
+        if len(found) + len(new) > cap:
+            raise RuntimeError("float closure runaway")
+        frontier = cands[new]
+        found = np.concatenate([found, frontier])
+    return list(found)
 
 
 def closure_count_oracle(kind: RootKind) -> OracleReport:
@@ -234,7 +276,7 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
                   RootKind("f", 4), RootKind("g", 2)])
 
     reports: list[OracleReport] = []
-    for k in kinds:
+    for k in sorted(kinds, key=lambda kind: kind.rank):   # one draw per rank
         rs = build(k)
         reports.append(closure_count_oracle(k))
         reports.append(inverse_oracle(rs.gram, name=f"gram {k}"))

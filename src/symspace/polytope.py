@@ -61,14 +61,12 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
         coeffs = tuple(inv[k, j] / d[j] for k in range(l))
         verts.append(coeffs)
         norms.append(inv[j, j] / (d[j] * d[j]))
-    m, g = rs.int_gram
-    psi_sq = Fraction(sum(di * sum(map(mul, row, d)) for di, row in zip(d, m)), g)
     d_sq = max(norms)
     return CartanPolytope(
         system=rs,
         vertices=tuple(verts),
         vertex_norms_sq=tuple(norms),
-        i_sq=Fraction(1) / psi_sq,
+        i_sq=1 / rs.psi_sq,
         d_sq=d_sq,
         argmax_vertex=norms.index(d_sq),
     )

@@ -150,22 +150,19 @@ def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in a)
 
 
-def _relative_lengths(kind: RootKind) -> tuple[Fraction, ...]:
-    """Squared simple-root lengths up to overall scale."""
+def _relative_lengths(kind: RootKind) -> tuple[int, ...]:
+    """Squared simple-root lengths up to overall scale: 1, 2 or 3."""
     fam, l = kind.family, kind.rank
-    two = Fraction(2)
     if fam in ("a", "d", "e"):
-        return (two,) * l
+        return (2,) * l
     if fam in ("b", "bc"):
-        if l == 1:
-            return (two,)
-        return (two,) * (l - 1) + (Fraction(1),)
+        return (2,) * (l - 1) + (1,) if l > 1 else (2,)
     if fam == "c":
-        return (Fraction(1),) * (l - 1) + (two,)
+        return (1,) * (l - 1) + (2,)
     if fam == "f":
-        return (two, two, Fraction(1), Fraction(1))
+        return (2, 2, 1, 1)
     if fam == "g":
-        return (Fraction(3), Fraction(1))
+        return (3, 1)
     raise InvalidRank(fam)  # pragma: no cover
 
 
@@ -276,6 +273,13 @@ class RootSystem:
         m, g = self.gram.cleared()
         return tuple(map(tuple, m)), g
 
+    @property
+    def psi_sq(self) -> Fraction:
+        """(psi, psi) of the highest root, from ``int_gram`` in integers."""
+        m, g = self.int_gram
+        d = self.highest_root
+        return Fraction(sum(di * sum(map(mul, row, d)) for di, row in zip(d, m)), g)
+
     @cached_property
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
@@ -307,11 +311,14 @@ def build(kind: RootKind | str) -> RootSystem:
     l = check_rank(kind).rank
     cartan = cartan_matrix(kind)
     lengths = _relative_lengths(kind)
-    # Omega_ij = A[j][i] * (a_i, a_i) / 2, then rescale so (psi, psi) = 1.
-    raw = [[cartan[j][i] * lengths[i] / 2 for j in range(l)] for i in range(l)]
     psi = highest_root_coeffs(kind)
-    norm = sum(psi[i] * raw[i][j] * psi[j] for i in range(l) for j in range(l))
-    gram = Matrix.from_rows(raw).scaled(Fraction(1, 1) / norm)
+    # S_ij = A[j][i] * L_i = 2 (a_i, a_j) / scale, an integer matrix; dividing
+    # by N = psi^T S psi normalizes (psi, psi) to 1.  Entries repeat, so each
+    # distinct S_ij / N is made once.
+    s = [[cartan[j][i] * lengths[i] for j in range(l)] for i in range(l)]
+    norm = sum(p * sum(map(mul, row, psi)) for p, row in zip(psi, s))
+    frac = {x: Fraction(x, norm) for row in s for x in row}
+    gram = Matrix(tuple(tuple(frac[x] for x in row) for row in s))
     return RootSystem(kind=kind, rank=l, cartan=cartan, gram=gram, highest_root=psi)
 
 
@@ -325,5 +332,5 @@ def to_json_dict(rs: RootSystem) -> dict:
         "root_count": len(rs.roots),
         "indivisible_count": len(rs.indivisible_roots),
         "highest_root": list(rs.highest_root),
-        "psi_sq": format_rational(dot_gram(rs.gram, rs.highest_root, rs.highest_root)),
+        "psi_sq": format_rational(rs.psi_sq),
     }

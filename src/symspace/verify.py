@@ -13,6 +13,11 @@ from .geometry import report
 from .catalog import enumerate_table
 from .oracle import OracleReport, standard_suite
 
+# Largest simplex-oracle sample count, ten times the default.  A rank-8
+# draw and its products take about 200 bytes per sample, so a run at the
+# limit peaks near 240 MB resident, against about 60 MB at the default.
+MAX_SAMPLES = 10 ** 6
+
 
 def table_reports(which: str, param_bound: int) -> list[OracleReport]:
     out = []
@@ -39,6 +44,8 @@ def table_reports(which: str, param_bound: int) -> list[OracleReport]:
 
 def run_all(seed: int, samples: int = 100_000, oracle_max_rank: int = 8,
             table_bound: int = 12) -> list[OracleReport]:
+    if not 1000 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"need between 1000 and {MAX_SAMPLES} samples, got {samples}")
     reports = standard_suite(seed, samples=samples, max_rank=oracle_max_rank)
     reports.extend(table_reports("4.1", table_bound))
     reports.extend(table_reports("4.2", table_bound))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,6 +198,28 @@ def run_python(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("samples", ["999", "1000001", "10000000000"])
+def test_verify_samples_out_of_range_exit_2(samples):
+    start = time.perf_counter()
+    proc = run_python("-m", "symspace.cli", "verify", "--samples", samples)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert elapsed < 10          # refused before any oracle work
+
+
+def test_run_all_samples_limits(monkeypatch):
+    from symspace import verify
+    monkeypatch.setattr(verify, "standard_suite", lambda *a, **k: [])
+    monkeypatch.setattr(verify, "table_reports", lambda *a, **k: [])
+    for ok in (1000, verify.MAX_SAMPLES):
+        assert verify.run_all(0, samples=ok) == []
+    for bad in (999, verify.MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="samples"):
+            verify.run_all(0, samples=bad)
 
 
 def test_cli_import_skips_numpy():

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from symspace.linalg import Matrix
-from symspace.oracle import (_float_closure, closure_count_oracle,
+from symspace.linalg import Matrix, format_rational
+from symspace.oracle import (RNG_ALGORITHM, OracleReport, _dirichlet_weights,
+                             _float_closure, closure_count_oracle,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
 from symspace.polytope import build_polytope
@@ -74,6 +75,48 @@ def test_simplex_max_e6():
 def test_simplex_sample_floor():
     with pytest.raises(ValueError):
         simplex_max_oracle(build_polytope(build("a2")), 10, seed=0)
+
+
+def fresh_draw_simplex(p, samples, seed):
+    """Reference: the simplex oracle drawing from a fresh RNG for each kind."""
+    rng = np.random.default_rng(seed & (2 ** 64 - 1))
+    l = p.system.rank
+    verts = np.array([[float(c) for c in v] for v in p.vertices])
+    gram = np.array([[float(p.system.gram[i, j]) for j in range(l)] for i in range(l)])
+    w = rng.exponential(1.0, size=(samples, l + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    pts = w[:, 1:] @ verts
+    sampled_max = float(((pts @ gram) * pts).sum(axis=1).max())
+    vertex_max = float(((verts @ gram) * verts).sum(axis=1).max())
+    exact = float(p.d_sq)
+    return OracleReport(
+        name=f"simplex-max {p.system.kind}",
+        exact=format_rational(p.d_sq),
+        numeric=sampled_max,
+        error=abs(vertex_max - exact),
+        passed=sampled_max <= exact + 1e-9 and abs(vertex_max - exact) <= 1e-10,
+        note=f"samples={samples} seed={seed} rng={RNG_ALGORITHM}",
+    )
+
+
+@pytest.mark.parametrize("seed,samples", [(11, 1000), (-4, 1000), (11, 3000),
+                                          (-4, 3000)])
+def test_suite_simplex_rows_match_fresh_draws(seed, samples):
+    rows = [r for r in standard_suite(seed, samples=samples)
+            if r.name.startswith("simplex-max")]
+    want = [fresh_draw_simplex(build_polytope(build(k)), samples, seed)
+            for k in sorted(SUITE_KINDS, key=str)]
+    assert [r.name for r in rows] == [r.name for r in want]
+    assert rows == want
+    assert [r.tsv_row() for r in rows] == [r.tsv_row() for r in want]
+
+
+def test_dirichlet_weights_read_only():
+    w = _dirichlet_weights(5, 1000, 3)
+    assert w.shape == (1000, 4) and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+    assert _dirichlet_weights(5, 1000, 3) is w
 
 
 def test_inverse_oracle_cases():

@@ -4,9 +4,10 @@ import pytest
 
 from symspace.linalg import DimensionMismatch, Matrix
 from symspace.polytope import build_polytope
-from symspace.roots import (InvalidRank, NonTerminating, RootKind, build,
-                            cartan_matrix, generate_roots, inner, parse_kind,
-                            root_count, to_json_dict)
+from symspace.roots import (MAX_RANK, InvalidRank, NonTerminating, RootKind,
+                            build, cartan_matrix, generate_roots,
+                            highest_root_coeffs, inner, parse_kind, root_count,
+                            to_json_dict)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -127,6 +128,55 @@ def test_int_gram_matches_gram():
         assert rs.int_gram is rs.int_gram
         assert rs.cartan_rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
                                        for row in rs.cartan)
+
+
+def fraction_lengths(kind):
+    """Reference: squared simple-root lengths up to scale, as Fractions."""
+    fam, l = kind.family, kind.rank
+    one, two = F(1), F(2)
+    if fam in ("a", "d", "e") or (fam == "bc" and l == 1):
+        return (two,) * l
+    if fam in ("b", "bc"):
+        return (two,) * (l - 1) + (one,)
+    if fam == "c":
+        return (one,) * (l - 1) + (two,)
+    return {"f": (two, two, one, one), "g": (F(3), one)}[fam]
+
+
+def fraction_gram(kind):
+    """Reference: the nonzero Gram entries by rational arithmetic.
+
+    Omega_ij = A[j][i] (a_i, a_i) / 2, rescaled by 1 / (psi, psi).  A zero
+    Cartan entry adds nothing to (psi, psi) and stays zero, so only the
+    nonzero entries are computed.
+    """
+    l, cartan = kind.rank, cartan_matrix(kind)
+    lengths = fraction_lengths(kind)
+    raw = {(i, j): cartan[j][i] * lengths[i] / 2
+           for i in range(l) for j in range(l) if cartan[j][i]}
+    psi = highest_root_coeffs(kind)
+    norm = sum(psi[i] * x * psi[j] for (i, j), x in raw.items())
+    return {ij: x * (F(1, 1) / norm) for ij, x in raw.items()}
+
+
+GRAM_KINDS = {fam: [RootKind(fam, l) for l in range(lo, MAX_RANK + 1)]
+              for fam, lo in (("a", 1), ("b", 2), ("c", 3), ("d", 4), ("bc", 1))}
+GRAM_KINDS["efg"] = [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
+                     RootKind("f", 4), RootKind("g", 2)]
+
+
+@pytest.mark.parametrize("family", sorted(GRAM_KINDS))
+def test_gram_matches_fraction_construction(family):
+    for kind in GRAM_KINDS[family]:
+        rs = build(kind)
+        gram = rs.gram.entries
+        assert len(gram) == kind.rank and all(len(row) == kind.rank for row in gram)
+        assert all(type(x) is F for row in gram for x in row)
+        nonzero = {(i, j): x for i, row in enumerate(gram)
+                   for j, x in enumerate(row) if x}
+        assert nonzero == fraction_gram(kind), kind
+        m, g = rs.gram.cleared()
+        assert rs.int_gram == (tuple(map(tuple, m)), g), kind
 
 
 def test_roots_enumerated_on_first_access():

@@ -195,7 +195,7 @@ def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
     def settle(cands: np.ndarray) -> np.ndarray:
         """Indices of the candidates kept, in order, among themselves."""
         near = np.empty((len(cands), len(cands)), dtype=bool)
-        step = max(1, _CHUNK_FLOATS // len(cands))
+        step = max(1, _CHUNK_FLOATS // max(1, len(cands)))
         for i in range(0, len(cands), step):
             near[i:i + step] = _chebyshev(cands[i:i + step], cands) < tol
         kept: list[int] = []
@@ -209,12 +209,12 @@ def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
     while len(frontier):
         imgs = frontier[:, None, :] - ((2.0 * (frontier @ s.T)) / norms)[:, :, None] * s
         cands = imgs.reshape(-1, s.shape[1])
-        old = np.zeros(len(cands), dtype=bool)
+        seen = np.empty(len(cands), dtype=bool)
         step = max(1, _CHUNK_FLOATS // len(found))
         for i in range(0, len(cands), step):
-            old[i:i + step] = (_chebyshev(cands[i:i + step], found) < tol).any(axis=1)
-        new = np.flatnonzero(~old)
-        new = new[settle(cands[new])] if len(new) else new
+            seen[i:i + step] = (_chebyshev(cands[i:i + step], found) < tol).any(axis=1)
+        new = np.flatnonzero(~seen)
+        new = new[settle(cands[new])]
         # The count only grows, so it passes cap after some frontier row
         # exactly when it does after the last one.
         if len(found) + len(new) > cap:

@@ -18,8 +18,8 @@ boundary decides whether two vectors are duplicates.
 
 The simplex sample depends only on the seed, the sample count and the
 rank, so every kind of one rank gets the same one.  The suite runs the
-kinds grouped by rank and draws each rank's sample once; only one is
-held at a time.
+kinds grouped by rank and draws each rank's sample once; the cache keeps
+only the latest.
 """
 
 from __future__ import annotations

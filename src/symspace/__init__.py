@@ -20,7 +20,7 @@ from .linalg import (DimensionMismatch, Matrix, NegativeFactor, PiSqrtValue,
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
 from .roots import (InvalidRank, NonTerminating, RootKind, RootSystem, build,
-                    generate_roots, inner, parse_kind, root_count)
+                    generate_roots, parse_kind, root_count)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "RootSystem", "SingularMatrix", "SliceClass", "SpaceEntry", "SpaceLabel",
     "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
     "delta_sq_formula", "dominant_representative", "enumerate_table",
-    "generate_roots", "inner", "is_conjugate", "kappa_relation_check",
+    "generate_roots", "is_conjugate", "kappa_relation_check",
     "killing_data", "killing_delta_sq", "killing_self_consistency",
     "parse_kind", "parse_label", "perp_decomposition", "perp_subsystem",
     "product", "report", "resolve", "restriction_factor_crosscheck",

@@ -18,6 +18,10 @@ some restricted root has nonzero integer inner product with it, and the
 cut face is the unit level of the highest root on the dominant chamber.
 Mapping a general tangent vector to its slice representative is outside
 this module; callers supply slice coordinates.
+
+A point's denominators are cleared once, h = n/D; the predicates then run
+on integers (psi_sq_killing = a/b enters as (a n, b D)) and build
+Fractions only for the dominant representative ``cut_details`` returns.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from functools import lru_cache
 from operator import mul
 
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .linalg import (DimensionMismatch, PiSqrtValue, clear_denominators,
-                     format_rational)
-from .polytope import (CartanPolytope, SliceClass, build_polytope,
-                       classify_point, dominant_representative)
+from .linalg import PiSqrtValue, format_rational
+from .polytope import (CartanPolytope, SliceClass, _classify_cleared,
+                       _cleared_point, _reduce_dominant, build_polytope)
 from .roots import RootKind, RootSystem, build
 
 
@@ -129,18 +132,29 @@ def kappa_relation_check(rep: GeometryReport) -> Fraction:
     return rep.injectivity_radius.radicand * rep.kappa - 1
 
 
-@lru_cache(maxsize=None)
-def _killing_weights(entry: SpaceEntry) -> tuple[tuple[tuple[int, ...], ...], int]:
+_SLICE_CACHE_SIZE = 256      # labels (and kind/psi pairs) kept by the slice caches
+
+
+@lru_cache(maxsize=_SLICE_CACHE_SIZE)
+def _slice_data(label: SpaceLabel | str) -> tuple[RootSystem, Fraction]:
+    """The restricted system and psi_sq_killing of a label: all the slice
+    predicates read of its entry, which (with its black-node set) is dropped."""
+    entry = resolve(label)
+    return _system(entry.restricted), entry.psi_sq_killing
+
+
+@lru_cache(maxsize=_SLICE_CACHE_SIZE)
+def _killing_weights(kind: RootKind,
+                     psi_sq: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Killing-Gram row action of each positive root of the restricted
     system, as integer rows W over one denominator den: the Killing pairing
     of h with the root is h . W_r / den.  A root and its negative pair to
     opposite values, so the positive roots decide conjugacy alone."""
-    rs = _system(entry.restricted)
+    rs = _system(kind)
     m, g = rs.int_gram
-    k = entry.psi_sq_killing
-    rows = tuple(tuple(k.numerator * sum(map(mul, row, r)) for row in m)
+    rows = tuple(tuple(psi_sq.numerator * sum(map(mul, row, r)) for row in m)
                  for r in sorted(rs.roots) if sum(r) > 0)
-    return rows, k.denominator * g
+    return rows, psi_sq.denominator * g
 
 
 @dataclass(frozen=True)
@@ -152,18 +166,14 @@ class CutDetails:
 
 
 def _slice_point(label: SpaceLabel | str,
-                 h) -> tuple[SpaceEntry, RootSystem, tuple[Fraction, ...]]:
-    entry = resolve(label)
-    rs = _system(entry.restricted)
-    h = tuple(Fraction(c) for c in h)
-    if len(h) != rs.rank:
-        raise DimensionMismatch(f"point length {len(h)} != rank {rs.rank}")
-    return entry, rs, h
+                 h) -> tuple[RootSystem, Fraction, list[int], int]:
+    """(rs, psi_sq_killing, n, D) with h == n / D."""
+    rs, psi_sq = _slice_data(label)
+    return (rs, psi_sq, *_cleared_point(rs, h))
 
 
-def _conjugate(entry: SpaceEntry, h: tuple[Fraction, ...]) -> bool:
-    rows, den = _killing_weights(entry)
-    n, d = clear_denominators(h)
+def _conjugate(rs: RootSystem, psi_sq: Fraction, n: list[int], d: int) -> bool:
+    rows, den = _killing_weights(rs.kind, psi_sq)
     q = den * d                       # (h, r) = n . W_r / q
     for w in rows:
         v = sum(map(mul, n, w))
@@ -172,11 +182,13 @@ def _conjugate(entry: SpaceEntry, h: tuple[Fraction, ...]) -> bool:
     return False
 
 
-def _classify(entry: SpaceEntry, rs: RootSystem,
-              h: tuple[Fraction, ...]) -> tuple[SliceClass, tuple[Fraction, ...], int]:
-    dom, nrefl = dominant_representative(rs, h)
-    scaled = tuple(entry.psi_sq_killing * c for c in dom)
-    return classify_point(_polytope(entry.restricted), scaled), dom, nrefl
+def _classify(rs: RootSystem, psi_sq: Fraction, n: list[int],
+              d: int) -> tuple[SliceClass, int]:
+    """Reduce n in place to the dominant representative and classify it in
+    Gram units, where it is psi_sq * n / d = (a n) / (b d) for psi_sq = a/b."""
+    nrefl = _reduce_dominant(rs, n)
+    a, b = psi_sq.numerator, psi_sq.denominator
+    return _classify_cleared(rs, [a * v for v in n], b * d), nrefl
 
 
 def is_conjugate(label: SpaceLabel | str, h) -> bool:
@@ -185,8 +197,7 @@ def is_conjugate(label: SpaceLabel | str, h) -> bool:
     h is a rational vector in simple-root coordinates of the restricted
     system, Killing units, divided by pi.
     """
-    entry, _rs, h = _slice_point(label, h)
-    return _conjugate(entry, h)
+    return _conjugate(*_slice_point(label, h))
 
 
 def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
@@ -197,19 +208,19 @@ def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
     the ray is still minimizing past this point, the cut face marks cut
     points, Outside lies beyond them.
     """
-    entry, rs, h = _slice_point(label, h)
-    return _classify(entry, rs, h)[0]
+    return _classify(*_slice_point(label, h))[0]
 
 
 def cut_details(label: SpaceLabel | str, h) -> CutDetails:
     """cut_classify's answer with the dominant representative, the number
     of reflections that reached it, and is_conjugate's answer."""
-    entry, rs, h = _slice_point(label, h)
+    rs, psi_sq, n, d = _slice_point(label, h)
     # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
     # refused before any work on the point, whatever the point is.
-    conjugate = _conjugate(entry, h)
-    cls, dom, nrefl = _classify(entry, rs, h)
-    return CutDetails(classification=cls, dominant_representative=dom,
+    conjugate = _conjugate(rs, psi_sq, n, d)
+    cls, nrefl = _classify(rs, psi_sq, n, d)
+    return CutDetails(classification=cls,
+                      dominant_representative=tuple(Fraction(v, d) for v in n),
                       reflections=nrefl, conjugate=conjugate)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import format_rational
 from .roots import RootKind, RootSystem, root_count
@@ -43,24 +44,22 @@ def canonical_kind(family: str, rank: int) -> RootKind:
     return RootKind(family, rank)
 
 
+def _delta_pairings(rs: RootSystem) -> list[int]:
+    """g * (a_i, delta) for each simple root, with gram = M/g of ``int_gram``."""
+    m, _ = rs.int_gram
+    return [sum(map(mul, row, rs.highest_root)) for row in m]
+
+
 def perp_subsystem(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     """All roots with exact inner product 0 against the highest root."""
-    w = rs.gram.mul_vec(tuple(Fraction(c) for c in rs.highest_root))
-    return frozenset(r for r in rs.roots
-                     if sum(ri * wi for ri, wi in zip(r, w)) == 0)
+    w = _delta_pairings(rs)
+    return frozenset(r for r in rs.roots if sum(map(mul, r, w)) == 0)
 
 
 def perp_simple_indices(rs: RootSystem) -> tuple[int, ...]:
-    """0-based indices i with delta - a_i not a root (equivalently (a_i, delta) = 0)."""
-    delta = rs.highest_root
-    out = []
-    for i in range(rs.rank):
-        cand = list(delta)
-        cand[i] -= 1
-        t = tuple(cand)
-        if t not in rs.roots and any(t):
-            out.append(i)
-    return tuple(out)
+    """0-based indices i with (a_i, delta) = 0 (equivalently, delta - a_i
+    is not a root); needs no root list, so it holds at any rank."""
+    return tuple(i for i, w in enumerate(_delta_pairings(rs)) if w == 0)
 
 
 def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
@@ -188,10 +187,10 @@ def killing_self_consistency(rs: RootSystem) -> Fraction:
     formula extends verbatim.
     """
     c = _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
-    w = rs.gram.scaled(c).mul_vec(tuple(Fraction(x) for x in rs.highest_root))
-    total = sum((sum(ri * wi for ri, wi in zip(r, w)) ** 2 for r in rs.roots),
-                Fraction(0))
-    return total - c
+    _, g = rs.int_gram
+    w = _delta_pairings(rs)           # (alpha, delta) = c * (alpha . w) / g
+    total = sum(sum(map(mul, r, w)) ** 2 for r in rs.roots)
+    return c * c * Fraction(total, g * g) - c
 
 
 def killing_data(rs: RootSystem) -> KillingData:

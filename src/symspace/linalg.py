@@ -37,16 +37,10 @@ class NegativeFactor(ValueError):
     """Raised when a nonnegative scale factor is required but not given."""
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    """Plain coordinate dot product (no Gram matrix)."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def clear_denominators(xs) -> tuple[list[int], int]:
-    """Return (D*x as integers, D) for D the lcm of the denominators of xs."""
-    xs = [Fraction(x) for x in xs]
+    """Return (D*x as integers, D) for D the lcm of the denominators of xs.
+    Only elements that are neither int nor Fraction go through Fraction()."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
 
@@ -86,29 +80,8 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def mul_vec(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"matrix cols {self.cols} != vector length {len(v)}")
-        return tuple(dot(r, v) for r in self.entries)
-
-    def mul_mat(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        ot = other.transpose()
-        return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries))
-
-    def scaled(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(tuple(tuple(c * x for x in r) for r in self.entries))
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(x) for x in r] for r in self.entries]

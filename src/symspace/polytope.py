@@ -12,10 +12,12 @@ For non-reduced (bc) systems the chamber walls come from the indivisible
 simple roots and the far face from psi = 2 * sum a_i; nothing else changes.
 
 The slice predicates run in integer coordinates, with the same answers
-as rational arithmetic: a point x = n/D has its denominators cleared
-once, the reduction to the dominant chamber pairs n with the simple
-roots through the integer Cartan matrix, and the cut-face level reads
-the integer Gram matrix M/g of ``RootSystem.int_gram``.
+as rational arithmetic.  Their kernels take a point x = n/D as (n, D):
+the reduction to the dominant chamber pairs n with the simple roots
+through the integer Cartan matrix, and the cut-face level reads the
+integer Gram matrix M/g of ``RootSystem.int_gram``.  ``geometry`` calls
+the kernels directly; ``dominant_representative`` and ``classify_point``
+wrap them for Fraction points.
 """
 
 from __future__ import annotations
@@ -80,15 +82,9 @@ def _cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
     return n, den
 
 
-def classify_point(p: CartanPolytope, x) -> SliceClass:
-    """Classify a point given in simple-root coordinates of the stored system.
-
-    Units: the Gram matrix of the system, under which the cut face is the
-    exact level set (x, psi) = 1.  With gram = M/g and x = n/D, the
-    pairings (a_i, x) are (Mn)_i / (gD), so the test runs on integers.
-    """
-    rs = p.system
-    n, den = _cleared_point(rs, x)
+def _classify_cleared(rs: RootSystem, n: list[int], den: int) -> SliceClass:
+    """classify_point for the point n/den, on integers: with gram = M/g the
+    pairings (a_i, x) are (Mn)_i / (g den) and the cut face is level g den."""
     m, g = rs.int_gram
     w = [sum(map(mul, row, n)) for row in m]
     if any(wi < 0 for wi in w):
@@ -101,18 +97,14 @@ def classify_point(p: CartanPolytope, x) -> SliceClass:
     return SliceClass.INTERIOR
 
 
-def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
-    """Reduce x into the closed dominant chamber by simple reflections.
+def _reduce_dominant(rs: RootSystem, n: list[int]) -> int:
+    """dominant_representative on the numerators n of a point over any
+    common denominator: reduces n in place, returns the reflection count.
 
-    Reflects at the lowest-index violated wall until none remains; the
-    result is the unique dominant point in the Weyl orbit of x.  Returns
-    (representative, number of reflections applied).
-
-    With x = n/D, p_k = sum_j n_j A[j][k] has the sign of (a_k, x), and
-    s_i sends n_i to n_i - p_i; that changes only the p_k with A[i][k] != 0,
-    and no wall below the first such k can have become violated.
+    p_k = sum_j n_j A[j][k] has the sign of (a_k, x), and s_i sends n_i to
+    n_i - p_i; that changes only the p_k with A[i][k] != 0, and no wall
+    below the first such k can have become violated.
     """
-    n, den = _cleared_point(rs, x)
     rows = rs.cartan_rows
     p = [0] * rs.rank
     for nj, row in zip(n, rows):
@@ -131,6 +123,27 @@ def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
             p[k] -= c * a
         count += 1
         i = rows[i][0][0]
+    return count
+
+
+def classify_point(p: CartanPolytope, x) -> SliceClass:
+    """Classify a point given in simple-root coordinates of the stored system.
+
+    Units: the Gram matrix of the system, under which the cut face is the
+    exact level set (x, psi) = 1.
+    """
+    return _classify_cleared(p.system, *_cleared_point(p.system, x))
+
+
+def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
+    """Reduce x into the closed dominant chamber by simple reflections.
+
+    Reflects at the lowest-index violated wall until none remains; the
+    result is the unique dominant point in the Weyl orbit of x.  Returns
+    (representative, number of reflections applied).
+    """
+    n, den = _cleared_point(rs, x)
+    count = _reduce_dominant(rs, n)
     return tuple(Fraction(v, den) for v in n), count
 
 

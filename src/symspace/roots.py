@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .linalg import DimensionMismatch, Matrix, format_rational
+from .linalg import Matrix, format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 MAX_RANK = 128      # largest rank ``build`` accepts
@@ -284,24 +284,6 @@ class RootSystem:
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
         return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan)
-
-    def root_norm_sq(self, r) -> Fraction:
-        v = tuple(Fraction(x) for x in r)
-        return dot_gram(self.gram, v, v)
-
-
-def dot_gram(gram: Matrix, u, v) -> Fraction:
-    u = tuple(Fraction(x) for x in u)
-    v = tuple(Fraction(x) for x in v)
-    if len(u) != gram.rows or len(v) != gram.cols:
-        raise DimensionMismatch("vector length does not match Gram rank")
-    w = gram.mul_vec(v)
-    return sum((a * b for a, b in zip(u, w)), Fraction(0))
-
-
-def inner(rs: RootSystem, u, v) -> Fraction:
-    """Inner product of coefficient vectors through the stored Gram matrix."""
-    return dot_gram(rs.gram, u, v)
 
 
 def build(kind: RootKind | str) -> RootSystem:

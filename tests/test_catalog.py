@@ -6,7 +6,7 @@ from symspace.catalog import (InvalidParams, MissingSatakeData, SpaceLabel,
                               enumerate_table, parse_label, resolve,
                               restriction_factor_crosscheck, to_json_dict)
 from symspace.killing import killing_delta_sq
-from symspace.roots import RootKind, build
+from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
 
 
 def test_parse_label_grammar():
@@ -162,11 +162,23 @@ def test_satake_crosscheck_examples():
 
 
 def test_satake_crosscheck_sweep():
-    for which in ("4.1",):
-        for entry in enumerate_table(which, 8):
-            if entry.satake_black_nodes is None or entry.ambient.rank > 12:
-                continue
-            assert restriction_factor_crosscheck(entry), str(entry.label)
+    past_cap = 0
+    for entry in enumerate_table("4.1", 24):
+        if entry.satake_black_nodes is None or entry.ambient.rank > MAX_RANK:
+            continue
+        assert restriction_factor_crosscheck(entry), str(entry.label)
+        past_cap += root_count(entry.ambient) > MAX_ROOTS
+    assert past_cap > 0
+
+
+@pytest.mark.parametrize("label", ["AIII:p=20,q=30", "CII:p=10,q=20",
+                                   "BDI:p=10,q=31"])
+def test_satake_crosscheck_past_root_cap(label):
+    # Ambient systems of more than MAX_ROOTS roots: the check reads only
+    # the Gram matrix and the highest root.
+    entry = resolve(label)
+    assert root_count(entry.ambient) > MAX_ROOTS
+    assert restriction_factor_crosscheck(entry)
 
 
 def test_crosscheck_missing_data():

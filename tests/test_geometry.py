@@ -122,16 +122,21 @@ def test_cut_classify_needs_no_roots():
 
 def test_cut_details_refuses_before_reflecting(monkeypatch):
     # Past the enumeration limit cut_details is refused before the
-    # dominant-chamber reduction runs.
+    # dominant-chamber reduction runs.  geometry reduces through the
+    # integer kernel, so that is the function that must not be reached.
     import symspace.geometry as geometry
 
     def unreachable(*_args):
-        raise AssertionError("dominant_representative ran before the refusal")
+        raise AssertionError("_reduce_dominant ran before the refusal")
 
-    monkeypatch.setattr(geometry, "dominant_representative", unreachable)
+    monkeypatch.setattr(geometry, "_reduce_dominant", unreachable)
     point = tuple(F(i % 7 - 3, 5) for i in range(40))
     with pytest.raises(InvalidRank):
         cut_details("BDI:p=40,q=40", point)
+    # Within the limit the patched kernel is reached, so the refusal
+    # above is not vacuous.
+    with pytest.raises(AssertionError, match="_reduce_dominant"):
+        cut_details("BDI:p=6,q=9", point[:6])
 
 
 def test_cut_face_implies_conjugate_random():

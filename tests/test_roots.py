@@ -6,8 +6,10 @@ from symspace.linalg import DimensionMismatch, Matrix
 from symspace.polytope import build_polytope
 from symspace.roots import (MAX_RANK, InvalidRank, NonTerminating, RootKind,
                             build, cartan_matrix, generate_roots,
-                            highest_root_coeffs, inner, parse_kind, root_count,
+                            highest_root_coeffs, parse_kind, root_count,
                             to_json_dict)
+
+from reference import inner, root_norm_sq, scaled
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -105,7 +107,7 @@ def test_cartan_recovered_from_gram(kind):
 def test_proportional_roots(kind):
     rs = build(kind)
     if not kind.is_reduced:
-        short_sq = min(rs.root_norm_sq(s) for s in rs.indivisible_roots)
+        short_sq = min(root_norm_sq(rs, s) for s in rs.indivisible_roots)
     for r in rs.roots:
         doubles = tuple(2 * c for c in r)
         halves = tuple(F(c, 2) for c in r)
@@ -114,7 +116,7 @@ def test_proportional_roots(kind):
         else:
             # exactly the short indivisible roots double
             is_short = (r in rs.indivisible_roots
-                        and rs.root_norm_sq(r) == short_sq)
+                        and root_norm_sq(rs, r) == short_sq)
             assert (doubles in rs.roots) == is_short
             assert (r in rs.indivisible_roots) == (halves not in rs.roots)
 
@@ -124,7 +126,7 @@ def test_int_gram_matches_gram():
         rs = build(kind)
         m, g = rs.int_gram
         assert g > 0 and all(type(x) is int for row in m for x in row)
-        assert Matrix.from_rows(m).scaled(F(1, g)) == rs.gram
+        assert scaled(Matrix.from_rows(m), F(1, g)) == rs.gram
         assert rs.int_gram is rs.int_gram
         assert rs.cartan_rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
                                        for row in rs.cartan)

@@ -5,19 +5,30 @@ The reference functions below are the rational-arithmetic versions of
 conjugacy test: Gram products in ``fractions.Fraction``, recomputed after
 every reflection.  The kernel must agree with them exactly, on every kind
 whose roots can be enumerated.
+
+The geometry predicates clear a point's denominators once and stay in
+integers; the Fraction pipeline they replaced (convert every coordinate,
+reduce, multiply by psi_sq_killing, classify) is kept below as the
+reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.
 """
 
+import fractions
 import random
+import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from symspace.catalog import resolve
-from symspace.geometry import cut_classify, is_conjugate
-from symspace.linalg import dot
+from symspace import geometry
+from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
+from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
+from symspace.linalg import DimensionMismatch
 from symspace.polytope import (SliceClass, build_polytope, classify_point,
                                dominant_representative, reflect_simple)
-from symspace.roots import MAX_ROOTS, RootKind, build, root_count
+from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
+
+from reference import dot, mul_vec, scaled
 
 IN_CAP_KINDS = (
     [RootKind("a", l) for l in range(1, 22)]
@@ -37,7 +48,7 @@ def ref_dominant(rs, x):
     gram = rs.gram
     count = 0
     while True:
-        w = gram.mul_vec(tuple(cur))
+        w = mul_vec(gram, tuple(cur))
         for i, wi in enumerate(w):
             if wi < 0:
                 cur[i] -= 2 * wi / gram[i, i]
@@ -49,7 +60,7 @@ def ref_dominant(rs, x):
 
 def ref_reflect(rs, x, i):
     cur = list(F(c) for c in x)
-    w = rs.gram.mul_vec(tuple(cur))[i]
+    w = mul_vec(rs.gram, tuple(cur))[i]
     cur[i] -= 2 * w / rs.gram[i, i]
     return tuple(cur)
 
@@ -57,7 +68,7 @@ def ref_reflect(rs, x, i):
 def ref_classify(p, x):
     rs = p.system
     x = tuple(F(c) for c in x)
-    w = rs.gram.mul_vec(x)
+    w = mul_vec(rs.gram, x)
     if any(wi < 0 for wi in w):
         return SliceClass.NOT_DOMINANT
     level = sum((F(di) * wi for di, wi in zip(rs.highest_root, w)), F(0))
@@ -68,15 +79,42 @@ def ref_classify(p, x):
     return SliceClass.INTERIOR
 
 
-def ref_conjugate(label, h):
+# -- the Fraction slice pipeline -----------------------------------------------
+
+def fraction_slice_point(label, h):
     entry = resolve(label)
     rs = build(entry.restricted)
-    w = rs.gram.scaled(entry.psi_sq_killing).mul_vec(tuple(F(c) for c in h))
+    h = tuple(F(c) for c in h)
+    if len(h) != rs.rank:
+        raise DimensionMismatch(f"point length {len(h)} != rank {rs.rank}")
+    return entry, rs, h
+
+
+def fraction_conjugate(entry, rs, h):
+    w = mul_vec(scaled(rs.gram, entry.psi_sq_killing), h)
     for r in sorted(rs.roots):
         v = dot(tuple(F(c) for c in r), w)
         if v != 0 and v.denominator == 1:
             return True
     return False
+
+
+def fraction_classify(entry, rs, h):
+    dom, nrefl = dominant_representative(rs, h)
+    scaled = tuple(entry.psi_sq_killing * c for c in dom)
+    return classify_point(build_polytope(rs), scaled), dom, nrefl
+
+
+def fraction_cut_details(label, h):
+    entry, rs, h = fraction_slice_point(label, h)
+    conjugate = fraction_conjugate(entry, rs, h)
+    cls, dom, nrefl = fraction_classify(entry, rs, h)
+    return CutDetails(classification=cls, dominant_representative=dom,
+                      reflections=nrefl, conjugate=conjugate)
+
+
+def ref_conjugate(label, h):
+    return fraction_conjugate(*fraction_slice_point(label, h))
 
 
 # -- points ------------------------------------------------------------------
@@ -162,7 +200,7 @@ def test_reflection_count_is_inversion_count(kind):
     positive = [r for r in rs.indivisible_roots if sum(r) > 0]
     assert len(positive) <= root_count(kind) // 2 <= MAX_ROOTS
     for x in points:
-        w = rs.gram.mul_vec(x)
+        w = mul_vec(rs.gram, x)
         negative = sum(1 for r in positive if dot(r, w) < 0)
         assert dominant_representative(rs, x)[1] == negative <= len(positive)
 
@@ -187,3 +225,144 @@ def test_cut_classify_weyl_invariant_past_root_cap(label):
             moved = reflect_simple(rs, moved, i)
         assert moved != h
         assert cut_classify(label, moved) is cut_classify(label, h)
+
+
+# -- the geometry predicates against the Fraction pipeline ---------------------
+
+def _space_label(kind):
+    """A type I space whose restricted system is ``kind``."""
+    fam, l = kind.family, kind.rank
+    label = {"a": f"AI:n={l + 1}", "b": f"BDI:p={l},q={l + 1}", "c": f"CI:n={l}",
+             "d": f"BDI:p={l},q={l}", "bc": f"AIII:p={l},q={l + 1}",
+             "e": {6: "EI", 7: "EV", 8: "EVIII"}.get(l), "f": "FI", "g": "G"}[fam]
+    assert resolve(label).restricted == kind
+    return label
+
+
+def _mixed(rng, h):
+    """h with each coordinate in a random one of its exact spellings:
+    Fraction, str, and int, bool or float where the value allows."""
+    out = []
+    for c in h:
+        forms = [c, str(c)]
+        if c.denominator == 1:
+            forms.append(c.numerator)
+            if c in (0, 1):
+                forms.append(bool(c))
+        if c.denominator & (c.denominator - 1) == 0 and abs(c.numerator) < 2 ** 50:
+            forms.append(float(c))
+        out.append(rng.choice(forms))
+    return tuple(out)
+
+
+# Every accepted element type, cycled through the coordinates of a point.
+SPELLINGS = (True, "-7/3", 0.25, F(2, 5), -2, False)
+
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_predicates_match_fraction_pipeline(kind):
+    rs, poly, rng, points = _cases(kind)
+    label = _space_label(kind)
+    psi_sq = resolve(label).psi_sq_killing
+    l = rs.rank
+    killing = [_mixed(rng, tuple(c / psi_sq for c in x)) for x in points]
+    killing.append(_mixed(rng, tuple(F(rng.randint(-1, 1)) for _ in range(l))))
+    killing += [tuple(SPELLINGS[(i + shift) % len(SPELLINGS)] for i in range(l))
+                for shift in range(len(SPELLINGS))]
+    for h in killing:
+        lab = rng.choice([label, parse_label(label)])
+        want = fraction_cut_details(label, h)
+        got = cut_details(lab, h)
+        assert got == want, (label, h)
+        assert all(type(c) is F for c in got.dominant_representative)
+        assert cut_classify(lab, h) is want.classification
+        assert is_conjugate(lab, h) is want.conjugate
+
+
+@pytest.mark.parametrize("psi_sq", [F(3, 7), F(5, 2), F(12)], ids=str)
+def test_psi_numerator_is_folded_in(monkeypatch, psi_sq):
+    # Every catalog psi_sq_killing has numerator 1, so only a stand-in
+    # value reaches the a of psi_sq = a/b in the integer path.
+    entry = SimpleNamespace(psi_sq_killing=psi_sq)
+    for kind in IN_CAP_KINDS[::6]:
+        rs, _poly, _rng, points = _cases(kind)
+        monkeypatch.setattr(geometry, "_slice_data", lambda _label: (rs, psi_sq))
+        for x in points:
+            h = tuple(c / psi_sq for c in x)
+            cls, dom, nrefl = fraction_classify(entry, rs, h)
+            assert cut_details("stand-in", h) == CutDetails(
+                classification=cls, dominant_representative=dom, reflections=nrefl,
+                conjugate=fraction_conjugate(entry, rs, h))
+
+
+@pytest.mark.parametrize("label", [
+    "AI:n=1", SpaceLabel("AI", n=1), "XX:n=3", "GROUP:a200",
+    SpaceLabel("GROUP", kind=RootKind("a", 200)), "AIII:p=200,q=300"], ids=str)
+def test_invalid_label_raises_every_call(label):
+    # A failed lookup is not cached: the same error comes back each time.
+    before = geometry._slice_data.cache_info().currsize
+    for _ in range(3):
+        for pred in (cut_classify, is_conjugate, cut_details):
+            with pytest.raises((InvalidParams, InvalidRank)):
+                pred(label, (0,))
+    assert geometry._slice_data.cache_info().currsize == before
+
+
+# -- regression guards -------------------------------------------------------
+
+GUARD_LABELS = ("EVIII", "EIX", "GROUP:e7", "BDI:p=6,q=9", "AIII:p=5,q=8", "G", "FII")
+
+
+def _guard_points():
+    rng = random.Random("fraction guard")
+    out = []
+    for label in GUARD_LABELS:
+        entry = resolve(label)
+        l = entry.restricted.rank
+        for _ in range(4):
+            h = tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(l))
+            out.append((label, h))
+            out.append((label, tuple(rng.randint(-3, 3) for _ in range(l))))
+    return out
+
+
+def test_warm_predicates_build_no_fractions(monkeypatch):
+    points = _guard_points()
+    for label, h in points:                      # warm every cache
+        cut_details(label, h)
+    made = [0]
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    assert F(1, 2) == F(1, 2) and made[0] == 2   # the counter sees construction
+    made[0] = 0
+    for label, h in points:
+        cut_classify(label, h)
+        is_conjugate(label, h)
+    assert made[0] == 0
+    for label, h in points:
+        made[0] = 0
+        d = cut_details(label, h)
+        assert made[0] == len(h) == len(d.dominant_representative)
+
+
+def test_slice_caches_pin_no_black_node_sets():
+    # Each AIII:p=1,q label resolves to an entry holding a q-element
+    # black-node set (several MB at q ~ 10^5); none may outlive the call.
+    for pred in (cut_classify, is_conjugate, cut_details):
+        pred("AIII:p=1,q=3", (F(1, 3),))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(20):
+            label = f"AIII:p=1,q={100_000 + 7 * i}"
+            for pred in (cut_classify, is_conjugate, cut_details):
+                pred(label, (F(1, 3),))
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2 ** 20, retained

@@ -20,8 +20,8 @@ alias table; `ambient`/`restricted` always hold a buildable kind while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
@@ -44,8 +44,7 @@ class MissingSatakeData(LookupError):
     """Raised when a cross-check needs black-node data that is not embedded."""
 
 
-@dataclass(frozen=True)
-class SpaceLabel:
+class SpaceLabel(NamedTuple):
     series: str
     n: int | None = None
     p: int | None = None
@@ -62,8 +61,7 @@ class SpaceLabel:
         return self.series
 
 
-@dataclass(frozen=True)
-class SpaceEntry:
+class SpaceEntry(NamedTuple):
     label: SpaceLabel
     name: str                     # manifold, e.g. "SU(4)/SO(4)" or "G_{2,5}(R)"
     space_type: str               # "I" or "II"
@@ -78,7 +76,7 @@ class SpaceEntry:
 
 
 def parse_label(text: str) -> SpaceLabel:
-    """Parse "AI:n=4", "AIII:p=2,q=5", "G", "GROUP:e8"."""
+    """Parse "AI:n=4", "AIII:p=2,q=5", "G", "GROUP:e8"; each key once, in any order."""
     head, _, tail = text.strip().partition(":")
     series = head.strip().upper()
     if series not in SERIES:
@@ -97,6 +95,8 @@ def parse_label(text: str) -> SpaceLabel:
             key = key.strip().lower()
             if key not in ("n", "p", "q") or not value.strip().lstrip("-").isdigit():
                 raise InvalidParams(f"bad parameter {item!r}")
+            if key in pairs:
+                raise InvalidParams(f"parameter {key} given twice in {text.strip()!r}")
             pairs[key] = int(value)
     needs = {"AI": {"n"}, "AII": {"n"}, "CI": {"n"}, "DIII": {"n"},
              "AIII": {"p", "q"}, "CII": {"p", "q"}, "BDI": {"p", "q"}}

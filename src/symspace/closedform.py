@@ -9,16 +9,15 @@ geometry module uses, so agreement between the two is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalog import SpaceLabel
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class RowValues:
+class RowValues(NamedTuple):
     psi_sq: Fraction
     i_radicand: Fraction
     d_radicand: Fraction

@@ -22,14 +22,17 @@ this module; callers supply slice coordinates.
 A point's denominators are cleared once, h = n/D; the predicates then run
 on integers (psi_sq_killing = a/b enters as (a n, b D)) and build
 Fractions only for the dominant representative ``cut_details`` returns.
+
+``MetricSpec``, ``GeometryReport`` and ``CutDetails`` are named tuples:
+immutable, and equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
 from .linalg import PiSqrtValue, format_rational
@@ -46,8 +49,7 @@ class EmptyProduct(ValueError):
     """Raised when combining an empty list of factors."""
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(NamedTuple):
     """Metric scale: explicit eps, a Ricci constant, or a catalog preset."""
 
     mode: str                      # "epsilon" | "ricci" | "canonical"
@@ -75,8 +77,7 @@ class MetricSpec:
 DEFAULT_METRIC = MetricSpec.epsilon(1)
 
 
-@dataclass(frozen=True)
-class GeometryReport:
+class GeometryReport(NamedTuple):
     space: SpaceEntry
     epsilon: Fraction
     psi_sq: Fraction
@@ -157,8 +158,7 @@ def _killing_weights(kind: RootKind,
     return rows, psi_sq.denominator * g
 
 
-@dataclass(frozen=True)
-class CutDetails:
+class CutDetails(NamedTuple):
     classification: SliceClass
     dominant_representative: tuple[Fraction, ...]
     reflections: int

@@ -12,9 +12,9 @@ self-consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import format_rational
 from .roots import RootKind, RootSystem, root_count
@@ -24,8 +24,7 @@ class NonReducedInput(ValueError):
     """Raised when a reduced root system is required."""
 
 
-@dataclass(frozen=True)
-class KillingData:
+class KillingData(NamedTuple):
     system: RootKind
     total_roots: int
     perp_roots: int

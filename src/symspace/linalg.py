@@ -11,15 +11,17 @@ The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity
 produced by this package (injectivity radius, diameter) has that shape,
 so a single radicand is all the symbolic algebra we need.
+
+Like every value type of the package, both are named tuples: immutable,
+hashable, and equal to a plain tuple of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import total_ordering
 from math import lcm
+from typing import NamedTuple
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -50,9 +52,11 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+class Matrix(NamedTuple):
+    """Immutable dense matrix of Fractions, stored row-major.
+
+    ``m[i, j]`` reads an entry; the rows are the one field, ``entries``.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -168,22 +172,29 @@ def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class PiSqrtValue:
-    """The exact value pi * sqrt(radicand) for a nonnegative rational radicand.
-
-    Equality and ordering compare radicands exactly.  The type deliberately
-    cannot express sums of distinct radicals; no quantity in this package
-    needs them.
-    """
-
+class _PiSqrtFields(NamedTuple):
     radicand: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.radicand < 0:
-            raise NegativeFactor(f"radicand must be >= 0, got {self.radicand}")
+
+class PiSqrtValue(_PiSqrtFields):
+    """The exact value pi * sqrt(radicand) for a nonnegative rational radicand.
+
+    Equality and ordering compare radicands exactly (as one-field tuples).
+    The type deliberately cannot express sums of distinct radicals; no
+    quantity in this package needs them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, radicand):
+        radicand = Fraction(radicand)
+        if radicand < 0:
+            raise NegativeFactor(f"radicand must be >= 0, got {radicand}")
+        return super().__new__(cls, radicand)
+
+    @classmethod
+    def _make(cls, iterable) -> "PiSqrtValue":
+        return cls(*iterable)         # so that _replace validates too
 
     def scaled(self, factor) -> "PiSqrtValue":
         """Multiply the radicand by ``factor`` (i.e. scale the value by sqrt(factor))."""
@@ -191,9 +202,6 @@ class PiSqrtValue:
         if factor < 0:
             raise NegativeFactor(f"scale factor must be >= 0, got {factor}")
         return PiSqrtValue(self.radicand * factor)
-
-    def __lt__(self, other: "PiSqrtValue") -> bool:
-        return self.radicand < other.radicand
 
     def __float__(self) -> float:
         return float(_PI) * float(self.radicand) ** 0.5

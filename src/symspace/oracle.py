@@ -24,9 +24,9 @@ only the latest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class IllConditioned(ValueError):
     """Raised internally when a numeric inverse would be meaningless."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     name: str
     exact: str
     numeric: float

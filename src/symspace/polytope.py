@@ -23,9 +23,9 @@ wrap them for Fraction points.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import DimensionMismatch, Vector, clear_denominators
 from .roots import RootSystem
@@ -43,8 +43,7 @@ class SliceClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CartanPolytope:
+class CartanPolytope(NamedTuple):
     system: RootSystem
     vertices: tuple[Vector, ...]          # e_1..e_l in simple-root coordinates
     vertex_norms_sq: tuple[Fraction, ...]

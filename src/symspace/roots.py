@@ -13,14 +13,18 @@ access, and only for systems of at most MAX_ROOTS roots.
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
 hanging off the chain comes last (it attaches to the chain node with the
 largest highest-root coefficient).
+
+``RootKind`` and ``RootSystem`` are named tuples, immutable and equal to
+plain tuples of their fields; ``RootSystem`` also keeps its lazily built
+members (roots and the integer Gram and Cartan forms) in an instance dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import Matrix, format_rational
 
@@ -40,24 +44,31 @@ class NonTerminating(RuntimeError):
     """Raised when reflection closure exceeds MAX_ROOTS (corrupt Cartan data)."""
 
 
-@dataclass(frozen=True)
-class RootKind:
-    """A root-system type: family letter(s) plus rank."""
-
+class _RootKindFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        fam = self.family.lower()
-        object.__setattr__(self, "family", fam)
+
+class RootKind(_RootKindFields):
+    """A root-system type: family letter(s) plus rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        fam = family.lower()
         if fam in _MIN_RANK:
-            if self.rank < _MIN_RANK[fam]:
-                raise InvalidRank(f"{fam} requires rank >= {_MIN_RANK[fam]}, got {self.rank}")
+            if rank < _MIN_RANK[fam]:
+                raise InvalidRank(f"{fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
         elif fam in _EXCEPTIONAL_RANKS:
-            if self.rank not in _EXCEPTIONAL_RANKS[fam]:
-                raise InvalidRank(f"no system {fam}{self.rank}")
+            if rank not in _EXCEPTIONAL_RANKS[fam]:
+                raise InvalidRank(f"no system {fam}{rank}")
         else:
-            raise InvalidRank(f"unknown family {self.family!r}")
+            raise InvalidRank(f"unknown family {fam!r}")
+        return super().__new__(cls, fam, rank)
+
+    @classmethod
+    def _make(cls, iterable) -> "RootKind":
+        return cls(*iterable)         # so that _replace validates too
 
     @property
     def is_reduced(self) -> bool:
@@ -220,22 +231,31 @@ def generate_roots(cartan) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class _RootSystemFields(NamedTuple):
+    kind: RootKind
+    rank: int
+    cartan: tuple[tuple[int, ...], ...]
+    gram: Matrix
+    highest_root: tuple[int, ...]
+
+
+class RootSystem(_RootSystemFields):
     """A root system with highest-root-normalized Gram matrix.
 
     ``indivisible_roots`` and ``roots`` are enumerated on first access;
     they raise InvalidRank for systems of more than MAX_ROOTS roots.
     ``int_gram`` and ``cartan_rows``, the integer forms of the Gram and
     Cartan matrices that the slice predicates use, are also built once,
-    on first access.
+    on first access.  No ``__slots__``: the cached properties store their
+    values in the instance dict, which ``cached_property`` writes directly,
+    so refusing attribute assignment keeps the system immutable.
     """
 
-    kind: RootKind
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    gram: Matrix
-    highest_root: tuple[int, ...]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def indivisible_roots(self) -> frozenset[tuple[int, ...]]:

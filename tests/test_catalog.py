@@ -20,6 +20,19 @@ def test_parse_label_grammar():
             parse_label(bad)
 
 
+@pytest.mark.parametrize("label", ["AI:n=4,n=5", "AII:n=3,n=3", "CI:n=2,N=3",
+                                   "DIII:n=5,n=6", "AIII:q=5,p=2,p=3",
+                                   "CII:p=1,q=2,q=3", "BDI:p=2,p=2,q=5"])
+def test_parse_label_refuses_repeated_key(label):
+    with pytest.raises(InvalidParams, match="given twice"):
+        parse_label(label)
+
+
+def test_parse_label_keys_in_any_order():
+    assert parse_label("AIII:q=5,p=2") == parse_label("AIII:p=2,q=5")
+    assert str(parse_label("BDI:Q=7, p=3")) == "BDI:p=3,q=7"
+
+
 def test_resolve_ai4():
     e = resolve("AI:n=4")
     assert e.ambient == RootKind("a", 3)

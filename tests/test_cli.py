@@ -229,6 +229,17 @@ def test_cli_import_skips_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds on
+    # every process start.  The value types are named tuples instead.
+    proc = run_python("-c", "import sys; before = set(sys.modules); "
+                            "import symspace.cli; "
+                            "print(sorted({'dataclasses', 'inspect'} "
+                            "& (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 LARGE = ["GROUP:a30", "BDI:p=20,q=30", "DIII:n=81"]
 
 
@@ -290,6 +301,58 @@ def test_cut_coordinate_digit_limit(capsys):
     assert json.loads(out)["point"] == [str(10 ** (limit - 1)), "0"]
     code, _, err = run(capsys, "cut", "AI:n=3", "--point", f"1e{limit},0")
     assert code == 2 and "bad rational" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("space", "AI:n=4", "--epsilon", "1e10000000"),
+    ("space", "AI:n=4", "--epsilon", "1e100000"),
+    ("space", "AI:n=4", "--ric", "1e-200000"),
+    ("table", "4.2", "--ric", "1e10000000"),
+    ("product", "AI:n=4", "G", "--epsilon", "1e-10000000"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_oversized_metric_value_exit_2(capsys, argv):
+    # Refused before 10**exponent is formed, with the parse error.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad rational {argv[-1]!r}")
+
+
+def test_metric_value_digit_bound(capsys):
+    # Up to the bound a value is kept: some printed quantity can have up to
+    # L+2 fewer digits (here the radicands of a product).
+    code, out, _ = run(capsys, "product", "BDI:p=1,q=11", "--ric", "1e4300",
+                       "--format", "json")
+    assert code == 0
+    want = expected(parse_label("BDI:p=1,q=11"))
+    eps = 1 / (2 * Fraction(10) ** 4300)
+    data = json.loads(out)
+    assert data["injectivity_radius"]["radicand"] == str(eps * want.i_radicand)
+    assert data["diameter"]["radicand"] == str(eps * want.d_radicand)
+    code, out, _ = run(capsys, "space", "AI:n=4", "--epsilon", "1e4290", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["epsilon"] == str(10 ** 4290)
+    assert data["injectivity_radius"]["radicand"] == str(4 * 10 ** 4290)
+    assert data["kappa"] == f"1/{4 * 10 ** 4290}"
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(capsys, "space", "AI:n=4", "--epsilon", f"1e{2 * limit + 1}")
+    assert code == 2 and "exceeds the limit" in err.lower()      # at print time
+    code, _, err = run(capsys, "space", "AI:n=4", "--epsilon", f"1e{2 * limit + 2}")
+    assert code == 2 and err.startswith("error: bad rational")
+
+
+def test_metric_value_unbounded_without_int_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, "space", "AI:n=4", "--epsilon", "1e10000",
+                           "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert json.loads(out)["epsilon"] == "1" + "0" * 10000
 
 
 def peak_rss_kb(*argv):

@@ -181,6 +181,8 @@ def test_pi_sqrt_order_total():
     assert s[0].radicand == 0 and s[-1].radicand == F(9, 4)
     assert PiSqrtValue(2) == PiSqrtValue(F(4, 2))
     assert PiSqrtValue(1) < PiSqrtValue(F(3, 2)) < PiSqrtValue(2)
+    assert min(vals[:3]) == PiSqrtValue(F(1, 3))
+    assert min([PiSqrtValue(F(9, 4)), PiSqrtValue(F(7, 4))]).radicand == F(7, 4)
 
 
 def test_pi_sqrt_rendering():
@@ -190,6 +192,7 @@ def test_pi_sqrt_rendering():
     assert PiSqrtValue(F(1, 2)).exact_str() == "pi*sqrt(1/2)"
     assert PiSqrtValue(0).decimal_str() == "0"
     assert PiSqrtValue(1).decimal_str() == "3.14159265359"
+    assert repr(PiSqrtValue(2)) == "PiSqrtValue(radicand=Fraction(2, 1))"
 
 
 def test_format_rational():

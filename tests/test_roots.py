@@ -26,6 +26,7 @@ def test_parse_kind():
     assert parse_kind("a3") == RootKind("a", 3)
     assert parse_kind("BC2") == RootKind("bc", 2)
     assert parse_kind(" E8 ") == RootKind("e", 8)
+    assert repr(RootKind("A", 3)) == "RootKind(family='a', rank=3)"
     for bad in ("a0", "b1", "c2", "d3", "e5", "f3", "g4", "h2", "a", "3"):
         with pytest.raises(InvalidRank):
             parse_kind(bad)
@@ -187,6 +188,7 @@ def test_roots_enumerated_on_first_access():
     assert "roots" not in vars(rs) and "indivisible_roots" not in vars(rs)
     assert len(rs.roots) == 240
     assert rs.roots is rs.roots
+    assert rs.int_gram is rs.int_gram and rs.cartan_rows is rs.cartan_rows
 
 
 @pytest.mark.parametrize("name", ["a21", "b15", "c15", "d16", "bc15"])

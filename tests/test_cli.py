@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -171,6 +172,23 @@ def test_verify_default_samples_matches_golden_tsv(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "42")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+def _golden_digests():
+    path = Path(__file__).parent / "data" / "golden_sha256.txt"
+    lines = path.read_text().splitlines()
+    return [tuple(ln.split(" ", 1)) for ln in lines if ln and not ln.startswith("#")]
+
+
+GOLDEN = _golden_digests()
+
+
+@pytest.mark.parametrize("digest,argv", GOLDEN, ids=[argv for _, argv in GOLDEN])
+def test_stdout_matches_golden_digest(capsys, digest, argv):
+    # Tables in every format and rootsystem JSON, pinned byte for byte.
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_exit_1_on_failure(capsys, monkeypatch):

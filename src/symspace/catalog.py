@@ -21,20 +21,16 @@ alias table; `ambient`/`restricted` always hold a buildable kind while
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
-from .roots import (MAX_RANK, InvalidRank, RootKind, build, check_rank, parse_kind,
-                    split_kind)
+from .roots import (_EXCEPTIONAL_RANKS, _MIN_RANK, MAX_RANK, InvalidRank, RootKind,
+                    build, check_rank, parse_kind, split_kind)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
-
-SERIES = ("AI", "AII", "AIII", "CI", "CII", "BDI", "DIII",
-          "EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII", "EVIII", "EIX",
-          "FI", "FII", "G", "GROUP")
-
 
 class InvalidParams(ValueError):
     """Raised when a space label violates its parameter constraints."""
@@ -98,13 +94,16 @@ def parse_label(text: str) -> SpaceLabel:
             if key in pairs:
                 raise InvalidParams(f"parameter {key} given twice in {text.strip()!r}")
             pairs[key] = int(value)
-    needs = {"AI": {"n"}, "AII": {"n"}, "CI": {"n"}, "DIII": {"n"},
-             "AIII": {"p", "q"}, "CII": {"p", "q"}, "BDI": {"p", "q"}}
-    want = needs.get(series, set())
-    if set(pairs) != want:
+    want = _PARAMS.get(series, ())
+    if set(pairs) != set(want):
         raise InvalidParams(f"{series} takes parameters {sorted(want)}, got {sorted(pairs)}")
     return SpaceLabel(series=series, n=pairs.get("n"), p=pairs.get("p"), q=pairs.get("q"))
 
+
+# Parameter keys of each series that takes any, in table order; the table
+# walk tries each key from 1 to the bound and keeps what ``resolve`` accepts.
+_PARAMS = {"AI": ("n",), "AII": ("n",), "AIII": ("p", "q"), "CI": ("n",),
+           "CII": ("p", "q"), "BDI": ("p", "q"), "DIII": ("n",)}
 
 # Fixed rows: ambient, restricted, factor, Satake black nodes, manifold name.
 _EXCEPTIONAL_ROWS: dict[str, tuple[str, str, Fraction, frozenset[int] | None, str]] = {
@@ -122,6 +121,8 @@ _EXCEPTIONAL_ROWS: dict[str, tuple[str, str, Fraction, frozenset[int] | None, st
     "G":     ("g2", "g2", ONE, frozenset(), "(g2, su(2)+su(2))"),
 }
 
+SERIES = (*_PARAMS, *_EXCEPTIONAL_ROWS, "GROUP")
+
 _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1})",
                 "c": lambda l: f"Sp({l})", "d": lambda l: f"Spin({2 * l})",
                 "e": lambda l: f"E{l}", "f": lambda l: "F4", "g": lambda l: "G2"}
@@ -129,6 +130,12 @@ _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1}
 
 def _nominal_to_kind(name: str) -> RootKind:
     """Parse a nominal label like "c2" and collapse rank coincidences."""
+    if name == "d2":
+        # so(4) splits into two a1 ideals swapped by the involution; the
+        # halving factor carries the whole reduction, so the buildable
+        # ambient is a single a1 factor, and the black-node criterion
+        # (which presumes a simple ambient) does not apply.
+        return RootKind("a", 1)
     return canonical_kind(*split_kind(name))
 
 
@@ -164,12 +171,8 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
             raise InvalidParams("GROUP needs a root-system kind")
         if not kind.is_reduced:
             raise InvalidParams("group manifolds have reduced root systems; bc is not valid")
-        return SpaceEntry(label=label, name=_GROUP_NAMES[kind.family](kind.rank),
-                          space_type="II", ambient=kind, ambient_name=str(kind),
-                          restricted=kind, restricted_name=str(kind),
-                          restriction_factor=HALF,
-                          psi_sq_killing=HALF * delta_sq_formula(kind),
-                          satake_black_nodes=None)
+        return _entry(label, _GROUP_NAMES[kind.family](kind.rank), "II",
+                      str(kind), str(kind), HALF, None)
 
     if s in _EXCEPTIONAL_ROWS:
         amb, restr, factor, satake, name = _EXCEPTIONAL_ROWS[s]
@@ -267,25 +270,10 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
         ambient_name = f"d{m}"
         black = frozenset(range(p + 1, m + 1)) if p <= m - 2 else frozenset()
         aliased = m < 4
-    satake = black if (not black or not aliased) else None
-
-    if ambient_name == "d2":
-        # so(4) splits into two a1 ideals swapped by the involution; the
-        # halving factor carries the whole reduction, so the buildable
-        # ambient is a single a1 factor, and the black-node criterion
-        # (which presumes a simple ambient) does not apply.
-        ambient = RootKind("a", 1)
-        satake = None
-    else:
-        ambient = _nominal_to_kind(ambient_name)
-
-    psi = factor * delta_sq_formula(ambient)
-    return SpaceEntry(label=label, name=f"G_{{{p},{q}}}(R)", space_type="I",
-                      ambient=ambient, ambient_name=ambient_name,
-                      restricted=_nominal_to_kind(restr), restricted_name=restr,
-                      restriction_factor=factor, psi_sq_killing=psi,
-                      satake_black_nodes=satake,
-                      canonical_epsilon=Fraction(1, 2 * (p + q - 2)))
+    if ambient_name == "d2" or (black and aliased):
+        black = None                  # no data for so(4) or aliased black nodes
+    return _entry(label, f"G_{{{p},{q}}}(R)", "I", ambient_name, restr, factor,
+                  black, Fraction(1, 2 * (p + q - 2)))
 
 
 def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
@@ -310,36 +298,20 @@ def enumerate_table(which: str, param_bound: int) -> list[SpaceEntry]:
         raise InvalidParams(f"param_bound must be <= {MAX_RANK}")
     if which not in ("4.1", "4.2"):
         raise InvalidParams(f"unknown table {which!r}; use 4.1 or 4.2")
-    out: list[SpaceEntry] = []
     if which == "4.2":
-        for fam, lo in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
-            for l in range(lo, param_bound + 1):
-                out.append(resolve(SpaceLabel("GROUP", kind=RootKind(fam, l))))
-        for fam, l in (("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)):
-            out.append(resolve(SpaceLabel("GROUP", kind=RootKind(fam, l))))
-        return out
-
-    for n in range(2, param_bound + 1):
-        out.append(resolve(SpaceLabel("AI", n=n)))
-    for n in range(2, param_bound + 1):
-        out.append(resolve(SpaceLabel("AII", n=n)))
-    for p in range(1, param_bound + 1):
-        for q in range(p, param_bound + 1):
-            out.append(resolve(SpaceLabel("AIII", p=p, q=q)))
-    for n in range(1, param_bound + 1):
-        out.append(resolve(SpaceLabel("CI", n=n)))
-    for p in range(1, param_bound + 1):
-        for q in range(p, param_bound + 1):
-            out.append(resolve(SpaceLabel("CII", p=p, q=q)))
-    for p in range(1, param_bound + 1):
-        for q in range(p, param_bound + 1):
-            if (p == 1 and q >= 2) or (2 <= p < q) or (4 <= p == q):
-                out.append(resolve(SpaceLabel("BDI", p=p, q=q)))
-    for n in range(4, param_bound + 1):
-        out.append(resolve(SpaceLabel("DIII", n=n)))
-    for series in ("EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII", "EVIII",
-                   "EIX", "FI", "FII", "G"):
-        out.append(resolve(SpaceLabel(series)))
+        kinds = [RootKind(fam, l) for fam in "abcd"
+                 for l in range(_MIN_RANK[fam], param_bound + 1)]
+        kinds += [RootKind(fam, l) for fam, ranks in _EXCEPTIONAL_RANKS.items()
+                  for l in ranks]
+        return [resolve(SpaceLabel("GROUP", kind=kind)) for kind in kinds]
+    out = []
+    for series in (*_PARAMS, *_EXCEPTIONAL_ROWS):
+        keys = _PARAMS.get(series, ())
+        for values in product(range(1, param_bound + 1), repeat=len(keys)):
+            try:
+                out.append(resolve(SpaceLabel(series, **dict(zip(keys, values)))))
+            except InvalidParams:
+                pass                  # outside the series' parameter domain
     return out
 
 

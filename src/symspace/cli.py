@@ -149,21 +149,16 @@ def cmd_space(args) -> int:
 
 def cmd_table(args) -> int:
     metric = _metric_from_args(args)
-    entries = catalog.enumerate_table(args.which, args.max_param)
+    reps = [geometry.report(e, metric)
+            for e in catalog.enumerate_table(args.which, args.max_param)]
     if args.format == "json":
-        print(json.dumps([geometry.report_json_dict(geometry.report(e.label, metric))
-                          for e in entries], indent=2))
+        print(json.dumps([geometry.report_json_dict(r) for r in reps], indent=2))
         return 0
     header = ["type", "space", "sigma", "psi_sq", "i", "i_dec", "d", "d_dec"]
-    rows = []
-    for e in entries:
-        rep = geometry.report(e.label, metric)
-        rows.append([
-            str(e.label), e.name, e.restricted_name,
-            format_rational(rep.psi_sq),
-            rep.injectivity_radius.exact_str(), rep.injectivity_radius.decimal_str(),
-            rep.diameter.exact_str(), rep.diameter.decimal_str(),
-        ])
+    rows = [[str(r.space.label), r.space.name, r.space.restricted_name,
+             format_rational(r.psi_sq),
+             r.injectivity_radius.exact_str(), r.injectivity_radius.decimal_str(),
+             r.diameter.exact_str(), r.diameter.decimal_str()] for r in reps]
     print(_emit_rows(header, rows, args.format))
     return 0
 

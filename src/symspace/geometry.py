@@ -10,7 +10,9 @@ With psi the highest restricted root in Killing units:
 
 where dmax^2 is the squared farthest-vertex norm of the restricted
 system's Cartan polytope under highest-root normalization, so that
-i(M) * sqrt(kappa) = pi exactly.
+i(M) * sqrt(kappa) = pi exactly.  A report needs one catalog entry,
+which it takes as given when passed one, and dmax^2, which is cached
+per restricted kind.
 
 Conjugate-point and cut predicates operate on the Cartan slice in Killing
 units, with inputs pre-divided by pi: a slice vector h is conjugate when
@@ -36,8 +38,8 @@ from typing import NamedTuple
 
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
 from .linalg import PiSqrtValue, format_rational
-from .polytope import (CartanPolytope, SliceClass, _classify_cleared,
-                       _cleared_point, _reduce_dominant, build_polytope)
+from .polytope import (SliceClass, _classify_cleared, _cleared_point,
+                       _reduce_dominant, build_polytope)
 from .roots import RootKind, RootSystem, build
 
 
@@ -94,8 +96,10 @@ def _system(kind: RootKind) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _polytope(kind: RootKind) -> CartanPolytope:
-    return build_polytope(_system(kind))
+def _d_sq(kind: RootKind) -> Fraction:
+    """d_sq of a kind's polytope, all a report reads of it: neither the
+    polytope (l^2 Fraction vertices) nor the root system is kept."""
+    return build_polytope(build(kind)).d_sq
 
 
 def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:
@@ -110,12 +114,14 @@ def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:
     raise ValueError(f"unknown metric mode {metric.mode!r}")  # pragma: no cover
 
 
-def report(label: SpaceLabel | str, metric: MetricSpec = DEFAULT_METRIC) -> GeometryReport:
-    """Compute the geometric quantities of a catalog space under a metric."""
-    entry = resolve(label)
+def report(label: SpaceEntry | SpaceLabel | str,
+           metric: MetricSpec = DEFAULT_METRIC) -> GeometryReport:
+    """Compute the geometric quantities of a catalog space under a metric;
+    a catalog entry (as ``enumerate_table`` returns) is used as it is."""
+    entry = label if isinstance(label, SpaceEntry) else resolve(label)
     eps = _epsilon_for(entry, metric)
     psi_sq = entry.psi_sq_killing
-    d_sq = _polytope(entry.restricted).d_sq
+    d_sq = _d_sq(entry.restricted)
     return GeometryReport(
         space=entry,
         epsilon=eps,

@@ -1,11 +1,13 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), vectors are tuples of Fractions, and :class:`Matrix` is an
-immutable dense rational matrix.  Inversion and determinants use
+denominator), vectors are plain tuples of Fractions, and :class:`Matrix`
+is an immutable dense rational matrix.  Inversion and determinants use
 fraction-free Bareiss elimination on a denominator-cleared integer copy,
-so every intermediate quantity is an exact integer minor; results are
-returned as Fractions.
+so every intermediate quantity is an exact integer minor.  The inverse's
+integer kernel, ``int_inverse``, returns delta * N^{-1} with delta for an
+integer matrix N; ``Matrix.invert`` wraps it in Fractions, and the
+Cartan polytope reads it directly off the integer Gram matrix.
 
 The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity
@@ -18,6 +20,7 @@ hashable, and equal to a plain tuple of their fields.
 
 from __future__ import annotations
 
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -48,8 +51,18 @@ def clear_denominators(xs) -> tuple[list[int], int]:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical rendering: "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    """Canonical rendering: "p/q", or "p" when the denominator is 1.
+
+    Past Python's int-to-str limit (``sys.get_int_max_str_digits()``) the
+    ValueError names that limit and the inputs that can bring a value under it.
+    """
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"a printed value exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits; the metric "
+                         f"value (or point) needs fewer digits") from None
 
 
 class Matrix(NamedTuple):
@@ -111,30 +124,40 @@ class Matrix(NamedTuple):
     def invert(self) -> "Matrix":
         """Exact inverse; raises SingularMatrix when the determinant is zero.
 
-        After the forward phase on [N | I], N = d*self, the last pivot is
-        delta = +-det(N), so y = delta * N^{-1} is integral (Cramer's rule)
-        and the back phase solves for y with exact integer division.
+        self = N / d for the integer matrix N of ``cleared``, so
+        self^{-1} = d * N^{-1} = d * y / delta with (y, delta) from
+        ``int_inverse``.
         """
         if not self.is_square():
             raise DimensionMismatch("inverse needs a square matrix")
-        n = self.rows
         ints, d = self.cleared()
-        aug = [ints[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        _, delta = _bareiss_forward(aug, n)
-        if delta is None:
-            raise SingularMatrix("matrix is singular")
-        y = [None] * n
-        for i in range(n - 1, -1, -1):
-            row = aug[i]
-            acc = [delta * x for x in row[n:]]
-            for k in range(i + 1, n):
-                c = row[k]
-                if c:
-                    acc = [a - c * b for a, b in zip(acc, y[k])]
-            piv = row[i]
-            y[i] = [a // piv for a in acc]
-        # self^{-1} = d * N^{-1} = d * y / delta
+        y, delta = int_inverse(ints)
         return Matrix(tuple(tuple(Fraction(d * v, delta) for v in r) for r in y))
+
+
+def int_inverse(rows) -> tuple[list[list[int]], int]:
+    """(y, delta) with y = delta * N^{-1} integral, for a square integer N.
+
+    After the forward phase on [N | I] the last pivot is delta = +-det(N),
+    so y is integral (Cramer's rule) and the back phase solves for it with
+    exact integer division.  Raises SingularMatrix when det(N) = 0.
+    """
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    _, delta = _bareiss_forward(aug, n)
+    if delta is None:
+        raise SingularMatrix("matrix is singular")
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [delta * x for x in row[n:]]
+        for k in range(i + 1, n):
+            c = row[k]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, y[k])]
+        piv = row[i]
+        y[i] = [a // piv for a in acc]
+    return y, delta
 
 
 def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:

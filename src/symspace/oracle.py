@@ -37,10 +37,6 @@ from .roots import RootKind
 RNG_ALGORITHM = "numpy-pcg64"
 
 
-class IllConditioned(ValueError):
-    """Raised internally when a numeric inverse would be meaningless."""
-
-
 class OracleReport(NamedTuple):
     name: str
     exact: str

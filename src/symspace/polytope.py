@@ -5,6 +5,9 @@ psi = sum d_i a_i, the polytope is the simplex cut out by (x, a_i) >= 0
 and (x, psi) <= 1.  Its nonzero vertices e_1..e_l satisfy
 (e_j, a_i) = delta_ij / d_j, so their coefficient vectors are scaled
 columns of the inverse Gram matrix and (e_j, e_j) = (inv(Gram))_jj / d_j^2.
+``build_polytope`` makes one fraction-free solve of the integer Gram
+matrix of ``RootSystem.int_gram`` and builds each vertex coefficient and
+each norm as a single Fraction of integers.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import DimensionMismatch, Vector, clear_denominators
+from .linalg import DimensionMismatch, Vector, clear_denominators, int_inverse
 from .roots import RootSystem
 
 
@@ -53,19 +56,19 @@ class CartanPolytope(NamedTuple):
 
 
 def build_polytope(rs: RootSystem) -> CartanPolytope:
-    inv = rs.gram.invert()
+    """The polytope from one integer solve: with gram = M/g and
+    y = delta * M^{-1}, inv(Gram) = g * y / delta."""
+    m, g = rs.int_gram
+    y, delta = int_inverse(m)
     d = rs.highest_root
     l = rs.rank
-    verts = []
-    norms = []
-    for j in range(l):
-        coeffs = tuple(inv[k, j] / d[j] for k in range(l))
-        verts.append(coeffs)
-        norms.append(inv[j, j] / (d[j] * d[j]))
+    verts = tuple(tuple(Fraction(g * y[k][j], delta * d[j]) for k in range(l))
+                  for j in range(l))
+    norms = [Fraction(g * y[j][j], delta * d[j] * d[j]) for j in range(l)]
     d_sq = max(norms)
     return CartanPolytope(
         system=rs,
-        vertices=tuple(verts),
+        vertices=verts,
         vertex_norms_sq=tuple(norms),
         i_sq=1 / rs.psi_sq,
         d_sq=d_sq,

@@ -22,7 +22,7 @@ MAX_SAMPLES = 10 ** 6
 def table_reports(which: str, param_bound: int) -> list[OracleReport]:
     out = []
     for entry in enumerate_table(which, param_bound):
-        rep = report(entry.label)
+        rep = report(entry)
         want = expected(entry.label)
         ok = (rep.psi_sq == want.psi_sq
               and rep.injectivity_radius.radicand == want.i_radicand

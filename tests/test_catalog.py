@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -248,3 +249,46 @@ def test_entry_json():
     assert d["restriction_factor"] == "1"
     assert d["psi_sq_killing"] == "1/4"
     assert d["canonical_epsilon"] == "1/8"
+
+
+BOUNDS = [1, 2, 3, 4, 5, 12, 40, 128]
+
+
+@pytest.mark.parametrize("b", BOUNDS)
+def test_enumerate_table_41_counts(b):
+    tri = b * (b + 1) // 2
+    want = {"AI": b - 1, "AII": b - 1, "AIII": tri, "CI": b, "CII": tri,
+            "BDI": tri - min(b, 3), "DIII": max(0, b - 3)}
+    want = {s: n for s, n in want.items() if n}
+    want.update(dict.fromkeys(["EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII",
+                               "EVIII", "EIX", "FI", "FII", "G"], 1))
+    entries = enumerate_table("4.1", b)
+    assert Counter(e.label.series for e in entries) == want
+    assert len({e.label for e in entries}) == len(entries)
+
+
+@pytest.mark.parametrize("b", BOUNDS)
+def test_enumerate_table_42_counts(b):
+    entries = enumerate_table("4.2", b)
+    want = {"a": b, "b": b - 1, "c": b - 2, "d": b - 3, "e": 3, "f": 1, "g": 1}
+    assert Counter(e.label.kind.family for e in entries) == \
+        {f: n for f, n in want.items() if n > 0}
+    assert len({e.label for e in entries}) == len(entries)
+
+
+def test_table_command_resolves_each_label_once(monkeypatch, capsys):
+    from symspace import catalog, cli, geometry
+    calls = Counter()
+    real = catalog.resolve
+
+    def counting(label):
+        entry = real(label)
+        calls[entry.label] += 1
+        return entry
+
+    monkeypatch.setattr(catalog, "resolve", counting)
+    monkeypatch.setattr(geometry, "resolve", counting)
+    assert cli.main(["table", "4.1", "--max-param", "12"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 286
+    assert max(calls.values()) == 1

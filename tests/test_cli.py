@@ -319,6 +319,10 @@ def test_cut_coordinate_digit_limit(capsys):
     assert json.loads(out)["point"] == [str(10 ** (limit - 1)), "0"]
     code, _, err = run(capsys, "cut", "AI:n=3", "--point", f"1e{limit},0")
     assert code == 2 and "bad rational" in err
+    # An echoable point whose dominant representative has one digit more.
+    code, _, err = run(capsys, "cut", "GROUP:c5", "--point", f"0,0,0,{'9' * limit},0")
+    assert code == 2
+    assert err.startswith(f"error: a printed value exceeds the limit of {limit} digits")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,6 +361,8 @@ def test_metric_value_digit_bound(capsys):
     limit = sys.get_int_max_str_digits()
     code, _, err = run(capsys, "space", "AI:n=4", "--epsilon", f"1e{2 * limit + 1}")
     assert code == 2 and "exceeds the limit" in err.lower()      # at print time
+    assert err == (f"error: a printed value exceeds the limit of {limit} digits; "
+                   "the metric value (or point) needs fewer digits\n")
     code, _, err = run(capsys, "space", "AI:n=4", "--epsilon", f"1e{2 * limit + 2}")
     assert code == 2 and err.startswith("error: bad rational")
 
@@ -373,15 +379,32 @@ def test_metric_value_unbounded_without_int_limit(capsys):
     assert json.loads(out)["epsilon"] == "1" + "0" * 10000
 
 
+# Starts ``symspace`` with stdout to /dev/null and prints its exit code and
+# peak RSS.  A child's peak counts the process it was spawned from, so the
+# child is spawned from this small interpreter rather than from pytest.
+_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "symspace.cli", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
+                                                os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def peak_rss_kb(*argv):
     """Exit code, stderr and peak RSS (KiB) of a fresh ``symspace`` process."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "symspace.cli", *argv],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, proc.stderr.read().decode(), usage.ru_maxrss
+    proc = run_python("-c", _LAUNCHER, *argv)
+    code, rss = map(int, proc.stdout.split())
+    return code, proc.stderr, rss
+
+
+def test_table_peak_rss_near_one_report():
+    # Reports cache one Fraction per restricted kind, not its polytope.
+    base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
+    code, err, rss = peak_rss_kb("table", "4.2", "--max-param", "64")
+    assert (base_code, code, err) == (0, 0, "")
+    assert rss <= base_rss + 16 * 1024, (rss, base_rss)
 
 
 @pytest.mark.parametrize("label,kind", [

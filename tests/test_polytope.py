@@ -41,7 +41,11 @@ def test_dphi_closed_forms_examples():
     assert _poly("a2").d_sq == F(4, 3)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+# Past the hand-picked kinds: every classical family at ranks 13, 24 and 40.
+LARGE_KINDS = [RootKind(fam, l) for l in (13, 24, 40) for fam in ("a", "b", "c", "d", "bc")]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + LARGE_KINDS, ids=str)
 def test_vertex_defining_property(kind):
     rs = build(kind)
     p = build_polytope(rs)
@@ -54,7 +58,7 @@ def test_vertex_defining_property(kind):
         assert p.vertex_norms_sq[j] == dot_gram(rs.gram, v, v)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+@pytest.mark.parametrize("kind", ALL_KINDS + LARGE_KINDS, ids=str)
 def test_dphi_matches_closed_form(kind):
     p = _poly(kind)
     assert p.d_sq == d_sq_closed_form(kind.family, kind.rank)

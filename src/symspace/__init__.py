@@ -15,8 +15,8 @@ from .geometry import (CutDetails, EmptyProduct, GeometryReport, MetricSpec,
 from .killing import (KillingData, NonReducedInput, delta_sq_formula,
                       killing_data, killing_delta_sq, killing_self_consistency,
                       perp_decomposition, perp_subsystem)
-from .linalg import (DimensionMismatch, Matrix, NegativeFactor, PiSqrtValue,
-                     Rational, SingularMatrix)
+from .linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue, Rational,
+                     SingularMatrix)
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
 from .roots import (InvalidRank, NonTerminating, RootKind, RootSystem, build,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanPolytope", "CutDetails", "DimensionMismatch", "EmptyProduct",
-    "GeometryReport", "InvalidParams", "InvalidRank", "KillingData", "Matrix",
+    "GeometryReport", "InvalidParams", "InvalidRank", "KillingData",
     "MetricSpec", "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
     "NonReducedInput", "NonTerminating", "PiSqrtValue", "Rational", "RootKind",
     "RootSystem", "SingularMatrix", "SliceClass", "SpaceEntry", "SpaceLabel",

@@ -82,7 +82,7 @@ def cmd_rootsystem(args) -> int:
         ["root count", str(len(rs.roots))],
         ["indivisible roots", str(len(rs.indivisible_roots))],
         ["highest root", " ".join(map(str, rs.highest_root))],
-        ["gram", "; ".join(",".join(r) for r in rs.gram.to_json())],
+        ["gram", "; ".join(",".join(r) for r in data["gram"])],
         ["vertex norms sq", " ".join(format_rational(v) for v in poly.vertex_norms_sq)],
         ["i_sq", format_rational(poly.i_sq)],
         ["d_sq", format_rational(poly.d_sq)],
@@ -149,11 +149,16 @@ def cmd_space(args) -> int:
 
 def cmd_table(args) -> int:
     metric = _metric_from_args(args)
-    reps = [geometry.report(e, metric)
-            for e in catalog.enumerate_table(args.which, args.max_param)]
+    entries = catalog.enumerate_table(args.which, args.max_param)
     if args.format == "json":
-        print(json.dumps([geometry.report_json_dict(r) for r in reps], indent=2))
+        # json.dumps(reports, indent=2) for the (never empty) table, rendered
+        # one row at a time, so no report outlives its text, and written
+        # piece by piece.  Nothing is printed until every row has succeeded.
+        rows = [json.dumps(geometry.report_json_dict(geometry.report(e, metric)),
+                           indent=2).replace("\n", "\n  ") for e in entries]
+        print("[\n  " + rows[0], *rows[1:], sep=",\n  ", end="\n]\n")
         return 0
+    reps = [geometry.report(e, metric) for e in entries]
     header = ["type", "space", "sigma", "psi_sq", "i", "i_dec", "d", "d_dec"]
     rows = [[str(r.space.label), r.space.name, r.space.restricted_name,
              format_rational(r.psi_sq),

@@ -79,6 +79,7 @@ def _decompose(rs: RootSystem, perp: frozenset) -> tuple[RootKind, ...]:
 
 
 def _graph_components(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    m, _ = rs.int_gram
     nodes = list(nodes)
     seen: set[int] = set()
     comps = []
@@ -91,7 +92,7 @@ def _graph_components(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int,
             i = stack.pop()
             comp.append(i)
             for j in nodes:
-                if j not in seen and rs.gram[i, j] != 0:
+                if j not in seen and m[i][j] != 0:
                     seen.add(j)
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
@@ -104,7 +105,8 @@ def _identify_component(rs: RootSystem, comp: tuple[int, ...],
     support = set(comp)
     count = sum(1 for r in perp
                 if all(c == 0 or i in support for i, c in enumerate(r)) and any(r))
-    lengths = [rs.gram[i, i] for i in comp]
+    m, _ = rs.int_gram               # lengths up to the common factor 1/g
+    lengths = [m[i][i] for i in comp]
     if rank == 1:
         return RootKind("a", 1)
     if len(set(lengths)) == 1:

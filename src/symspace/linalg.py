@@ -1,21 +1,20 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), vectors are plain tuples of Fractions, and :class:`Matrix`
-is an immutable dense rational matrix.  Inversion and determinants use
-fraction-free Bareiss elimination on a denominator-cleared integer copy,
-so every intermediate quantity is an exact integer minor.  The inverse's
-integer kernel, ``int_inverse``, returns delta * N^{-1} with delta for an
-integer matrix N; ``Matrix.invert`` wraps it in Fractions, and the
-Cartan polytope reads it directly off the integer Gram matrix.
+denominator) and vectors are plain tuples of Fractions.  A rational
+matrix is kept as integer rows over one denominator, and ``int_inverse``
+inverts the integer part by fraction-free Bareiss elimination, so every
+intermediate quantity is an exact integer minor: it returns delta *
+N^{-1} with delta for an integer matrix N.  The Cartan polytope reads it
+directly off the integer Gram matrix.
 
 The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity
 produced by this package (injectivity radius, diameter) has that shape,
 so a single radicand is all the symbolic algebra we need.
 
-Like every value type of the package, both are named tuples: immutable,
-hashable, and equal to a plain tuple of their fields.
+Like every value type of the package, it is a named tuple: immutable,
+hashable, and equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -65,76 +64,6 @@ def format_rational(x: Fraction) -> str:
                          f"value (or point) needs fewer digits") from None
 
 
-class Matrix(NamedTuple):
-    """Immutable dense matrix of Fractions, stored row-major.
-
-    ``m[i, j]`` reads an entry; the rows are the one field, ``entries``.
-    """
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        tup = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if tup and any(len(r) != len(tup[0]) for r in tup):
-            raise DimensionMismatch("ragged rows")
-        return cls(tup)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                         for i in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in r] for r in self.entries]
-
-    def cleared(self) -> tuple[list[list[int]], int]:
-        """Return (D*self as integer rows, D) for D = lcm of denominators."""
-        d = lcm(*(x.denominator for r in self.entries for x in r))
-        return [[x.numerator * (d // x.denominator) for x in r] for r in self.entries], d
-
-    def det(self) -> Fraction:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if not self.is_square():
-            raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m, d = self.cleared()
-        sign, last = _bareiss_forward(m, n)
-        if last is None:
-            return Fraction(0)
-        return Fraction(sign * last, d ** n)
-
-    def invert(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrix when the determinant is zero.
-
-        self = N / d for the integer matrix N of ``cleared``, so
-        self^{-1} = d * N^{-1} = d * y / delta with (y, delta) from
-        ``int_inverse``.
-        """
-        if not self.is_square():
-            raise DimensionMismatch("inverse needs a square matrix")
-        ints, d = self.cleared()
-        y, delta = int_inverse(ints)
-        return Matrix(tuple(tuple(Fraction(d * v, delta) for v in r) for r in y))
-
-
 def int_inverse(rows) -> tuple[list[list[int]], int]:
     """(y, delta) with y = delta * N^{-1} integral, for a square integer N.
 
@@ -143,8 +72,10 @@ def int_inverse(rows) -> tuple[list[list[int]], int]:
     exact integer division.  Raises SingularMatrix when det(N) = 0.
     """
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("inverse needs a square matrix")
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    _, delta = _bareiss_forward(aug, n)
+    delta = _bareiss_forward(aug, n)
     if delta is None:
         raise SingularMatrix("matrix is singular")
     y = [None] * n
@@ -160,15 +91,14 @@ def int_inverse(rows) -> tuple[list[list[int]], int]:
     return y, delta
 
 
-def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
+def _bareiss_forward(m: list[list[int]], n: int) -> int | None:
     """Fraction-free forward elimination in place on integer rows.
 
     Eliminates below the first n pivot columns of the (possibly augmented)
-    integer row list ``m``.  Returns (sign from row swaps, last pivot) with
-    last pivot None when the matrix is singular.  Divisions are exact by
-    Sylvester's identity, so no rational arithmetic is needed.
+    integer row list ``m``.  Returns the last pivot, or None when the
+    matrix is singular.  Divisions are exact by Sylvester's identity, so
+    no rational arithmetic is needed.
     """
-    sign = 1
     prev = 1
     width = len(m[0]) if m else 0
     for k in range(n):
@@ -176,10 +106,9 @@ def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], m[k]
-                    sign = -sign
                     break
             else:
-                return sign, None
+                return None
         piv = m[k][k]
         for i in range(k + 1, n):
             mik = m[i][k]
@@ -189,7 +118,7 @@ def _bareiss_forward(m: list[list[int]], n: int) -> tuple[int, int | None]:
                 row_i[j] = (piv * row_i[j] - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = piv
-    return sign, m[n - 1][n - 1] if n else 1
+    return m[n - 1][n - 1] if n else 1
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")

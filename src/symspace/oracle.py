@@ -24,13 +24,12 @@ only the latest.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Matrix, format_rational
+from .linalg import format_rational, int_inverse
 from .polytope import CartanPolytope
 from .roots import RootKind
 
@@ -77,10 +76,10 @@ def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleRepo
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    l = p.system.rank
+    m, g = p.system.int_gram
     verts = np.array([[float(c) for c in v] for v in p.vertices])
-    gram = np.array([[float(p.system.gram[i, j]) for j in range(l)] for i in range(l)])
-    pts = _dirichlet_weights(seed, samples, l)[:, 1:] @ verts
+    gram = np.array([[x / g for x in row] for row in m])
+    pts = _dirichlet_weights(seed, samples, p.system.rank)[:, 1:] @ verts
     q = pts @ gram
     q *= pts                                   # in place: one temporary less
     sampled_max = float(q.sum(axis=1).max())
@@ -98,20 +97,24 @@ def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleRepo
     )
 
 
-def inverse_oracle(m: Matrix, name: str = "") -> OracleReport:
-    """Partial-pivot numeric inverse vs the exact one, 1e-9 relative."""
-    a = np.array([[float(x) for x in row] for row in m.entries])
+def inverse_oracle(rows, den: int, name: str = "") -> OracleReport:
+    """Partial-pivot numeric inverse vs the exact one, 1e-9 relative, for
+    the matrix N/den given by its integer rows N and positive ``den``.
+
+    (N/den)^{-1} = den * y / delta with (y, delta) from ``int_inverse``.
+    """
+    a = np.array([[x / den for x in row] for row in rows])
     label = f"inverse {name}".strip()
     cond = float(np.linalg.cond(a))
     if cond >= 1e10:
         return OracleReport(name=label, exact="-", numeric=cond, error=float("nan"),
                             passed=True, note="skipped: ill-conditioned")
     num = np.linalg.inv(a)
-    exact = m.invert()
+    y, delta = int_inverse(rows)
     err = 0.0
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = float(exact[i, j])
+    for i, row in enumerate(y):
+        for j, v in enumerate(row):
+            e = den * v / delta
             err = max(err, abs(num[i, j] - e) / max(1.0, abs(e)))
     return OracleReport(name=label, exact="entrywise", numeric=cond, error=err,
                         passed=err <= 1e-9, note=f"cond={cond:.3g}")
@@ -237,6 +240,7 @@ def closure_count_oracle(kind: RootKind) -> OracleReport:
 
     exact_count = root_count(kind)
     rs = build(kind)
+    m, g = rs.int_gram
     coeffs = highest_root_coeffs(kind)
     psi = np.zeros(len(simples[0]))
     for c, s in zip(coeffs, simples):
@@ -246,7 +250,7 @@ def closure_count_oracle(kind: RootKind) -> OracleReport:
     for i in range(kind.rank):
         for j in range(kind.rank):
             num = float(np.array(simples[i]) @ np.array(simples[j])) / scale
-            gram_err = max(gram_err, abs(num - float(rs.gram[i, j])))
+            gram_err = max(gram_err, abs(num - m[i][j] / g))
     # len(rs.roots) runs the exact enumeration and its self-checks
     passed = count == exact_count == len(rs.roots) and gram_err <= 1e-9
     return OracleReport(
@@ -274,10 +278,10 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
     for k in sorted(kinds, key=lambda kind: kind.rank):   # one draw per rank
         rs = build(k)
         reports.append(closure_count_oracle(k))
-        reports.append(inverse_oracle(rs.gram, name=f"gram {k}"))
+        reports.append(inverse_oracle(*rs.int_gram, name=f"gram {k}"))
         reports.append(simplex_max_oracle(build_polytope(rs), samples, seed))
-    hilbert = Matrix.from_rows([[Fraction(1, i + j + 1) for j in range(3)]
-                                for i in range(3)])
-    reports.append(inverse_oracle(hilbert, name="hilbert3"))
-    reports.append(inverse_oracle(Matrix.identity(5), name="identity5"))
+    hilbert = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]  # 1/(i+j+1)
+    reports.append(inverse_oracle(hilbert, 60, name="hilbert3"))
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    reports.append(inverse_oracle(identity, 1, name="identity5"))
     return sorted(reports, key=lambda r: r.name)

@@ -4,7 +4,8 @@ Each family (a, b, c, d, e6, e7, e8, f4, g2 and the non-reduced bc) is
 built from three pieces of data: its Cartan matrix, the relative squared
 lengths of its simple roots, and the coefficients of the highest root.
 All inner products go through the Gram matrix, which is normalized so
-that the highest root has squared length 1.  That O(rank^2) data is all
+that the highest root has squared length 1 and is kept as integer rows
+M over one positive denominator g (gram = M/g).  That O(rank^2) data is all
 the Cartan polytope needs, so ``build`` stops there; the roots themselves
 (integer coefficient vectors over the simple roots, generated by closing
 the simple roots under all simple reflections) are enumerated on first
@@ -16,17 +17,19 @@ largest highest-root coefficient).
 
 ``RootKind`` and ``RootSystem`` are named tuples, immutable and equal to
 plain tuples of their fields; ``RootSystem`` also keeps its lazily built
-members (roots and the integer Gram and Cartan forms) in an instance dict.
+members (the roots and the sparse Cartan rows) in an instance dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Matrix, format_rational
+from .linalg import format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 MAX_RANK = 128      # largest rank ``build`` accepts
@@ -235,18 +238,19 @@ class _RootSystemFields(NamedTuple):
     kind: RootKind
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    gram: Matrix
+    int_gram: tuple[tuple[tuple[int, ...], ...], int]
     highest_root: tuple[int, ...]
 
 
 class RootSystem(_RootSystemFields):
     """A root system with highest-root-normalized Gram matrix.
 
-    ``indivisible_roots`` and ``roots`` are enumerated on first access;
-    they raise InvalidRank for systems of more than MAX_ROOTS roots.
-    ``int_gram`` and ``cartan_rows``, the integer forms of the Gram and
-    Cartan matrices that the slice predicates use, are also built once,
-    on first access.  No ``__slots__``: the cached properties store their
+    ``int_gram`` is the pair (M, g) with gram = M/g: integer rows over
+    one positive denominator, in lowest terms.  ``indivisible_roots`` and
+    ``roots`` are enumerated on first access; they raise InvalidRank for
+    systems of more than MAX_ROOTS roots.  ``cartan_rows``, the sparse
+    Cartan rows that the slice predicates use, is also built once, on
+    first access.  No ``__slots__``: the cached properties store their
     values in the instance dict, which ``cached_property`` writes directly,
     so refusing attribute assignment keeps the system immutable.
     """
@@ -287,12 +291,6 @@ class RootSystem(_RootSystemFields):
             raise RuntimeError(f"{kind}: highest root {best} != expected {self.highest_root}")
         return roots
 
-    @cached_property
-    def int_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(M, g) with ``gram == M / g``: integer rows over one positive denominator."""
-        m, g = self.gram.cleared()
-        return tuple(map(tuple, m)), g
-
     @property
     def psi_sq(self) -> Fraction:
         """(psi, psi) of the highest root, from ``int_gram`` in integers."""
@@ -315,22 +313,24 @@ def build(kind: RootKind | str) -> RootSystem:
     lengths = _relative_lengths(kind)
     psi = highest_root_coeffs(kind)
     # S_ij = A[j][i] * L_i = 2 (a_i, a_j) / scale, an integer matrix; dividing
-    # by N = psi^T S psi normalizes (psi, psi) to 1.  Entries repeat, so each
-    # distinct S_ij / N is made once.
+    # by N = psi^T S psi normalizes (psi, psi) to 1.  Dividing S and N by
+    # their common gcd leaves gram = M/g in lowest terms.
     s = [[cartan[j][i] * lengths[i] for j in range(l)] for i in range(l)]
     norm = sum(p * sum(map(mul, row, psi)) for p, row in zip(psi, s))
-    frac = {x: Fraction(x, norm) for row in s for x in row}
-    gram = Matrix(tuple(tuple(frac[x] for x in row) for row in s))
-    return RootSystem(kind=kind, rank=l, cartan=cartan, gram=gram, highest_root=psi)
+    c = gcd(norm, *chain.from_iterable(s))
+    m = tuple(tuple(x // c for x in row) for row in s)
+    return RootSystem(kind=kind, rank=l, cartan=cartan, int_gram=(m, norm // c),
+                      highest_root=psi)
 
 
 def to_json_dict(rs: RootSystem) -> dict:
+    m, g = rs.int_gram
     return {
         "kind": str(rs.kind),
         "family": rs.kind.family,
         "rank": rs.rank,
         "cartan_matrix": [list(row) for row in rs.cartan],
-        "gram": rs.gram.to_json(),
+        "gram": [[format_rational(Fraction(x, g)) for x in row] for row in m],
         "root_count": len(rs.roots),
         "indivisible_count": len(rs.indivisible_roots),
         "highest_root": list(rs.highest_root),

@@ -1,14 +1,67 @@
 """Rational-arithmetic reference helpers, used only by the tests.
 
-The package computes inner products on integers (``RootSystem.int_gram``);
-these are the plain Fraction products of vectors and ``Matrix`` values,
-and the Fraction formulas through the stored Gram matrix, that the tests
-compare it against.
+The package computes inner products on integers (``RootSystem.int_gram``,
+the pair (M, g) with gram = M/g); these are the plain Fraction products of
+vectors and matrices (tuples of Fraction rows), the Fraction Gram matrix
+and the Fraction formulas through it, and a Gauss-Jordan inverse, that the
+tests compare it against.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from symspace.linalg import DimensionMismatch, Matrix
+from symspace.linalg import DimensionMismatch, int_inverse
+
+
+@lru_cache(maxsize=8)
+def gram(rs) -> tuple[tuple[Fraction, ...], ...]:
+    """The Gram matrix M/g of ``rs.int_gram`` as Fraction rows (the last
+    few are cached, as the tests call this inside loops)."""
+    m, g = rs.int_gram
+    return tuple(tuple(Fraction(x, g) for x in row) for row in m)
+
+
+def matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Fraction rows of a matrix given by rows of rationals."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def cleared(m) -> tuple[list[list[int]], int]:
+    """(D*m as integer rows, D) for D = lcm of the denominators of m."""
+    m = matrix(m)
+    d = lcm(*(x.denominator for r in m for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in m], d
+
+
+def inverse(m) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact inverse through ``int_inverse``: m = N/d, so
+    m^{-1} = d * y / delta with (y, delta) = int_inverse(N)."""
+    ints, d = cleared(m)
+    y, delta = int_inverse(ints)
+    return tuple(tuple(Fraction(d * v, delta) for v in r) for r in y)
+
+
+def gauss_jordan_inverse(rows):
+    """Fraction Gauss-Jordan on [A | I]; None when A is singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for r in range(n):
+            if r != k and a[r][k] != 0:
+                f = a[r][k]
+                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def dot(u, v) -> Fraction:
@@ -18,41 +71,39 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def mul_vec(m: Matrix, v) -> tuple[Fraction, ...]:
-    if len(v) != m.cols:
-        raise DimensionMismatch(f"matrix cols {m.cols} != vector length {len(v)}")
-    return tuple(dot(r, v) for r in m.entries)
+def mul_vec(m, v) -> tuple[Fraction, ...]:
+    return tuple(dot(r, v) for r in m)
 
 
-def mul_mat(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.cols} != {b.rows}")
-    cols = tuple(zip(*b.entries))
-    return Matrix(tuple(tuple(dot(r, c) for c in cols) for r in a.entries))
+def mul_mat(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    if len(a[0]) != len(b):
+        raise DimensionMismatch(f"{len(a[0])} != {len(b)}")
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(r, c) for c in cols) for r in a)
 
 
-def scaled(m: Matrix, c) -> Matrix:
+def scaled(m, c) -> tuple[tuple[Fraction, ...], ...]:
     c = Fraction(c)
-    return Matrix(tuple(tuple(c * x for x in r) for r in m.entries))
+    return tuple(tuple(c * x for x in r) for r in m)
 
 
 def dot_gram(gram, u, v) -> Fraction:
     """u^T gram v for coefficient vectors u, v."""
     u = tuple(Fraction(x) for x in u)
     v = tuple(Fraction(x) for x in v)
-    if len(u) != gram.rows or len(v) != gram.cols:
+    if len(u) != len(gram) or len(v) != len(gram):
         raise DimensionMismatch("vector length does not match Gram rank")
     return dot(u, mul_vec(gram, v))
 
 
 def inner(rs, u, v) -> Fraction:
-    """Inner product of coefficient vectors through the stored Gram matrix."""
-    return dot_gram(rs.gram, u, v)
+    """Inner product of coefficient vectors through the Fraction Gram matrix."""
+    return dot_gram(gram(rs), u, v)
 
 
 def root_norm_sq(rs, r) -> Fraction:
     """Squared length of a root given by its simple-root coefficients."""
-    return dot_gram(rs.gram, r, r)
+    return dot_gram(gram(rs), r, r)
 
 
 def perp_simple_indices_by_roots(rs) -> tuple[int, ...]:

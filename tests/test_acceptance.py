@@ -23,7 +23,7 @@ from symspace.oracle import standard_suite
 from symspace.polytope import dominant_representative, reflect_simple
 from symspace.roots import RootKind, build, root_count
 
-from reference import mul_vec
+from reference import gram, mul_vec
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -184,7 +184,7 @@ def test_criterion_10_predicate_coherence():
                     raw = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
                                 for _ in range(rs.rank))
                     dom, _ = dominant_representative(rs, raw)
-                    w = mul_vec(rs.gram, dom)
+                    w = mul_vec(gram(rs), dom)
                     level = entry.psi_sq_killing * sum(
                         F(d) * wi for d, wi in zip(rs.highest_root, w))
                     h = psi_k if level == 0 else tuple(c / level for c in dom)

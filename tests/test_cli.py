@@ -407,6 +407,16 @@ def test_table_peak_rss_near_one_report():
     assert rss <= base_rss + 16 * 1024, (rss, base_rss)
 
 
+def test_table_json_peak_rss_near_tsv():
+    # The JSON rows are rendered one report at a time and written piece by
+    # piece, so no list of row dicts or second copy of the text is held.
+    argv = ("table", "4.1", "--max-param", "48", "--format")
+    tsv_code, _, tsv_rss = peak_rss_kb(*argv, "tsv")
+    code, err, rss = peak_rss_kb(*argv, "json")
+    assert (tsv_code, code, err) == (0, 0, "")
+    assert rss <= tsv_rss + 4 * 1024, (rss, tsv_rss)
+
+
 @pytest.mark.parametrize("label,kind", [
     ("AII:n=1000000", "a999999"),
     ("AI:n=1000000", "a999999"),

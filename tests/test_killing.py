@@ -9,7 +9,7 @@ from symspace.killing import (NonReducedInput, delta_sq_formula, killing_data,
                               perp_subsystem, to_json_dict)
 from symspace.roots import RootKind, build, root_count
 
-from reference import mul_vec, perp_simple_indices_by_roots
+from reference import gram, mul_vec, perp_simple_indices_by_roots
 from test_roots import ALL_KINDS
 from test_slice_kernel import IN_CAP_KINDS
 
@@ -74,7 +74,7 @@ def test_perp_decomposition_matches_table(kind):
 @pytest.mark.parametrize("kind", REDUCED_KINDS, ids=str)
 def test_perp_simple_indices_equal_orthogonal_walls(kind):
     rs = build(kind)
-    w = mul_vec(rs.gram, tuple(F(c) for c in rs.highest_root))
+    w = mul_vec(gram(rs), tuple(F(c) for c in rs.highest_root))
     assert set(perp_simple_indices(rs)) == {i for i, wi in enumerate(w) if wi == 0}
 
 
@@ -103,7 +103,7 @@ def test_cartan_pairing_with_highest_root(kind):
     # 2(alpha, delta)/(delta, delta) in {0, +-1, +-2}, and +-2 only at +-delta.
     rs = build(kind)
     delta = rs.highest_root
-    w = mul_vec(rs.gram, tuple(F(c) for c in delta))
+    w = mul_vec(gram(rs), tuple(F(c) for c in delta))
     dd = sum(F(c) * wi for c, wi in zip(delta, w))
     for r in rs.roots:
         pairing = 2 * sum(F(c) * wi for c, wi in zip(r, w)) / dd

@@ -6,49 +6,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symspace.linalg import (DimensionMismatch, Matrix, NegativeFactor,
-                             PiSqrtValue, SingularMatrix, format_rational)
+from symspace.linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue,
+                             SingularMatrix, format_rational, int_inverse)
 from symspace.roots import MAX_RANK, RootKind, build
 
-from reference import mul_mat, mul_vec
+from reference import (cleared, gauss_jordan_inverse, gram, identity, inverse,
+                       matrix, mul_mat, mul_vec)
 
 
 def test_invert_scalar():
-    assert Matrix.from_rows([[2]]).invert().entries == ((F(1, 2),),)
+    assert inverse([[2]]) == ((F(1, 2),),)
 
 
 def test_invert_identity():
-    m = Matrix.identity(4)
-    assert m.invert() == m
+    m = identity(4)
+    assert inverse(m) == m
 
 
 def test_invert_g2_gram():
     # (1/6)[[6,-3],[-3,2]] with (psi,psi)=1; vertex norms 1/d_j^2 * inv_jj
     # then give max 4/3.
-    g = Matrix.from_rows([[1, F(-1, 2)], [F(-1, 2), F(1, 3)]])
-    inv = g.invert()
-    assert inv.entries == ((F(4), F(6)), (F(6), F(12)))
-    assert max(inv[0, 0] / 4, inv[1, 1] / 9) == F(4, 3)
+    inv = inverse([[1, F(-1, 2)], [F(-1, 2), F(1, 3)]])
+    assert inv == ((F(4), F(6)), (F(6), F(12)))
+    assert max(inv[0][0] / 4, inv[1][1] / 9) == F(4, 3)
 
 
 def test_singular_matrix():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrix):
-        m.invert()
-    assert m.det() == 0
+        inverse([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrix):
+        int_inverse([[0, 0], [0, 0]])
 
 
 def test_dimension_errors():
-    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(DimensionMismatch):
-        m.invert()
+        int_inverse([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(DimensionMismatch):
-        mul_vec(Matrix.identity(2), (1, 2, 3))
+        mul_vec(identity(2), (1, 2, 3))
 
 
 def _random_matrix(rng, n):
-    return Matrix.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 4))
-                              for _ in range(n)] for _ in range(n)])
+    return matrix([[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(n)])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -57,9 +56,9 @@ def test_invert_random_sizes(n):
     done = 0
     while done < 5:
         m = _random_matrix(rng, n)
-        if m.det() == 0:
+        if gauss_jordan_inverse(m) is None:
             continue
-        assert mul_mat(m, m.invert()) == Matrix.identity(n)
+        assert mul_mat(m, inverse(m)) == identity(n)
         done += 1
 
 
@@ -69,33 +68,22 @@ def test_solve_consistent_with_invert(n, seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, n)
     b = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
-    if m.det() == 0:
+    if gauss_jordan_inverse(m) is None:
         return
-    assert mul_vec(m, mul_vec(m.invert(), b)) == b
+    assert mul_vec(m, mul_vec(inverse(m), b)) == b
+
+
+def _pivot_is_det(rows, det):
+    """int_inverse's last pivot is +-det(N) for the cleared N = d * rows."""
+    ints, d = cleared(rows)
+    _, delta = int_inverse(ints)
+    return abs(delta) == abs(det) * d ** len(rows)
 
 
 def test_det_sign_with_pivoting():
-    m = Matrix.from_rows([[0, 1], [1, 0]])
-    assert m.det() == -1
-    assert m.invert() == m
-
-
-def gauss_jordan_inverse(rows):
-    """Reference: Fraction Gauss-Jordan on [A | I]; None when A is singular."""
-    n = len(rows)
-    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    m = matrix([[0, 1], [1, 0]])
+    assert _pivot_is_det(m, -1)
+    assert inverse(m) == m
 
 
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
@@ -123,15 +111,12 @@ def square_matrices(draw):
 @given(square_matrices())
 @settings(max_examples=400, deadline=None)
 def test_invert_matches_gauss_jordan(rows):
-    m = Matrix.from_rows(rows)
     want = gauss_jordan_inverse(rows)
     if want is None:
-        assert m.det() == 0
         with pytest.raises(SingularMatrix):
-            m.invert()
+            inverse(rows)
     else:
-        assert m.det() != 0
-        assert m.invert().entries == want
+        assert inverse(rows) == want
 
 
 @pytest.mark.parametrize("rows,det", [
@@ -140,10 +125,9 @@ def test_invert_matches_gauss_jordan(rows):
     ([[1, 1, 0], [1, 1, F(1, 2)], [0, 1, 1]], F(-1, 2)),
 ])
 def test_invert_row_swaps_negative_det(rows, det):
-    m = Matrix.from_rows(rows)
-    assert m.det() == det
-    assert m.invert().entries == gauss_jordan_inverse(rows)
-    assert mul_mat(m, m.invert()) == Matrix.identity(m.rows)
+    assert _pivot_is_det(rows, det)
+    assert inverse(rows) == gauss_jordan_inverse(rows)
+    assert mul_mat(matrix(rows), inverse(rows)) == identity(len(rows))
 
 
 @pytest.mark.parametrize("kind", [RootKind(fam, MAX_RANK)
@@ -152,9 +136,9 @@ def test_invert_row_swaps_negative_det(rows, det):
                          ids=str)
 def test_invert_gram_at_max_rank(kind):
     # M * M^{-1} == I, checked on the denominator-cleared integer forms.
-    gram = build(kind).gram
-    a, da = gram.cleared()
-    b, db = gram.invert().cleared()
+    g = gram(build(kind))
+    a, da = cleared(g)
+    b, db = cleared(inverse(g))
     cols = list(zip(*b))
     n = len(a)
     assert [[sum(map(mul, r, c)) for c in cols] for r in a] == \

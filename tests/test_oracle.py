@@ -4,13 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from symspace.linalg import Matrix, format_rational
+from symspace.linalg import format_rational
 from symspace.oracle import (RNG_ALGORITHM, OracleReport, _dirichlet_weights,
                              _float_closure, closure_count_oracle,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
 from symspace.polytope import build_polytope
 from symspace.roots import RootKind, build, parse_kind
+
+from reference import cleared, gram, identity
 
 # The 39 kinds of standard_suite at its default max_rank.
 SUITE_KINDS = ([RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3),
@@ -82,12 +84,13 @@ def fresh_draw_simplex(p, samples, seed):
     rng = np.random.default_rng(seed & (2 ** 64 - 1))
     l = p.system.rank
     verts = np.array([[float(c) for c in v] for v in p.vertices])
-    gram = np.array([[float(p.system.gram[i, j]) for j in range(l)] for i in range(l)])
+    g = gram(p.system)
+    gram_f = np.array([[float(g[i][j]) for j in range(l)] for i in range(l)])
     w = rng.exponential(1.0, size=(samples, l + 1))
     w /= w.sum(axis=1, keepdims=True)
     pts = w[:, 1:] @ verts
-    sampled_max = float(((pts @ gram) * pts).sum(axis=1).max())
-    vertex_max = float(((verts @ gram) * verts).sum(axis=1).max())
+    sampled_max = float(((pts @ gram_f) * pts).sum(axis=1).max())
+    vertex_max = float(((verts @ gram_f) * verts).sum(axis=1).max())
     exact = float(p.d_sq)
     return OracleReport(
         name=f"simplex-max {p.system.kind}",
@@ -120,17 +123,15 @@ def test_dirichlet_weights_read_only():
 
 
 def test_inverse_oracle_cases():
-    assert inverse_oracle(Matrix.identity(5), "identity5").error == 0
-    assert inverse_oracle(build("e8").gram, "e8").passed
-    hilbert = Matrix.from_rows([[F(1, i + j + 1) for j in range(3)]
-                                for i in range(3)])
-    assert inverse_oracle(hilbert, "hilbert3").passed
+    assert inverse_oracle(*cleared(identity(5)), "identity5").error == 0
+    assert inverse_oracle(*build("e8").int_gram, "e8").passed
+    hilbert = [[F(1, i + j + 1) for j in range(3)] for i in range(3)]
+    assert inverse_oracle(*cleared(hilbert), "hilbert3").passed
 
 
 def test_inverse_oracle_ill_conditioned_skip():
-    hilbert12 = Matrix.from_rows([[F(1, i + j + 1) for j in range(12)]
-                                  for i in range(12)])
-    rep = inverse_oracle(hilbert12, "hilbert12")
+    hilbert12 = [[F(1, i + j + 1) for j in range(12)] for i in range(12)]
+    rep = inverse_oracle(*cleared(hilbert12), "hilbert12")
     assert rep.passed and "skipped" in rep.note
 
 

@@ -8,7 +8,7 @@ from symspace.catalog import parse_label, resolve
 from symspace.closedform import expected
 from symspace.geometry import MetricSpec, cut_details, report
 from symspace.killing import killing_data
-from symspace.linalg import Matrix, NegativeFactor, PiSqrtValue
+from symspace.linalg import NegativeFactor, PiSqrtValue
 from symspace.oracle import OracleReport
 from symspace.polytope import build_polytope
 from symspace.roots import InvalidRank, RootKind, build
@@ -21,7 +21,6 @@ RECORDS = {
     "GeometryReport": lambda: report("AIII:p=2,q=5"),
     "CutDetails": lambda: cut_details("AI:n=3", (0, 3)),
     "KillingData": lambda: killing_data(build("d5")),
-    "Matrix": lambda: Matrix.from_rows([[1, F(1, 2)], [0, 3]]),
     "PiSqrtValue": lambda: PiSqrtValue(F(4, 6)),
     "OracleReport": lambda: OracleReport("check", "1/2", 0.5, 0.0, True),
     "CartanPolytope": lambda: build_polytope(build("bc3")),
@@ -50,6 +49,13 @@ def test_root_system_has_no_new_attributes():
     with pytest.raises(AttributeError):
         del rs.cartan_rows
     assert rs.cartan_rows is rs.cartan_rows
+
+
+def test_public_names_resolve():
+    import symspace
+    missing = [name for name in symspace.__all__ if not hasattr(symspace, name)]
+    assert missing == []
+    assert len(set(symspace.__all__)) == len(symspace.__all__)
 
 
 def test_replace_validates():

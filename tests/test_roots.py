@@ -1,15 +1,17 @@
+import fractions
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from symspace.linalg import DimensionMismatch, Matrix
+from symspace.linalg import DimensionMismatch
 from symspace.polytope import build_polytope
 from symspace.roots import (MAX_RANK, InvalidRank, NonTerminating, RootKind,
                             build, cartan_matrix, generate_roots,
                             highest_root_coeffs, parse_kind, root_count,
                             to_json_dict)
 
-from reference import inner, root_norm_sq, scaled
+from reference import cleared, gram, inner, root_norm_sq
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -36,14 +38,14 @@ def test_a1_smallest():
     rs = build("a1")
     assert rs.roots == frozenset({(1,), (-1,)})
     assert rs.highest_root == (1,)
-    assert rs.gram.entries == ((F(1),),)
+    assert gram(rs) == ((F(1),),)
 
 
 def test_g2_data():
     rs = build("g2")
     assert len(rs.roots) == 12
     assert rs.highest_root == (2, 3)
-    assert rs.gram.to_json() == [["1", "-1/2"], ["-1/2", "1/3"]]
+    assert to_json_dict(rs)["gram"] == [["1", "-1/2"], ["-1/2", "1/3"]]
     # (a1, a2) is -1/2 once (psi, psi) = 1
     assert inner(rs, (1, 0), (0, 1)) == F(-1, 2)
     assert inner(rs, (0, 0), (1, 1)) == 0
@@ -97,10 +99,10 @@ def test_closure_under_simple_reflections(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_cartan_recovered_from_gram(kind):
     rs = build(kind)
-    l = rs.rank
+    l, g = rs.rank, gram(rs)
     for i in range(l):
         for j in range(l):
-            cij = 2 * rs.gram[i, j] / rs.gram[j, j]
+            cij = 2 * g[i][j] / g[j][j]
             assert cij == rs.cartan[i][j]
 
 
@@ -127,7 +129,7 @@ def test_int_gram_matches_gram():
         rs = build(kind)
         m, g = rs.int_gram
         assert g > 0 and all(type(x) is int for row in m for x in row)
-        assert scaled(Matrix.from_rows(m), F(1, g)) == rs.gram
+        assert gcd(g, *(x for row in m for x in row)) == 1    # lowest terms
         assert rs.int_gram is rs.int_gram
         assert rs.cartan_rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
                                        for row in rs.cartan)
@@ -172,14 +174,34 @@ GRAM_KINDS["efg"] = [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
 def test_gram_matches_fraction_construction(family):
     for kind in GRAM_KINDS[family]:
         rs = build(kind)
-        gram = rs.gram.entries
-        assert len(gram) == kind.rank and all(len(row) == kind.rank for row in gram)
-        assert all(type(x) is F for row in gram for x in row)
-        nonzero = {(i, j): x for i, row in enumerate(gram)
+        g = gram(rs)
+        assert len(g) == kind.rank and all(len(row) == kind.rank for row in g)
+        assert all(type(x) is F for row in g for x in row)
+        nonzero = {(i, j): x for i, row in enumerate(g)
                    for j, x in enumerate(row) if x}
         assert nonzero == fraction_gram(kind), kind
-        m, g = rs.gram.cleared()
-        assert rs.int_gram == (tuple(map(tuple, m)), g), kind
+        m, d = cleared(g)             # (M, g) is in lowest terms
+        assert rs.int_gram == (tuple(map(tuple, m)), d), kind
+
+
+def test_build_makes_no_fractions(monkeypatch):
+    # The Gram matrix is stored as integers (M, g); Fractions appear only
+    # where it is printed.
+    made = [0]
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    assert F(1, 2) == F(1, 2) and made[0] == 2   # the counter sees construction
+    made[0] = 0
+    for kinds in GRAM_KINDS.values():
+        for kind in kinds[::9] + kinds[-1:]:
+            m, g = build(kind).int_gram
+            assert g > 0 and len(m) == kind.rank
+    assert made[0] == 0
 
 
 def test_roots_enumerated_on_first_access():
@@ -200,7 +222,7 @@ def test_largest_enumerable_systems(name):
 @pytest.mark.parametrize("name", ["a22", "b16", "c16", "d17", "bc16", "a128"])
 def test_enumeration_refused_past_max_roots(name):
     rs = build(name)                  # the Cartan data is still available
-    assert rs.gram.rows == rs.rank
+    assert len(rs.int_gram[0]) == rs.rank
     with pytest.raises(InvalidRank):
         rs.roots
     with pytest.raises(InvalidRank):
@@ -240,16 +262,16 @@ def test_json_dict():
 
 
 def test_f4_relative_lengths():
-    rs = build("f4")
+    g = gram(build("f4"))
     # (psi,psi) = (a1,a1) = (a2,a2) = 2(a3,a3) = 2(a4,a4)
-    assert rs.gram[0, 0] == rs.gram[1, 1] == 1
-    assert rs.gram[2, 2] == rs.gram[3, 3] == F(1, 2)
+    assert g[0][0] == g[1][1] == 1
+    assert g[2][2] == g[3][3] == F(1, 2)
 
 
 def test_b_c_lengths():
-    b4 = build("b4")
-    assert {b4.gram[i, i] for i in range(3)} == {F(1)}
-    assert b4.gram[3, 3] == F(1, 2)
-    c4 = build("c4")
-    assert {c4.gram[i, i] for i in range(3)} == {F(1, 2)}
-    assert c4.gram[3, 3] == F(1)
+    b4 = gram(build("b4"))
+    assert {b4[i][i] for i in range(3)} == {F(1)}
+    assert b4[3][3] == F(1, 2)
+    c4 = gram(build("c4"))
+    assert {c4[i][i] for i in range(3)} == {F(1, 2)}
+    assert c4[3][3] == F(1)

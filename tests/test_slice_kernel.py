@@ -28,7 +28,7 @@ from symspace.polytope import (SliceClass, build_polytope, classify_point,
                                dominant_representative, reflect_simple)
 from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
 
-from reference import dot, mul_vec, scaled
+from reference import dot, gram, mul_vec, scaled
 
 IN_CAP_KINDS = (
     [RootKind("a", l) for l in range(1, 22)]
@@ -45,13 +45,13 @@ IN_CAP_KINDS = (
 
 def ref_dominant(rs, x):
     cur = list(F(c) for c in x)
-    gram = rs.gram
+    g = gram(rs)
     count = 0
     while True:
-        w = mul_vec(gram, tuple(cur))
+        w = mul_vec(g, tuple(cur))
         for i, wi in enumerate(w):
             if wi < 0:
-                cur[i] -= 2 * wi / gram[i, i]
+                cur[i] -= 2 * wi / g[i][i]
                 count += 1
                 break
         else:
@@ -60,15 +60,15 @@ def ref_dominant(rs, x):
 
 def ref_reflect(rs, x, i):
     cur = list(F(c) for c in x)
-    w = mul_vec(rs.gram, tuple(cur))[i]
-    cur[i] -= 2 * w / rs.gram[i, i]
+    w = mul_vec(gram(rs), tuple(cur))[i]
+    cur[i] -= 2 * w / gram(rs)[i][i]
     return tuple(cur)
 
 
 def ref_classify(p, x):
     rs = p.system
     x = tuple(F(c) for c in x)
-    w = mul_vec(rs.gram, x)
+    w = mul_vec(gram(rs), x)
     if any(wi < 0 for wi in w):
         return SliceClass.NOT_DOMINANT
     level = sum((F(di) * wi for di, wi in zip(rs.highest_root, w)), F(0))
@@ -91,7 +91,7 @@ def fraction_slice_point(label, h):
 
 
 def fraction_conjugate(entry, rs, h):
-    w = mul_vec(scaled(rs.gram, entry.psi_sq_killing), h)
+    w = mul_vec(scaled(gram(rs), entry.psi_sq_killing), h)
     for r in sorted(rs.roots):
         v = dot(tuple(F(c) for c in r), w)
         if v != 0 and v.denominator == 1:
@@ -200,7 +200,7 @@ def test_reflection_count_is_inversion_count(kind):
     positive = [r for r in rs.indivisible_roots if sum(r) > 0]
     assert len(positive) <= root_count(kind) // 2 <= MAX_ROOTS
     for x in points:
-        w = mul_vec(rs.gram, x)
+        w = mul_vec(gram(rs), x)
         negative = sum(1 for r in positive if dot(r, w) < 0)
         assert dominant_representative(rs, x)[1] == negative <= len(positive)
 

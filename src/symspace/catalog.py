@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
@@ -290,8 +290,10 @@ def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
     return (entry.satake_black_nodes <= perp) == (entry.restriction_factor == 1)
 
 
-def enumerate_table(which: str, param_bound: int) -> list[SpaceEntry]:
-    """All rows of classification table "4.1" or "4.2" with parameters <= bound."""
+def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
+    """The rows of classification table "4.1" or "4.2" with parameters <=
+    bound, resolved one at a time as they are read; the arguments are
+    checked when this is called."""
     if param_bound < 1:
         raise InvalidParams("param_bound must be >= 1")
     if param_bound > MAX_RANK:
@@ -303,16 +305,18 @@ def enumerate_table(which: str, param_bound: int) -> list[SpaceEntry]:
                  for l in range(_MIN_RANK[fam], param_bound + 1)]
         kinds += [RootKind(fam, l) for fam, ranks in _EXCEPTIONAL_RANKS.items()
                   for l in ranks]
-        return [resolve(SpaceLabel("GROUP", kind=kind)) for kind in kinds]
-    out = []
+        return (resolve(SpaceLabel("GROUP", kind=kind)) for kind in kinds)
+    return _table_41_rows(param_bound)
+
+
+def _table_41_rows(param_bound: int) -> Iterator[SpaceEntry]:
     for series in (*_PARAMS, *_EXCEPTIONAL_ROWS):
         keys = _PARAMS.get(series, ())
         for values in product(range(1, param_bound + 1), repeat=len(keys)):
             try:
-                out.append(resolve(SpaceLabel(series, **dict(zip(keys, values)))))
+                yield resolve(SpaceLabel(series, **dict(zip(keys, values))))
             except InvalidParams:
                 pass                  # outside the series' parameter domain
-    return out
 
 
 def to_json_dict(entry: SpaceEntry) -> dict:

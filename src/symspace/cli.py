@@ -149,16 +149,19 @@ def cmd_space(args) -> int:
 
 def cmd_table(args) -> int:
     metric = _metric_from_args(args)
+    # The entries come one at a time and each row is rendered from its
+    # report as it comes, so no entry (with its black-node set) or report
+    # outlives its row's text.  Nothing is printed until every row has
+    # succeeded.
     entries = catalog.enumerate_table(args.which, args.max_param)
     if args.format == "json":
-        # json.dumps(reports, indent=2) for the (never empty) table, rendered
-        # one row at a time, so no report outlives its text, and written
-        # piece by piece.  Nothing is printed until every row has succeeded.
+        # json.dumps(reports, indent=2) for the (never empty) table, written
+        # piece by piece.
         rows = [json.dumps(geometry.report_json_dict(geometry.report(e, metric)),
                            indent=2).replace("\n", "\n  ") for e in entries]
         print("[\n  " + rows[0], *rows[1:], sep=",\n  ", end="\n]\n")
         return 0
-    reps = [geometry.report(e, metric) for e in entries]
+    reps = (geometry.report(e, metric) for e in entries)
     header = ["type", "space", "sigma", "psi_sq", "i", "i_dec", "d", "d_dec"]
     rows = [[str(r.space.label), r.space.name, r.space.restricted_name,
              format_rational(r.psi_sq),
@@ -173,7 +176,7 @@ def cmd_cut(args) -> int:
     # The point is echoed, and str() of an int is capped at this many digits.
     max_digits = sys.get_int_max_str_digits()
     point = tuple(_parse_fraction(c, max_digits) for c in args.point.split(","))
-    details = geometry.cut_details(entry.label, point)
+    details = geometry.cut_details(entry, point)
     data = {
         "label": str(entry.label),
         "point": [format_rational(c) for c in point],

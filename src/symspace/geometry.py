@@ -21,9 +21,20 @@ cut face is the unit level of the highest root on the dominant chamber.
 Mapping a general tangent vector to its slice representative is outside
 this module; callers supply slice coordinates.
 
-A point's denominators are cleared once, h = n/D; the predicates then run
-on integers (psi_sq_killing = a/b enters as (a n, b D)) and build
-Fractions only for the dominant representative ``cut_details`` returns.
+A point's denominators are cleared once, h = n/D, and the predicates
+then run on integers from one pairing vector p = nA (A the Cartan
+matrix), with psi_sq_killing = a/b and the Gram matrix M/g.  The
+Killing pairing of h with a root r is a v_r / (2 b g D) for
+v_r = sum_k r_k M_kk p_k, so h is conjugate iff some positive root has
+v_r != 0 and a v_r = 0 (mod 2 b g D).  Every positive root past the
+simple ones is a root of height one less plus a simple root a_j
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.2), so a per-kind chain of (parent, j) in height order gives each v_r
+as v_parent + M_jj p_j: one addition per positive root.  The chain is
+built from the enumerated roots, so conjugacy is refused past MAX_ROOTS;
+the cut face needs only p (see ``polytope``).  Fractions are built only
+for the dominant representative ``cut_details`` returns.  The predicates
+take a label, or a catalog entry, used as it is.
 
 ``MetricSpec``, ``GeometryReport`` and ``CutDetails`` are named tuples:
 immutable, and equal to plain tuples of their fields.
@@ -33,12 +44,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
 from .linalg import PiSqrtValue, format_rational
-from .polytope import (SliceClass, _classify_cleared, _cleared_point,
+from .polytope import (SliceClass, _classify_cleared, _cleared_point, _pairings,
                        _reduce_dominant, build_polytope)
 from .roots import RootKind, RootSystem, build
 
@@ -117,7 +129,7 @@ def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:
 def report(label: SpaceEntry | SpaceLabel | str,
            metric: MetricSpec = DEFAULT_METRIC) -> GeometryReport:
     """Compute the geometric quantities of a catalog space under a metric;
-    a catalog entry (as ``enumerate_table`` returns) is used as it is."""
+    a catalog entry (as ``enumerate_table`` yields) is used as it is."""
     entry = label if isinstance(label, SpaceEntry) else resolve(label)
     eps = _epsilon_for(entry, metric)
     psi_sq = entry.psi_sq_killing
@@ -139,7 +151,7 @@ def kappa_relation_check(rep: GeometryReport) -> Fraction:
     return rep.injectivity_radius.radicand * rep.kappa - 1
 
 
-_SLICE_CACHE_SIZE = 256      # labels (and kind/psi pairs) kept by the slice caches
+_SLICE_CACHE_SIZE = 256      # labels kept by the slice label cache
 
 
 @lru_cache(maxsize=_SLICE_CACHE_SIZE)
@@ -150,18 +162,29 @@ def _slice_data(label: SpaceLabel | str) -> tuple[RootSystem, Fraction]:
     return _system(entry.restricted), entry.psi_sq_killing
 
 
-@lru_cache(maxsize=_SLICE_CACHE_SIZE)
-def _killing_weights(kind: RootKind,
-                     psi_sq: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Killing-Gram row action of each positive root of the restricted
-    system, as integer rows W over one denominator den: the Killing pairing
-    of h with the root is h . W_r / den.  A root and its negative pair to
-    opposite values, so the positive roots decide conjugacy alone."""
+@lru_cache(maxsize=None)
+def _root_chain(kind: RootKind) -> tuple[tuple[int, int], ...]:
+    """The positive roots of the restricted system after the simple ones,
+    in order of height, each as (parent, j): the root is the root at index
+    parent plus a_j, where indices 0..l-1 are the simple roots and index
+    l + i is chain entry i.  A pairing with every positive root is then
+    one addition per root; a root and its negative pair to opposite
+    values, so the positive roots decide conjugacy alone."""
     rs = _system(kind)
-    m, g = rs.int_gram
-    rows = tuple(tuple(psi_sq.numerator * sum(map(mul, row, r)) for row in m)
-                 for r in sorted(rs.roots) if sum(r) > 0)
-    return rows, psi_sq.denominator * g
+    l = rs.rank
+    simple = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+    index = {r: j for j, r in enumerate(simple)}
+    chain = []
+    for r in sorted((r for r in rs.roots if sum(r) > 1), key=lambda r: (sum(r), r)):
+        for j in range(l):
+            parent = r[:j] + (r[j] - 1,) + r[j + 1:]
+            if parent in index:
+                index[r] = l + len(chain)
+                chain.append((index[parent], j))
+                break
+        else:
+            raise RuntimeError(f"{kind}: no positive root one simple root below {r}")
+    return tuple(chain)
 
 
 class CutDetails(NamedTuple):
@@ -171,42 +194,59 @@ class CutDetails(NamedTuple):
     conjugate: bool
 
 
-def _slice_point(label: SpaceLabel | str,
+def _slice_point(label: SpaceEntry | SpaceLabel | str,
                  h) -> tuple[RootSystem, Fraction, list[int], int]:
-    """(rs, psi_sq_killing, n, D) with h == n / D."""
-    rs, psi_sq = _slice_data(label)
+    """(rs, psi_sq_killing, n, D) with h == n / D; a catalog entry is used
+    as it is."""
+    if isinstance(label, SpaceEntry):
+        rs, psi_sq = _system(label.restricted), label.psi_sq_killing
+    else:
+        rs, psi_sq = _slice_data(label)
     return (rs, psi_sq, *_cleared_point(rs, h))
 
 
-def _conjugate(rs: RootSystem, psi_sq: Fraction, n: list[int], d: int) -> bool:
-    rows, den = _killing_weights(rs.kind, psi_sq)
-    q = den * d                       # (h, r) = n . W_r / q
-    for w in rows:
-        v = sum(map(mul, n, w))
-        if v and v % q == 0:
+def _conjugate(rs: RootSystem, psi_sq: Fraction, p: list[int], d: int) -> bool:
+    """is_conjugate for h = n / d, given p = nA.
+
+    With gram = M/g and psi_sq = a/b, the Killing pairing of h with a
+    root r is a v_r / (2 b g d), v_r = sum_k r_k M_kk p_k; each v_r is the
+    v of the root's chain parent plus one v of a simple root."""
+    chain = _root_chain(rs.kind)
+    v = list(map(mul, rs.gram_diagonal, p))
+    a = psi_sq.numerator
+    q = 2 * psi_sq.denominator * rs.int_gram[1] * d
+    q //= gcd(a, q)                   # a v_r = 0 (mod 2bgd) iff v_r = 0 (mod q)
+    for x in v:
+        if x and x % q == 0:
             return True
+    for parent, j in chain:
+        x = v[parent] + v[j]
+        if x and x % q == 0:
+            return True
+        v.append(x)
     return False
 
 
-def _classify(rs: RootSystem, psi_sq: Fraction, n: list[int],
-              d: int) -> tuple[SliceClass, int]:
-    """Reduce n in place to the dominant representative and classify it in
-    Gram units, where it is psi_sq * n / d = (a n) / (b d) for psi_sq = a/b."""
-    nrefl = _reduce_dominant(rs, n)
-    a, b = psi_sq.numerator, psi_sq.denominator
-    return _classify_cleared(rs, [a * v for v in n], b * d), nrefl
+def _classify(rs: RootSystem, psi_sq: Fraction, n: list[int], d: int,
+              p: list[int]) -> tuple[SliceClass, int]:
+    """Reduce n and its pairing vector p in place to the dominant
+    representative and classify it in Gram units, where it is
+    psi_sq * n / d = (a n) / (b d) for psi_sq = a/b."""
+    nrefl = _reduce_dominant(rs, n, p)
+    return _classify_cleared(rs, p, psi_sq.numerator, psi_sq.denominator * d), nrefl
 
 
-def is_conjugate(label: SpaceLabel | str, h) -> bool:
+def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
     """True when some restricted root pairs to a nonzero integer with h.
 
     h is a rational vector in simple-root coordinates of the restricted
     system, Killing units, divided by pi.
     """
-    return _conjugate(*_slice_point(label, h))
+    rs, psi_sq, n, d = _slice_point(label, h)
+    return _conjugate(rs, psi_sq, _pairings(rs, n), d)
 
 
-def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
+def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
     """Classify a Killing-unit slice vector against the cut face.
 
     The vector is first reduced to its dominant representative, so the
@@ -214,17 +254,19 @@ def cut_classify(label: SpaceLabel | str, h) -> SliceClass:
     the ray is still minimizing past this point, the cut face marks cut
     points, Outside lies beyond them.
     """
-    return _classify(*_slice_point(label, h))[0]
+    rs, psi_sq, n, d = _slice_point(label, h)
+    return _classify(rs, psi_sq, n, d, _pairings(rs, n))[0]
 
 
-def cut_details(label: SpaceLabel | str, h) -> CutDetails:
+def cut_details(label: SpaceEntry | SpaceLabel | str, h) -> CutDetails:
     """cut_classify's answer with the dominant representative, the number
     of reflections that reached it, and is_conjugate's answer."""
     rs, psi_sq, n, d = _slice_point(label, h)
+    p = _pairings(rs, n)
     # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
     # refused before any work on the point, whatever the point is.
-    conjugate = _conjugate(rs, psi_sq, n, d)
-    cls, nrefl = _classify(rs, psi_sq, n, d)
+    conjugate = _conjugate(rs, psi_sq, p, d)
+    cls, nrefl = _classify(rs, psi_sq, n, d, p)
     return CutDetails(classification=cls,
                       dominant_representative=tuple(Fraction(v, d) for v in n),
                       reflections=nrefl, conjugate=conjugate)

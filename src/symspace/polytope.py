@@ -15,12 +15,14 @@ For non-reduced (bc) systems the chamber walls come from the indivisible
 simple roots and the far face from psi = 2 * sum a_i; nothing else changes.
 
 The slice predicates run in integer coordinates, with the same answers
-as rational arithmetic.  Their kernels take a point x = n/D as (n, D):
-the reduction to the dominant chamber pairs n with the simple roots
-through the integer Cartan matrix, and the cut-face level reads the
-integer Gram matrix M/g of ``RootSystem.int_gram``.  ``geometry`` calls
-the kernels directly; ``dominant_representative`` and ``classify_point``
-wrap them for Fraction points.
+as rational arithmetic.  Their kernels take a point x = n/D as (n, D)
+and its pairing vector p = nA, A the Cartan matrix (``_pairings``): p_k
+has the sign of (a_k, x).  The reduction to the dominant chamber keeps
+p current as it reflects, and the cut-face level reads it in O(l): with
+the integer Gram matrix M/g of ``RootSystem.int_gram``, (M n)_k =
+M_kk p_k / 2, so (x, psi) = sum_k psi_k M_kk p_k / (2 g D).  ``geometry``
+calls the kernels directly; ``dominant_representative`` and
+``classify_point`` wrap them for Fraction points.
 """
 
 from __future__ import annotations
@@ -84,14 +86,27 @@ def _cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
     return n, den
 
 
-def _classify_cleared(rs: RootSystem, n: list[int], den: int) -> SliceClass:
-    """classify_point for the point n/den, on integers: with gram = M/g the
-    pairings (a_i, x) are (Mn)_i / (g den) and the cut face is level g den."""
-    m, g = rs.int_gram
-    w = [sum(map(mul, row, n)) for row in m]
-    if any(wi < 0 for wi in w):
+def _pairings(rs: RootSystem, n: list[int]) -> list[int]:
+    """p = nA for the numerators n of a point x over any common denominator:
+    p_k = sum_j n_j A[j][k] has the sign of (a_k, x)."""
+    p = [0] * rs.rank
+    for nj, row in zip(n, rs.cartan_rows):
+        if nj:
+            for k, a in row:
+                p[k] += nj * a
+    return p
+
+
+def _classify_cleared(rs: RootSystem, p: list[int], a: int, den: int) -> SliceClass:
+    """classify_point for the point a n / den, given p = nA (a > 0).
+
+    With gram = M/g, (M n)_k = p_k M_kk / 2, so (a_k, x) has the sign of
+    p_k and the level (x, psi) is a sum_k psi_k M_kk p_k / (2 g den).
+    """
+    if min(p) < 0:
         return SliceClass.NOT_DOMINANT
-    level, one = sum(map(mul, rs.highest_root, w)), g * den
+    level = a * sum(map(mul, rs.highest_root, map(mul, rs.gram_diagonal, p)))
+    one = 2 * rs.int_gram[1] * den
     if level > one:
         return SliceClass.OUTSIDE
     if level == one:
@@ -99,20 +114,16 @@ def _classify_cleared(rs: RootSystem, n: list[int], den: int) -> SliceClass:
     return SliceClass.INTERIOR
 
 
-def _reduce_dominant(rs: RootSystem, n: list[int]) -> int:
+def _reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
     """dominant_representative on the numerators n of a point over any
-    common denominator: reduces n in place, returns the reflection count.
+    common denominator, with p = nA: reduces n in place and keeps p its
+    pairing vector, returns the reflection count.
 
-    p_k = sum_j n_j A[j][k] has the sign of (a_k, x), and s_i sends n_i to
-    n_i - p_i; that changes only the p_k with A[i][k] != 0, and no wall
-    below the first such k can have become violated.
+    s_i sends n_i to n_i - p_i; that changes only the p_k with
+    A[i][k] != 0, and no wall below the first such k can have become
+    violated.
     """
     rows = rs.cartan_rows
-    p = [0] * rs.rank
-    for nj, row in zip(n, rows):
-        if nj:
-            for k, a in row:
-                p[k] += nj * a
     count = 0
     i = 0
     while i < rs.rank:
@@ -134,7 +145,8 @@ def classify_point(p: CartanPolytope, x) -> SliceClass:
     Units: the Gram matrix of the system, under which the cut face is the
     exact level set (x, psi) = 1.
     """
-    return _classify_cleared(p.system, *_cleared_point(p.system, x))
+    n, den = _cleared_point(p.system, x)
+    return _classify_cleared(p.system, _pairings(p.system, n), 1, den)
 
 
 def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
@@ -145,7 +157,7 @@ def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
     (representative, number of reflections applied).
     """
     n, den = _cleared_point(rs, x)
-    count = _reduce_dominant(rs, n)
+    count = _reduce_dominant(rs, n, _pairings(rs, n))
     return tuple(Fraction(v, den) for v in n), count
 
 

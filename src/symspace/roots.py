@@ -249,10 +249,11 @@ class RootSystem(_RootSystemFields):
     one positive denominator, in lowest terms.  ``indivisible_roots`` and
     ``roots`` are enumerated on first access; they raise InvalidRank for
     systems of more than MAX_ROOTS roots.  ``cartan_rows``, the sparse
-    Cartan rows that the slice predicates use, is also built once, on
-    first access.  No ``__slots__``: the cached properties store their
-    values in the instance dict, which ``cached_property`` writes directly,
-    so refusing attribute assignment keeps the system immutable.
+    Cartan rows, and ``gram_diagonal``, which the slice predicates use,
+    are also built once, on first access.  No ``__slots__``: the cached
+    properties store their values in the instance dict, which
+    ``cached_property`` writes directly, so refusing attribute assignment
+    keeps the system immutable.
     """
 
     def __setattr__(self, name, value):
@@ -302,6 +303,12 @@ class RootSystem(_RootSystemFields):
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
         return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan)
+
+    @cached_property
+    def gram_diagonal(self) -> tuple[int, ...]:
+        """M_kk of ``int_gram``: (M n)_k = M_kk p_k / 2 for p = nA."""
+        m, _ = self.int_gram
+        return tuple(m[k][k] for k in range(self.rank))
 
 
 def build(kind: RootKind | str) -> RootSystem:

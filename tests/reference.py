@@ -4,12 +4,15 @@ The package computes inner products on integers (``RootSystem.int_gram``,
 the pair (M, g) with gram = M/g); these are the plain Fraction products of
 vectors and matrices (tuples of Fraction rows), the Fraction Gram matrix
 and the Fraction formulas through it, and a Gauss-Jordan inverse, that the
-tests compare it against.
+tests compare it against.  ``dot_product_conjugate`` is the conjugacy test
+that the root chain of ``geometry`` replaced: one integer dot product of
+the point with a Killing-Gram row per positive root.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from symspace.linalg import DimensionMismatch, int_inverse
 
@@ -117,3 +120,25 @@ def perp_simple_indices_by_roots(rs) -> tuple[int, ...]:
         if t not in rs.roots and any(t):
             out.append(i)
     return tuple(out)
+
+
+def killing_weights(rs, psi_sq) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Killing-Gram row action of each positive root of ``rs``, as integer
+    rows W over one denominator den: the Killing pairing of h with the
+    root is h . W_r / den, for psi_sq the highest root's Killing length."""
+    m, g = rs.int_gram
+    rows = tuple(tuple(psi_sq.numerator * sum(map(mul, row, r)) for row in m)
+                 for r in sorted(rs.roots) if sum(r) > 0)
+    return rows, psi_sq.denominator * g
+
+
+def dot_product_conjugate(rs, psi_sq, n, d) -> bool:
+    """Whether h = n / d pairs to a nonzero integer with some positive root,
+    by |R+| dot products of n with ``killing_weights`` rows."""
+    rows, den = killing_weights(rs, psi_sq)
+    q = den * d
+    for w in rows:
+        v = sum(map(mul, n, w))
+        if v and v % q == 0:
+            return True
+    return False

@@ -114,7 +114,7 @@ def test_criterion_5_perp_subsystems():
 def test_criterion_6_curvature_identity():
     with criterion(6, "i(M)^2 * kappa = pi^2 exactly for every entry, "
                       "eps in {1/7, 1, 3}"):
-        entries = enumerate_table("4.1", 12) + enumerate_table("4.2", 12)
+        entries = list(enumerate_table("4.1", 12)) + list(enumerate_table("4.2", 12))
         for eps in (F(1, 7), F(1), F(3)):
             metric = MetricSpec.epsilon(eps)
             for entry in entries:

@@ -203,7 +203,7 @@ def test_crosscheck_missing_data():
 
 
 def test_enumerate_table_42():
-    entries = enumerate_table("4.2", 4)
+    entries = list(enumerate_table("4.2", 4))
     labels = {str(e.label) for e in entries}
     assert "GROUP:a3" in labels          # SU(4)
     assert "GROUP:c3" in labels          # Sp(3)
@@ -214,12 +214,12 @@ def test_enumerate_table_42():
 
 
 def test_enumerate_table_41():
-    entries = enumerate_table("4.1", 2)
+    entries = list(enumerate_table("4.1", 2))
     labels = {str(e.label) for e in entries}
     assert "AIII:p=1,q=2" in labels
     assert resolve("AIII:p=1,q=2").restricted_name == "bc1"
     assert "FII" in labels               # exceptionals regardless of bound
-    entries4 = enumerate_table("4.1", 4)
+    entries4 = list(enumerate_table("4.1", 4))
     assert any(str(e.label) == "BDI:p=4,q=4"
                and e.restricted_name == "d4" for e in entries4)
     # deterministic ordering
@@ -262,14 +262,14 @@ def test_enumerate_table_41_counts(b):
     want = {s: n for s, n in want.items() if n}
     want.update(dict.fromkeys(["EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII",
                                "EVIII", "EIX", "FI", "FII", "G"], 1))
-    entries = enumerate_table("4.1", b)
+    entries = list(enumerate_table("4.1", b))
     assert Counter(e.label.series for e in entries) == want
     assert len({e.label for e in entries}) == len(entries)
 
 
 @pytest.mark.parametrize("b", BOUNDS)
 def test_enumerate_table_42_counts(b):
-    entries = enumerate_table("4.2", b)
+    entries = list(enumerate_table("4.2", b))
     want = {"a": b, "b": b - 1, "c": b - 2, "d": b - 3, "e": 3, "f": 1, "g": 1}
     assert Counter(e.label.kind.family for e in entries) == \
         {f: n for f, n in want.items() if n > 0}

@@ -134,6 +134,37 @@ def test_cut_bad_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("label", ["AIII:p=1,q=1000", "GROUP:e8", "BDI:p=6,q=9"])
+def test_cut_resolves_label_once(monkeypatch, capsys, label):
+    # cut_details takes the entry cmd_cut resolved, so the label (and its
+    # black-node set) is resolved once per command, cached or not.
+    from symspace import catalog, geometry
+    calls = []
+    real = catalog.resolve
+
+    def counting(lab):
+        calls.append(lab)
+        return real(lab)
+
+    monkeypatch.setattr(catalog, "resolve", counting)
+    monkeypatch.setattr(geometry, "resolve", counting)
+    geometry._slice_data.cache_clear()
+    rank = real(label).restricted.rank
+    point = ",".join(f"{i - 2}/3" for i in range(rank))
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, "cut", label, f"--point={point}", "--format", fmt)
+        assert code == 0 and "classification" in out
+        assert calls == [label]
+
+
+def test_cut_bad_label_reported_before_bad_point(capsys):
+    code, _, want = run(capsys, "space", "XX:n=3")
+    assert code == 2
+    for point in ("1,2,3", "x", "1/0"):
+        assert run(capsys, "cut", "XX:n=3", "--point", point) == (2, "", want)
+
+
 def test_product_doubling(capsys):
     code, out, _ = run(capsys, "product", "AI:n=4", "AI:n=4")
     assert code == 0
@@ -185,7 +216,8 @@ GOLDEN = _golden_digests()
 
 @pytest.mark.parametrize("digest,argv", GOLDEN, ids=[argv for _, argv in GOLDEN])
 def test_stdout_matches_golden_digest(capsys, digest, argv):
-    # Tables in every format and rootsystem JSON, pinned byte for byte.
+    # Tables in every format, rootsystem JSON and cut on off-chamber points
+    # in every format, pinned byte for byte.
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -405,6 +437,17 @@ def test_table_peak_rss_near_one_report():
     code, err, rss = peak_rss_kb("table", "4.2", "--max-param", "64")
     assert (base_code, code, err) == (0, 0, "")
     assert rss <= base_rss + 16 * 1024, (rss, base_rss)
+
+
+def test_table_41_peak_rss_holds_row_text_only():
+    # enumerate_table yields its entries and cmd_table keeps only the row
+    # strings, so no row's entry or black-node set (up to 128 nodes each,
+    # over 6,000 rows here) lives past its row.  Holding them all costs
+    # about 22 MB more than one report; the row text, about 7 MB.
+    base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
+    code, err, rss = peak_rss_kb("table", "4.1", "--max-param", "64")
+    assert (base_code, code, err) == (0, 0, "")
+    assert rss <= base_rss + 12 * 1024, (rss, base_rss)
 
 
 def test_table_json_peak_rss_near_tsv():

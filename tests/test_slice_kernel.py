@@ -10,6 +10,9 @@ The geometry predicates clear a point's denominators once and stay in
 integers; the Fraction pipeline they replaced (convert every coordinate,
 reduce, multiply by psi_sq_killing, classify) is kept below as the
 reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.
+Conjugacy runs along a height-ordered chain of the positive roots from
+one pairing vector; the integer dot-product route it replaced is
+``reference.dot_product_conjugate``.
 """
 
 import fractions
@@ -23,12 +26,12 @@ import pytest
 from symspace import geometry
 from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
 from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
-from symspace.linalg import DimensionMismatch
-from symspace.polytope import (SliceClass, build_polytope, classify_point,
+from symspace.linalg import DimensionMismatch, clear_denominators
+from symspace.polytope import (SliceClass, _pairings, build_polytope, classify_point,
                                dominant_representative, reflect_simple)
 from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
 
-from reference import dot, gram, mul_vec, scaled
+from reference import dot, dot_product_conjugate, gram, mul_vec, scaled
 
 IN_CAP_KINDS = (
     [RootKind("a", l) for l in range(1, 22)]
@@ -225,6 +228,81 @@ def test_cut_classify_weyl_invariant_past_root_cap(label):
             moved = reflect_simple(rs, moved, i)
         assert moved != h
         assert cut_classify(label, moved) is cut_classify(label, h)
+
+
+# -- the root chain against the dot-product route ------------------------------
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_root_chain_lists_each_positive_root_once(kind):
+    rs = build(kind)
+    l = rs.rank
+    chain = geometry._root_chain(kind)
+    listed = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+    for parent, j in chain:
+        assert 0 <= parent < len(listed) and 0 <= j < l
+        r = list(listed[parent])
+        r[j] += 1                              # parent + a_j
+        assert tuple(r) in rs.roots
+        listed.append(tuple(r))
+    positive = [r for r in rs.roots if sum(r) > 0]
+    assert len(listed) == len(set(listed)) == len(positive)
+    assert set(listed) == set(positive)
+    heights = [sum(r) for r in listed]
+    assert heights == sorted(heights)
+    if kind.family == "bc":
+        # The doubled roots 2r, r short, are reached through the chain too.
+        doubled = [r for r in listed if all(c % 2 == 0 for c in r)]
+        assert len(doubled) == l
+        assert all(tuple(c // 2 for c in r) in listed for r in doubled)
+
+
+def _big_points(rs, poly, psi_sq, rng):
+    """Killing-unit points with coordinates of several hundred digits: a
+    random one; a conjugate one, (h, r) = N r_j for a 300-digit N; and
+    that one moved off by small multiples of 1/K for a 300-digit K.  Each
+    also moved by a Weyl word."""
+    l, psi = rs.rank, rs.highest_root
+    big = 10 ** 300
+    rand = tuple(F(rng.randrange(-big, big), rng.randrange(1, big)) for _ in range(l))
+    j = rng.randrange(l)
+    n = rng.randrange(big, 10 * big)
+    off = F(1, rng.randrange(big, 10 * big))
+    conj = tuple(n * psi[j] * c / psi_sq for c in poly.vertices[j])
+    near = tuple(c + off * rng.randint(-3, 3) for c in conj)
+    out = []
+    for x in (rand, conj, near):
+        out.append(x)
+        for i in _word(rng, l, 2 * l):
+            x = reflect_simple(rs, x, i)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_root_chain_matches_dot_product_route(kind):
+    rs, poly, rng, points = _cases(kind)
+    label = _label(kind)
+    psi_sq = resolve(label).psi_sq_killing
+    killing = [tuple(c / psi_sq for c in x) for x in points]
+    killing += _big_points(rs, poly, psi_sq, rng)
+    answers = set()
+    for h in killing:
+        n, d = clear_denominators(h)
+        want = dot_product_conjugate(rs, psi_sq, n, d)
+        assert geometry._conjugate(rs, psi_sq, _pairings(rs, n), d) is want, h
+        assert is_conjugate(label, h) is want
+        answers.add(want)
+    assert answers == {True, False}
+    # Every catalog psi_sq_killing has numerator 1; stand-ins reach the
+    # a of psi_sq = a/b in the modulus.
+    for stand_in in (F(3, 7), F(5, 2), F(12), F(6, 5)):
+        answers = set()
+        for x in points:
+            n, d = clear_denominators(tuple(c / stand_in for c in x))
+            want = dot_product_conjugate(rs, stand_in, n, d)
+            assert geometry._conjugate(rs, stand_in, _pairings(rs, n), d) is want, x
+            answers.add(want)
+        assert True in answers
 
 
 # -- the geometry predicates against the Fraction pipeline ---------------------

@@ -19,8 +19,8 @@ from .linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue, Rational,
                      SingularMatrix)
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
-from .roots import (InvalidRank, NonTerminating, RootKind, RootSystem, build,
-                    generate_roots, parse_kind, root_count)
+from .roots import (InvalidRank, RootKind, RootSystem, build, parse_kind,
+                    root_count)
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,11 @@ __all__ = [
     "CartanPolytope", "CutDetails", "DimensionMismatch", "EmptyProduct",
     "GeometryReport", "InvalidParams", "InvalidRank", "KillingData",
     "MetricSpec", "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
-    "NonReducedInput", "NonTerminating", "PiSqrtValue", "Rational", "RootKind",
+    "NonReducedInput", "PiSqrtValue", "Rational", "RootKind",
     "RootSystem", "SingularMatrix", "SliceClass", "SpaceEntry", "SpaceLabel",
     "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
     "delta_sq_formula", "dominant_representative", "enumerate_table",
-    "generate_roots", "is_conjugate", "kappa_relation_check",
+    "is_conjugate", "kappa_relation_check",
     "killing_data", "killing_delta_sq", "killing_self_consistency",
     "parse_kind", "parse_label", "perp_decomposition", "perp_subsystem",
     "product", "report", "resolve", "restriction_factor_crosscheck",

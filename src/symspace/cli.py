@@ -67,8 +67,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
 def cmd_rootsystem(args) -> int:
     kind = roots.parse_kind(args.kind)
     rs = roots.build(kind)
+    data = roots.to_json_dict(rs)     # counts the roots, so past MAX_ROOTS refuses first
     poly = polytope.build_polytope(rs)
-    data = roots.to_json_dict(rs)
     data["polytope"] = polytope.to_json_dict(poly)
     if kind.is_reduced:
         kd = killing.killing_data(rs)

@@ -29,12 +29,14 @@ v_r = sum_k r_k M_kk p_k, so h is conjugate iff some positive root has
 v_r != 0 and a v_r = 0 (mod 2 b g D).  Every positive root past the
 simple ones is a root of height one less plus a simple root a_j
 (Humphreys, Introduction to Lie Algebras and Representation Theory,
-10.2), so a per-kind chain of (parent, j) in height order gives each v_r
-as v_parent + M_jj p_j: one addition per positive root.  The chain is
-built from the enumerated roots, so conjugacy is refused past MAX_ROOTS;
-the cut face needs only p (see ``polytope``).  Fractions are built only
-for the dominant representative ``cut_details`` returns.  The predicates
-take a label, or a catalog entry, used as it is.
+10.2), so the chain of (parent, j) in height order that
+``RootSystem.positive_roots`` records as it enumerates the roots gives
+each v_r as v_parent + M_jj p_j: one addition per positive root.  A root
+and its negative pair to opposite values, so the positive roots decide
+conjugacy alone.  Conjugacy is refused past MAX_ROOTS, where the roots
+are not enumerated; the cut face needs only p (see ``polytope``).
+Fractions are built only for the dominant representative ``cut_details``
+returns.  The predicates take a label, or a catalog entry, used as it is.
 
 ``MetricSpec``, ``GeometryReport`` and ``CutDetails`` are named tuples:
 immutable, and equal to plain tuples of their fields.
@@ -162,31 +164,6 @@ def _slice_data(label: SpaceLabel | str) -> tuple[RootSystem, Fraction]:
     return _system(entry.restricted), entry.psi_sq_killing
 
 
-@lru_cache(maxsize=None)
-def _root_chain(kind: RootKind) -> tuple[tuple[int, int], ...]:
-    """The positive roots of the restricted system after the simple ones,
-    in order of height, each as (parent, j): the root is the root at index
-    parent plus a_j, where indices 0..l-1 are the simple roots and index
-    l + i is chain entry i.  A pairing with every positive root is then
-    one addition per root; a root and its negative pair to opposite
-    values, so the positive roots decide conjugacy alone."""
-    rs = _system(kind)
-    l = rs.rank
-    simple = [tuple(int(i == j) for i in range(l)) for j in range(l)]
-    index = {r: j for j, r in enumerate(simple)}
-    chain = []
-    for r in sorted((r for r in rs.roots if sum(r) > 1), key=lambda r: (sum(r), r)):
-        for j in range(l):
-            parent = r[:j] + (r[j] - 1,) + r[j + 1:]
-            if parent in index:
-                index[r] = l + len(chain)
-                chain.append((index[parent], j))
-                break
-        else:
-            raise RuntimeError(f"{kind}: no positive root one simple root below {r}")
-    return tuple(chain)
-
-
 class CutDetails(NamedTuple):
     classification: SliceClass
     dominant_representative: tuple[Fraction, ...]
@@ -211,7 +188,7 @@ def _conjugate(rs: RootSystem, psi_sq: Fraction, p: list[int], d: int) -> bool:
     With gram = M/g and psi_sq = a/b, the Killing pairing of h with a
     root r is a v_r / (2 b g d), v_r = sum_k r_k M_kk p_k; each v_r is the
     v of the root's chain parent plus one v of a simple root."""
-    chain = _root_chain(rs.kind)
+    _, chain = rs.positive_roots
     v = list(map(mul, rs.gram_diagonal, p))
     a = psi_sq.numerator
     q = 2 * psi_sq.denominator * rs.int_gram[1] * d

@@ -7,9 +7,11 @@ All inner products go through the Gram matrix, which is normalized so
 that the highest root has squared length 1 and is kept as integer rows
 M over one positive denominator g (gram = M/g).  That O(rank^2) data is all
 the Cartan polytope needs, so ``build`` stops there; the roots themselves
-(integer coefficient vectors over the simple roots, generated by closing
-the simple roots under all simple reflections) are enumerated on first
-access, and only for systems of at most MAX_ROOTS roots.
+(integer coefficient vectors over the simple roots) are enumerated on
+first access, and only for systems of at most MAX_ROOTS roots.  One pass
+builds the positive roots level by level in height from simple-root
+strings, and records how each is reached from a root one level below: the
+chain that the conjugacy test in ``geometry`` walks.
 
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
 hanging off the chain comes last (it attaches to the chain node with the
@@ -17,7 +19,8 @@ largest highest-root coefficient).
 
 ``RootKind`` and ``RootSystem`` are named tuples, immutable and equal to
 plain tuples of their fields; ``RootSystem`` also keeps its lazily built
-members (the roots and the sparse Cartan rows) in an instance dict.
+members (the roots, their chain and the sparse Cartan rows) in an
+instance dict.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .linalg import format_rational
@@ -41,10 +44,6 @@ _MIN_RANK = {"a": 1, "b": 2, "c": 3, "d": 4, "bc": 1}
 class InvalidRank(ValueError):
     """Raised for a family/rank combination outside the classification,
     or beyond the MAX_RANK / MAX_ROOTS limits."""
-
-
-class NonTerminating(RuntimeError):
-    """Raised when reflection closure exceeds MAX_ROOTS (corrupt Cartan data)."""
 
 
 class _RootKindFields(NamedTuple):
@@ -204,36 +203,6 @@ def highest_root_coeffs(kind: RootKind) -> tuple[int, ...]:
     raise InvalidRank(fam)  # pragma: no cover
 
 
-def generate_roots(cartan) -> frozenset[tuple[int, ...]]:
-    """Close the simple roots under all simple reflections.
-
-    Coefficient arithmetic is pure integer: s_j sends a coefficient vector
-    b to b - (sum_i b_i A[i][j]) e_j.  Negatives arise automatically since
-    s_i(a_i) = -a_i.  Raises NonTerminating past MAX_ROOTS.
-    """
-    l = len(cartan)
-    simples = [tuple(1 if i == j else 0 for j in range(l)) for i in range(l)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for j in range(l):
-                c = sum(r[i] * cartan[i][j] for i in range(l))
-                if c == 0:
-                    continue
-                img = list(r)
-                img[j] -= c
-                t = tuple(img)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-            if len(seen) > MAX_ROOTS:
-                raise NonTerminating(f"closure exceeded {MAX_ROOTS} roots")
-        frontier = nxt
-    return frozenset(seen)
-
-
 class _RootSystemFields(NamedTuple):
     kind: RootKind
     rank: int
@@ -246,11 +215,12 @@ class RootSystem(_RootSystemFields):
     """A root system with highest-root-normalized Gram matrix.
 
     ``int_gram`` is the pair (M, g) with gram = M/g: integer rows over
-    one positive denominator, in lowest terms.  ``indivisible_roots`` and
-    ``roots`` are enumerated on first access; they raise InvalidRank for
-    systems of more than MAX_ROOTS roots.  ``cartan_rows``, the sparse
-    Cartan rows, and ``gram_diagonal``, which the slice predicates use,
-    are also built once, on first access.  No ``__slots__``: the cached
+    one positive denominator, in lowest terms.  ``positive_roots``, and
+    from it ``roots`` and ``indivisible_roots``, are enumerated on first
+    access; they raise InvalidRank for systems of more than MAX_ROOTS
+    roots, and RuntimeError on corrupt Cartan data.  ``cartan_rows``, the
+    sparse Cartan rows, and ``gram_diagonal``, which the slice predicates
+    use, are also built once, on first access.  No ``__slots__``: the cached
     properties store their values in the instance dict, which
     ``cached_property`` writes directly, so refusing attribute assignment
     keeps the system immutable.
@@ -263,34 +233,68 @@ class RootSystem(_RootSystemFields):
         raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
-    def indivisible_roots(self) -> frozenset[tuple[int, ...]]:
-        count = root_count(self.kind)
+    def positive_roots(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+        """(roots, chain): the positive roots in order of height, the simple
+        roots first, and for each later root roots[l + i] a pair
+        chain[i] = (parent, j) with roots[l + i] = roots[parent] + a_j.
+
+        Built level by level from a_j-strings: for a positive root b not
+        proportional to a_j, b + a_j is a root iff p > <b, a_j^vee>, p the
+        length of the a_j-string below b (Humphreys, Introduction to Lie
+        Algebras and Representation Theory, 10.2).  A root is reached from
+        every root one a_j below it, which records its string lengths for the
+        next level.  On bc's non-reduced set the rule fails only for the one
+        proportional pair a_l, 2a_l, so 2a_l is seeded at height 2.
+        """
+        kind, l, cartan = self.kind, self.rank, self.cartan
+        count = root_count(kind)
         if count > MAX_ROOTS:
-            raise InvalidRank(f"{self.kind} has {count} roots; "
+            raise InvalidRank(f"{kind} has {count} roots; "
                               f"enumeration is limited to {MAX_ROOTS}")
-        return generate_roots(self.cartan)
+        roots = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+        index = {r: i for i, r in enumerate(roots)}
+        pairings = list(cartan)               # <r, a_k^vee> = sum_i r_i A[i][k]
+        below = [[0] * l for _ in range(l)]   # a_k-string length below each root
+        chain = []
+
+        def reach(b: int, j: int) -> None:
+            r = roots[b]
+            new = r[:j] + (r[j] + 1,) + r[j + 1:]
+            i = index.get(new)
+            if i is None:
+                if len(roots) == count // 2:  # corrupt Cartan data
+                    raise RuntimeError(f"{kind}: more than {count // 2} positive roots")
+                i = index[new] = len(roots)
+                roots.append(new)
+                chain.append((b, j))
+                pairings.append(tuple(map(add, pairings[b], cartan[j])))
+                below.append([0] * l)
+            below[i][j] = below[b][j] + 1
+
+        if kind.family == "bc":
+            reach(l - 1, l - 1)               # 2 a_l
+        start, end = 0, l
+        for _ in range(sum(self.highest_root) - 1):
+            for b in range(start, end):
+                for j, (p, q) in enumerate(zip(below[b], pairings[b])):
+                    if p > q:
+                        reach(b, j)
+            start, end = end, len(roots)
+
+        if len(roots) != count // 2:
+            raise RuntimeError(f"{kind}: generated {2 * len(roots)} roots, expected {count}")
+        if roots[-1] != self.highest_root:
+            raise RuntimeError(f"{kind}: highest root {roots[-1]} != expected {self.highest_root}")
+        return tuple(roots), tuple(chain)
 
     @cached_property
     def roots(self) -> frozenset[tuple[int, ...]]:
-        kind, indivisible = self.kind, self.indivisible_roots
-        if kind.family == "bc":
-            m, _ = self.int_gram       # norms up to the common factor 1/g
-            norms = {r: sum(map(mul, r, (sum(map(mul, row, r)) for row in m)))
-                     for r in indivisible}
-            short_sq = min(norms.values())
-            doubles = {tuple(2 * x for x in r) for r, n in norms.items() if n == short_sq}
-            roots = frozenset(indivisible | doubles)
-        else:
-            roots = indivisible
+        positive, _ = self.positive_roots
+        return frozenset(positive).union(tuple(-x for x in r) for r in positive)
 
-        if len(roots) != root_count(kind):
-            raise RuntimeError(
-                f"{kind}: generated {len(roots)} roots, expected {root_count(kind)}")
-
-        best = max(roots, key=lambda r: (sum(r), r))
-        if best != self.highest_root:
-            raise RuntimeError(f"{kind}: highest root {best} != expected {self.highest_root}")
-        return roots
+    @cached_property
+    def indivisible_roots(self) -> frozenset[tuple[int, ...]]:
+        return self.roots - {tuple(2 * x for x in r) for r in self.roots}
 
     @property
     def psi_sq(self) -> Fraction:

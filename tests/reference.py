@@ -4,7 +4,9 @@ The package computes inner products on integers (``RootSystem.int_gram``,
 the pair (M, g) with gram = M/g); these are the plain Fraction products of
 vectors and matrices (tuples of Fraction rows), the Fraction Gram matrix
 and the Fraction formulas through it, and a Gauss-Jordan inverse, that the
-tests compare it against.  ``dot_product_conjugate`` is the conjugacy test
+tests compare it against.  ``reflection_closure`` is the root enumeration
+that the height-ordered one of ``RootSystem.positive_roots`` replaced, and
+``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
 """
@@ -15,6 +17,18 @@ from math import lcm
 from operator import mul
 
 from symspace.linalg import DimensionMismatch, int_inverse
+from symspace.roots import RootKind
+
+# Every kind whose roots are enumerated: at most MAX_ROOTS roots.
+IN_CAP_KINDS = (
+    [RootKind("a", l) for l in range(1, 22)]
+    + [RootKind("b", l) for l in range(2, 16)]
+    + [RootKind("c", l) for l in range(3, 16)]
+    + [RootKind("d", l) for l in range(4, 17)]
+    + [RootKind("bc", l) for l in range(1, 16)]
+    + [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
+       RootKind("f", 4), RootKind("g", 2)]
+)
 
 
 @lru_cache(maxsize=8)
@@ -142,3 +156,26 @@ def dot_product_conjugate(rs, psi_sq, n, d) -> bool:
         if v and v % q == 0:
             return True
     return False
+
+
+def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
+    """All roots, by closing the simple roots under the simple reflections.
+
+    s_j sends a coefficient vector b to b - (sum_i b_i A[i][j]) e_j;
+    negatives arise since s_i(a_i) = -a_i.  For a non-reduced system this
+    gives the indivisible roots of the Cartan matrix.
+    """
+    l = len(cartan)
+    seen = {tuple(int(i == j) for j in range(l)) for i in range(l)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for j in range(l):
+                c = sum(r[i] * cartan[i][j] for i in range(l))
+                img = r[:j] + (r[j] - c,) + r[j + 1:]
+                if c and img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)

@@ -44,6 +44,17 @@ def test_rootsystem_bad_kind(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["a22", "a128"])
+def test_rootsystem_refuses_before_polytope_solve(monkeypatch, capsys, kind):
+    from symspace import polytope
+    calls = []
+    solve = polytope.build_polytope
+    monkeypatch.setattr(polytope, "build_polytope", lambda rs: calls.append(rs) or solve(rs))
+    code, _, err = run(capsys, "rootsystem", kind)
+    assert code == 2 and "roots" in err
+    assert calls == []
+
+
 def test_space_ai4(capsys):
     code, out, _ = run(capsys, "space", "AI:n=4")
     assert code == 0

@@ -6,12 +6,12 @@ import pytest
 
 from symspace.linalg import DimensionMismatch
 from symspace.polytope import build_polytope
-from symspace.roots import (MAX_RANK, InvalidRank, NonTerminating, RootKind,
-                            build, cartan_matrix, generate_roots,
-                            highest_root_coeffs, parse_kind, root_count,
-                            to_json_dict)
+from symspace.roots import (MAX_RANK, InvalidRank, RootKind, RootSystem, build,
+                            cartan_matrix, highest_root_coeffs, parse_kind,
+                            root_count, to_json_dict)
 
-from reference import cleared, gram, inner, root_norm_sq
+from reference import (IN_CAP_KINDS, cleared, gram, inner, reflection_closure,
+                       root_norm_sq)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -60,14 +60,30 @@ def test_bc1():
 
 
 def test_generate_roots_examples():
-    assert len(generate_roots(((2, -1), (-1, 2)))) == 6        # a2
-    assert generate_roots(((2,),)) == frozenset({(1,), (-1,)})  # a1
-    assert len(generate_roots(cartan_matrix(RootKind("f", 4)))) == 48
+    assert len(reflection_closure(((2, -1), (-1, 2)))) == 6        # a2
+    assert reflection_closure(((2,),)) == frozenset({(1,), (-1,)})  # a1
+    assert len(reflection_closure(cartan_matrix(RootKind("f", 4)))) == 48
 
 
-def test_generate_roots_guard():
-    with pytest.raises(NonTerminating):
-        generate_roots(cartan_matrix(RootKind("a", 25)))
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_height_enumeration_matches_reflection_closure(kind):
+    rs = build(kind)
+    assert rs.indivisible_roots == reflection_closure(rs.cartan)
+
+
+@pytest.mark.parametrize("name, a", [("e8", -3), ("a3", -2)])
+def test_enumeration_stops_on_corrupt_cartan(name, a):
+    # Cartan entries [0][1] = [1][0] = a.  Past root_count/2 positive roots
+    # the enumeration stops inside its loop; the corrupt e8 would otherwise
+    # build 72,143 positive roots first.
+    good = build(name)
+    cartan = [list(row) for row in good.cartan]
+    cartan[0][1] = cartan[1][0] = a
+    rs = RootSystem(kind=good.kind, rank=good.rank, cartan=tuple(map(tuple, cartan)),
+                    int_gram=good.int_gram, highest_root=good.highest_root)
+    limit = root_count(rs.kind) // 2
+    with pytest.raises(RuntimeError, match=f"more than {limit} positive roots"):
+        rs.roots
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
@@ -208,6 +224,7 @@ def test_roots_enumerated_on_first_access():
     rs = build("e8")
     build_polytope(rs)
     assert "roots" not in vars(rs) and "indivisible_roots" not in vars(rs)
+    assert "positive_roots" not in vars(rs)
     assert len(rs.roots) == 240
     assert rs.roots is rs.roots
     assert rs.int_gram is rs.int_gram and rs.cartan_rows is rs.cartan_rows

@@ -31,17 +31,7 @@ from symspace.polytope import (SliceClass, _pairings, build_polytope, classify_p
                                dominant_representative, reflect_simple)
 from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
 
-from reference import dot, dot_product_conjugate, gram, mul_vec, scaled
-
-IN_CAP_KINDS = (
-    [RootKind("a", l) for l in range(1, 22)]
-    + [RootKind("b", l) for l in range(2, 16)]
-    + [RootKind("c", l) for l in range(3, 16)]
-    + [RootKind("d", l) for l in range(4, 17)]
-    + [RootKind("bc", l) for l in range(1, 16)]
-    + [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
-       RootKind("f", 4), RootKind("g", 2)]
-)
+from reference import IN_CAP_KINDS, dot, dot_product_conjugate, gram, mul_vec, scaled
 
 
 # -- Fraction reference ------------------------------------------------------
@@ -236,7 +226,7 @@ def test_cut_classify_weyl_invariant_past_root_cap(label):
 def test_root_chain_lists_each_positive_root_once(kind):
     rs = build(kind)
     l = rs.rank
-    chain = geometry._root_chain(kind)
+    _, chain = rs.positive_roots
     listed = [tuple(int(i == j) for i in range(l)) for j in range(l)]
     for parent, j in chain:
         assert 0 <= parent < len(listed) and 0 <= j < l

@@ -12,7 +12,10 @@ where dmax^2 is the squared farthest-vertex norm of the restricted
 system's Cartan polytope under highest-root normalization, so that
 i(M) * sqrt(kappa) = pi exactly.  A report needs one catalog entry,
 which it takes as given when passed one, and dmax^2, which is cached
-per restricted kind.
+per restricted kind.  dmax^2 = max_j g det(M minus j) / (det M d_j^2)
+over the integer Gram matrix M/g, with all the minors read from
+continuants along the Dynkin tree (``polytope.farthest_vertex``), so a
+report makes no matrix inverse.
 
 Conjugate-point and cut predicates operate on the Cartan slice in Killing
 units, with inputs pre-divided by pi: a slice vector h is conjugate when
@@ -53,7 +56,7 @@ from typing import NamedTuple
 from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
 from .linalg import PiSqrtValue, format_rational
 from .polytope import (SliceClass, _classify_cleared, _cleared_point, _pairings,
-                       _reduce_dominant, build_polytope)
+                       _reduce_dominant, farthest_vertex)
 from .roots import RootKind, RootSystem, build
 
 
@@ -111,9 +114,10 @@ def _system(kind: RootKind) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _d_sq(kind: RootKind) -> Fraction:
-    """d_sq of a kind's polytope, all a report reads of it: neither the
-    polytope (l^2 Fraction vertices) nor the root system is kept."""
-    return build_polytope(build(kind)).d_sq
+    """d_sq of a kind's polytope, all a report reads of it, from the
+    Dynkin tree in O(l) integer products: no inverse and no vertex is
+    formed, and the root system is not kept."""
+    return farthest_vertex(build(kind))[0]
 
 
 def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:

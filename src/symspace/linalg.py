@@ -5,8 +5,9 @@ denominator) and vectors are plain tuples of Fractions.  A rational
 matrix is kept as integer rows over one denominator, and ``int_inverse``
 inverts the integer part by fraction-free Bareiss elimination, so every
 intermediate quantity is an exact integer minor: it returns delta *
-N^{-1} with delta for an integer matrix N.  The Cartan polytope reads it
-directly off the integer Gram matrix.
+N^{-1} with delta for an integer matrix N.  The Cartan polytope's
+vertices read it directly off the integer Gram matrix; reports need only
+its diagonal, which ``polytope`` takes from the Dynkin tree instead.
 
 The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity
@@ -43,10 +44,12 @@ class NegativeFactor(ValueError):
 
 def clear_denominators(xs) -> tuple[list[int], int]:
     """Return (D*x as integers, D) for D the lcm of the denominators of xs.
-    Only elements that are neither int nor Fraction go through Fraction()."""
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    Each element is read once, through ``as_integer_ratio()``; only
+    elements that are neither int nor Fraction go through Fraction() first."""
+    pairs = [x.as_integer_ratio() if isinstance(x, (int, Fraction))
+             else Fraction(x).as_integer_ratio() for x in xs]
+    d = lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 def format_rational(x: Fraction) -> str:

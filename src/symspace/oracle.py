@@ -19,7 +19,13 @@ boundary decides whether two vectors are duplicates.
 The simplex sample depends only on the seed, the sample count and the
 rank, so every kind of one rank gets the same one.  The suite runs the
 kinds grouped by rank and draws each rank's sample once; the cache keeps
-only the latest.
+only the latest, and drops it before drawing the next, so one sample is
+alive at a time.  The sample is drawn, normalized and evaluated in blocks
+of rows, and only the weights of e_1..e_l are kept, in one contiguous
+array that the vertex product reads without a copy.  Each block's row
+sums follow numpy's pairwise summation order for rows of up to 128 (8
+lanes), so every float is the one a whole-array ``sum(axis=1)`` gives and
+the pinned ``verify`` TSVs hold.
 """
 
 from __future__ import annotations
@@ -53,18 +59,63 @@ class OracleReport(NamedTuple):
 TSV_HEADER = "name\texact\tnumeric\terror\tstatus\tnote"
 
 
+_BLOCK_ROWS = 4096          # rows of a sample drawn, normalized and summed at once
+_PAIRWISE_BLOCK = 128       # numpy sums a row longer than this by recursion
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)``, bit for bit, one column at a time.
+
+    numpy adds a row of n <= 128 floats to the reduction's identity 0.0 by
+    pairwise summation: for n < 8, left to right; else in 8 lanes, the
+    columns k, k+8, ... in lane k % 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the last n % 8 columns.
+    """
+    n = a.shape[1]
+    if n > _PAIRWISE_BLOCK:
+        raise ValueError(f"row sums follow numpy's order only up to {_PAIRWISE_BLOCK} columns")
+    if n < 8:
+        s = np.zeros(len(a))
+        for k in range(n):
+            s += a[:, k]
+        return s
+    end = n - n % 8
+    r = a[:, :8].copy()
+    for k in range(8, end, 8):
+        r += a[:, k:k + 8]
+    s = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for k in range(end, n):
+        s += a[:, k]
+    s += 0.0                   # the identity: turns a -0.0 sum into 0.0, as numpy does
+    return s
+
+
 @lru_cache(maxsize=1)
 def _dirichlet_weights(seed: int, samples: int, rank: int) -> np.ndarray:
-    """Read-only Dirichlet-uniform weights, one row of rank + 1 per sample.
+    """Read-only weights of e_1..e_l, one contiguous row of ``rank`` per
+    sample, from Dirichlet-uniform weights over {0, e_1..e_l}.
 
     The draw depends only on (seed, samples, rank), so the kinds of one
-    rank share it; the suite evaluates them together to draw it once.
+    rank share it; the suite evaluates them together to draw it once.  The
+    exponentials are drawn a block of rows at a time, which continues the
+    generator's stream exactly as one (samples, rank + 1) draw would.
     """
+    _dirichlet_weights.cache_clear()     # drop the previous sample first
     rng = np.random.default_rng(seed & (2 ** 64 - 1))   # accept signed seeds
-    w = rng.exponential(1.0, size=(samples, rank + 1))
-    w /= w.sum(axis=1, keepdims=True)
+    w = np.empty((samples, rank))
+    for i in range(0, samples, _BLOCK_ROWS):
+        e = rng.exponential(1.0, size=(min(_BLOCK_ROWS, samples - i), rank + 1))
+        np.divide(e[:, 1:], _row_sums(e)[:, None], out=w[i:i + len(e)])
     w.flags.writeable = False
     return w
+
+
+@lru_cache(maxsize=1)
+def _product_buffers(samples: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (samples, rank) arrays that every kind of one rank overwrites
+    with its sample points and their Gram products."""
+    _product_buffers.cache_clear()       # drop the previous rank's first
+    return np.empty((samples, rank)), np.empty((samples, rank))
 
 
 def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleReport:
@@ -76,13 +127,19 @@ def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleRepo
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    rank = p.system.rank
     m, g = p.system.int_gram
     verts = np.array([[float(c) for c in v] for v in p.vertices])
     gram = np.array([[x / g for x in row] for row in m])
-    pts = _dirichlet_weights(seed, samples, p.system.rank)[:, 1:] @ verts
-    q = pts @ gram
-    q *= pts                                   # in place: one temporary less
-    sampled_max = float(q.sum(axis=1).max())
+    pts, q = _product_buffers(samples, rank)
+    np.matmul(_dirichlet_weights(seed, samples, rank), verts, out=pts)
+    np.matmul(pts, gram, out=q)
+    sampled_max = -np.inf
+    for i in range(0, samples, _BLOCK_ROWS):
+        block = q[i:i + _BLOCK_ROWS]
+        block *= pts[i:i + _BLOCK_ROWS]
+        sampled_max = np.maximum(sampled_max, _row_sums(block).max())
+    sampled_max = float(sampled_max)
     vertex_norms = ((verts @ gram) * verts).sum(axis=1)
     vertex_max = float(vertex_norms.max())
     exact = float(p.d_sq)

@@ -5,9 +5,15 @@ psi = sum d_i a_i, the polytope is the simplex cut out by (x, a_i) >= 0
 and (x, psi) <= 1.  Its nonzero vertices e_1..e_l satisfy
 (e_j, a_i) = delta_ij / d_j, so their coefficient vectors are scaled
 columns of the inverse Gram matrix and (e_j, e_j) = (inv(Gram))_jj / d_j^2.
-``build_polytope`` makes one fraction-free solve of the integer Gram
-matrix of ``RootSystem.int_gram`` and builds each vertex coefficient and
-each norm as a single Fraction of integers.
+With the integer Gram matrix M/g of ``RootSystem.int_gram``,
+(inv(Gram))_jj = g det(M minus node j) / det M.  A Dynkin diagram is a
+tree, and elimination on a tree makes no fill-in (Parter, SIAM Rev. 3,
+1961), so ``tree_minors`` reads det M and every det(M minus node j) from
+prefix and suffix continuants along the chain, in O(l) integer products.
+``farthest_vertex`` picks d_sq from them by cross-multiplication and
+builds one Fraction; it is all a report needs.  ``build_polytope`` also
+forms the vertices, from one fraction-free (Bareiss) solve of M, and
+takes the norms from the same minors.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -57,21 +63,89 @@ class CartanPolytope(NamedTuple):
     argmax_vertex: int                    # 0-based index into vertices
 
 
+def _continuants(a: list[int], b: list[int]) -> list[int]:
+    """p_k, the determinant of the tridiagonal matrix on nodes 0..k-1 with
+    diagonal a and off-diagonal products b_k = T[k][k+1] T[k+1][k], for
+    k = 0..len(a)."""
+    p = [1, a[0]]
+    for k in range(1, len(a)):
+        p.append(a[k] * p[k] - b[k - 1] * p[k - 1])
+    return p
+
+
+def tree_minors(m) -> tuple[int, list[int]]:
+    """(det M, [det(M minus node j) for each j]) for a square integer
+    matrix M on a Dynkin diagram in this package's numbering: a chain, or
+    for d and e a chain 0..l-2 and the leaf l-1 on the chain node c with
+    M[c][l-1] != 0.
+
+    Removing node j from a chain leaves the blocks before and after it, so
+    its minor is prefix(j) * suffix(j + 1), from continuants.  For d and e
+    the leaf (diagonal f, coupling product w = M[c][leaf] M[leaf][c]) is
+    eliminated into node c: with row c scaled by f, the leaf's Schur
+    complement is a chain whose a_c is f a_c - w and whose two products at
+    c are f times as large, with the same det M and det(M minus j) for
+    every chain node j != c.  M minus c is f times the blocks beside c;
+    M minus the leaf is the bare chain.
+    """
+    l = len(m)
+    a = [m[k][k] for k in range(l)]
+    b = [m[k][k + 1] * m[k + 1][k] for k in range(l - 1)]
+    leaf = l > 2 and not b[-1]           # d, e: node l-1 hangs off the chain
+    if leaf:
+        c = next(k for k in range(l - 2) if m[k][l - 1])
+        f = a.pop()
+        b.pop()
+        chain_det = _continuants(a, b)[-1]
+        a[c] = f * a[c] - m[c][l - 1] * m[l - 1][c]
+        if c:
+            b[c - 1] *= f
+        b[c] *= f
+    pre = _continuants(a, b)
+    suf = _continuants(a[::-1], b[::-1])[::-1]      # suf[k]: nodes k..end
+    minors = [pre[j] * suf[j + 1] for j in range(len(a))]
+    if leaf:
+        minors[c] *= f
+        minors.append(chain_det)
+    return pre[-1], minors
+
+
+def _norm_sq(g: int, det: int, minor: int, d: int) -> Fraction:
+    """(e_j, e_j) = (inv(Gram))_jj / d_j^2 = g det(M minus j) / (det M d_j^2)."""
+    return Fraction(g * minor, det * d * d)
+
+
+def farthest_vertex(rs: RootSystem) -> tuple[Fraction, int]:
+    """(d_sq, argmax_vertex) of the polytope from ``tree_minors``, without
+    the vertices: the first largest norm, found by cross-multiplying the
+    candidates (det M and g are positive), then one Fraction."""
+    m, g = rs.int_gram
+    det, minors = tree_minors(m)
+    d = rs.highest_root
+    best = 0
+    for j in range(1, rs.rank):
+        if minors[j] * d[best] * d[best] > minors[best] * d[j] * d[j]:
+            best = j
+    return _norm_sq(g, det, minors[best], d[best]), best
+
+
 def build_polytope(rs: RootSystem) -> CartanPolytope:
-    """The polytope from one integer solve: with gram = M/g and
-    y = delta * M^{-1}, inv(Gram) = g * y / delta."""
+    """The polytope: with gram = M/g and y = delta * M^{-1} from one
+    integer solve, inv(Gram) = g * y / delta gives the vertices; the norms
+    come from ``tree_minors``."""
     m, g = rs.int_gram
     y, delta = int_inverse(m)
+    det, minors = tree_minors(m)
     d = rs.highest_root
     l = rs.rank
     verts = tuple(tuple(Fraction(g * y[k][j], delta * d[j]) for k in range(l))
                   for j in range(l))
-    norms = [Fraction(g * y[j][j], delta * d[j] * d[j]) for j in range(l)]
+    norms = tuple(_norm_sq(g, det, c, dj) for c, dj in zip(minors, d))
     d_sq = max(norms)
     return CartanPolytope(
         system=rs,
         vertices=verts,
-        vertex_norms_sq=tuple(norms),
+        vertex_norms_sq=norms,
         i_sq=1 / rs.psi_sq,
         d_sq=d_sq,
         argmax_vertex=norms.index(d_sq),

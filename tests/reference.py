@@ -9,6 +9,10 @@ that the height-ordered one of ``RootSystem.positive_roots`` replaced, and
 ``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
+``bareiss_vertex_norms`` is the vertex-norm route that the Dynkin-tree
+minors of ``polytope.tree_minors`` replaced: the diagonal of one Bareiss
+inverse.  ``three_pass_clear_denominators`` is the definition that the
+one-pass ``linalg.clear_denominators`` replaced.
 """
 
 from fractions import Fraction
@@ -179,3 +183,20 @@ def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
                     nxt.append(img)
         frontier = nxt
     return frozenset(seen)
+
+
+def bareiss_vertex_norms(rs) -> tuple[Fraction, ...]:
+    """(e_j, e_j) = g y_jj / (delta d_j^2) from y = delta * M^{-1} of one
+    Bareiss inverse of the integer Gram matrix M/g."""
+    m, g = rs.int_gram
+    y, delta = int_inverse(m)
+    d = rs.highest_root
+    return tuple(Fraction(g * y[j][j], delta * d[j] * d[j]) for j in range(rs.rank))
+
+
+def three_pass_clear_denominators(xs) -> tuple[list[int], int]:
+    """(D*x as integers, D) for D the lcm of the denominators of xs: convert,
+    take the lcm, then scale, reading each denominator twice."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from symspace.catalog import resolve
-from symspace.closedform import expected
+from symspace.closedform import d_sq_closed_form, expected
 from symspace.geometry import (CutDetails, EmptyProduct, MetricSpec,
                                NoCanonicalMetric, cut_classify, cut_details,
                                is_conjugate, kappa_relation_check, product,
                                report, report_json_dict)
 from symspace.linalg import DimensionMismatch, PiSqrtValue
-from symspace.polytope import SliceClass, reflect_simple
+from symspace.polytope import SliceClass, build_polytope, reflect_simple
 from symspace.roots import InvalidRank, build
 
 
@@ -26,6 +26,25 @@ def test_report_group_g2():
     r = report("GROUP:g2")
     assert r.injectivity_radius == PiSqrtValue(F(8))
     assert r.diameter == PiSqrtValue(F(32, 3))
+
+
+def test_report_makes_no_inverse(monkeypatch):
+    # d_sq comes from the Dynkin tree, so a cold report at rank 100-128
+    # never reaches the Bareiss inverse that build_polytope makes.
+    import symspace.geometry as geometry
+    import symspace.linalg as linalg
+    import symspace.polytope as polytope
+
+    def no_inverse(*_args):
+        raise AssertionError("int_inverse on the report path")
+
+    monkeypatch.setattr(linalg, "int_inverse", no_inverse)
+    monkeypatch.setattr(polytope, "int_inverse", no_inverse)
+    geometry._d_sq.cache_clear()
+    assert report("GROUP:a128").d_sq_sigma == d_sq_closed_form("a", 128)
+    assert report("BDI:p=100,q=120").d_sq_sigma == d_sq_closed_form("b", 100)
+    with pytest.raises(AssertionError, match="int_inverse"):
+        build_polytope(build("a3"))           # the patch is in force
 
 
 def test_report_canonical_grassmannian():

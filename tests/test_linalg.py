@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from operator import mul
 
@@ -7,11 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue,
-                             SingularMatrix, format_rational, int_inverse)
+                             SingularMatrix, clear_denominators,
+                             format_rational, int_inverse)
 from symspace.roots import MAX_RANK, RootKind, build
 
 from reference import (cleared, gauss_jordan_inverse, gram, identity, inverse,
-                       matrix, mul_mat, mul_vec)
+                       matrix, mul_mat, mul_vec, three_pass_clear_denominators)
+
+
+_BIG = 10 ** 4299 + 7                  # 4,300 digits, the int-to-str limit
+
+
+@pytest.mark.parametrize("xs", [
+    (),
+    (0,),
+    (3, -5, 0),
+    (True, False, 2),
+    (F(1, 6), F(-2, 9), F(4)),
+    ("1/3", "-0.25", "7"),
+    (0.5, -0.125, 3.0),
+    (Decimal("0.1"), Decimal("-2.50")),
+    (1, F(2, 3), "5/4", 0.75, Decimal("1.2"), True),
+    (F(_BIG, _BIG + 2), F(1, _BIG), -_BIG),
+], ids=["empty", "zero", "int", "bool", "fraction", "str", "float", "decimal",
+        "mixed", "4300-digit"])
+def test_clear_denominators_matches_three_passes(xs):
+    n, d = clear_denominators(xs)
+    assert (n, d) == three_pass_clear_denominators(xs)
+    assert all(type(v) is int for v in n) and type(d) is int
+    # A one-shot iterable is read once.
+    assert clear_denominators(iter(xs)) == (n, d)
+    assert clear_denominators(x for x in xs) == (n, d)
 
 
 def test_invert_scalar():

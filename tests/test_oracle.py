@@ -1,12 +1,14 @@
 import math
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from symspace.linalg import format_rational
-from symspace.oracle import (RNG_ALGORITHM, OracleReport, _dirichlet_weights,
-                             _float_closure, closure_count_oracle,
+from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
+                             _dirichlet_weights, _float_closure, _row_sums,
+                             closure_count_oracle,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
 from symspace.polytope import build_polytope
@@ -102,8 +104,9 @@ def fresh_draw_simplex(p, samples, seed):
     )
 
 
+# 10,007 and 54,321 samples span several row blocks and end in a partial one.
 @pytest.mark.parametrize("seed,samples", [(11, 1000), (-4, 1000), (11, 3000),
-                                          (-4, 3000)])
+                                          (-4, 3000), (11, 10_007), (-4, 54_321)])
 def test_suite_simplex_rows_match_fresh_draws(seed, samples):
     rows = [r for r in standard_suite(seed, samples=samples)
             if r.name.startswith("simplex-max")]
@@ -116,10 +119,51 @@ def test_suite_simplex_rows_match_fresh_draws(seed, samples):
 
 def test_dirichlet_weights_read_only():
     w = _dirichlet_weights(5, 1000, 3)
-    assert w.shape == (1000, 4) and not w.flags.writeable
+    assert w.shape == (1000, 3) and not w.flags.writeable
+    assert w.flags.c_contiguous
     with pytest.raises(ValueError):
         w[0, 0] = 0.0
     assert _dirichlet_weights(5, 1000, 3) is w
+
+
+@pytest.mark.parametrize("samples", [1000, 2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 5])
+def test_dirichlet_weights_match_one_draw(samples):
+    """The block-wise draw gives the weights of e_1..e_l of one whole draw,
+    bit for bit."""
+    rng = np.random.default_rng(7)
+    e = rng.exponential(1.0, size=(samples, 5))
+    e /= e.sum(axis=1, keepdims=True)
+    assert _dirichlet_weights(7, samples, 4).tobytes() == e[:, 1:].tobytes()
+
+
+def test_dirichlet_weights_drop_previous_sample(monkeypatch):
+    previous = weakref.ref(_dirichlet_weights(7, 1000, 4))
+    real = np.random.default_rng
+
+    def rng(seed):
+        assert previous() is None, "the previous sample is alive during the draw"
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    _dirichlet_weights(7, 1000, 3)
+
+
+@pytest.mark.parametrize("width", range(1, 129))
+def test_row_sums_match_numpy(width):
+    """numpy's pairwise row sums, bit for bit, on rows of mixed magnitudes
+    and signs, signed zeros included, over a row count that is not a
+    multiple of the block."""
+    rng = np.random.default_rng(width)
+    rows = _BLOCK_ROWS + 1001
+    a = rng.standard_normal((rows, width)) * np.exp(rng.uniform(-30, 30, (rows, width)))
+    a[:3] = -0.0
+    a[3:6, ::2] = -0.0
+    assert _row_sums(a).tobytes() == a.sum(axis=1).tobytes()
+
+
+def test_row_sums_refuse_recursive_widths():
+    with pytest.raises(ValueError, match="128"):
+        _row_sums(np.ones((2, 129)))
 
 
 def test_inverse_oracle_cases():

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.closedform import d_sq_closed_form
-from symspace.linalg import DimensionMismatch
+from symspace.linalg import DimensionMismatch, int_inverse
 from symspace.polytope import (SliceClass, build_polytope, classify_point,
-                               dominant_representative, reflect_simple,
-                               to_json_dict)
+                               dominant_representative, farthest_vertex,
+                               reflect_simple, to_json_dict, tree_minors)
 from symspace.roots import RootKind, build
 
-from reference import dot_gram, gram, mul_vec
+from reference import bareiss_vertex_norms, dot_gram, gram, mul_vec
 from test_roots import ALL_KINDS
 
 
@@ -39,6 +39,53 @@ def test_dphi_closed_forms_examples():
     assert _poly("a3").d_sq == 2
     assert _poly("e6").d_sq == F(8, 3)
     assert _poly("a2").d_sq == F(4, 3)
+
+
+# Every kind up to rank 40, then ranks 48-128 of the classical families.
+TREE_KINDS = ([RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3),
+                                                ("d", 4), ("bc", 1))
+               for l in [*range(lo, 41), 48, 64, 96, 128]]
+              + [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
+                 RootKind("f", 4), RootKind("g", 2)])
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS, ids=str)
+def test_tree_norms_match_bareiss(kind):
+    rs = build(kind)
+    norms = bareiss_vertex_norms(rs)
+    d_sq = max(norms)
+    assert farthest_vertex(rs) == (d_sq, norms.index(d_sq))
+    p = build_polytope(rs)
+    assert p.vertex_norms_sq == norms
+    assert (p.d_sq, p.argmax_vertex) == (d_sq, norms.index(d_sq))
+
+
+def _tree_matrix(rng, l, fork):
+    """A random integer matrix on a chain of l nodes, or on a chain of l - 1
+    and a leaf l - 1 on chain node ``fork``, with a dominant diagonal, so
+    that Bareiss needs no row swap and its last pivot is det M."""
+    m = [[0] * l for _ in range(l)]
+    edges = [(k, k + 1) for k in range(l - 2)]
+    edges.append((l - 2, l - 1) if fork is None else (fork, l - 1))
+    for i, j in edges:
+        m[i][j] = rng.choice([-3, -2, -1, 1, 2])
+        m[j][i] = rng.choice([-3, -2, -1, 1, 2])
+    for k in range(l):
+        m[k][k] = rng.randint(10, 30)     # > 9, the largest off-diagonal row sum
+    return m
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_tree_minors_random_matrices(l):
+    """det M and every det(M minus j) (the diagonal of the adjugate
+    delta * M^{-1}), on chains and on every fork position, also the first
+    chain node and nonsymmetric couplings."""
+    rng = random.Random(l)
+    for fork in [None, *range(l - 2)]:
+        for _ in range(5):
+            m = _tree_matrix(rng, l, fork)
+            y, delta = int_inverse(m)
+            assert tree_minors(m) == (delta, [y[j][j] for j in range(l)])
 
 
 # Past the hand-picked kinds: every classical family at ranks 13, 24 and 40.

@@ -290,14 +290,19 @@ def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
     return (entry.satake_black_nodes <= perp) == (entry.restriction_factor == 1)
 
 
-def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
-    """The rows of classification table "4.1" or "4.2" with parameters <=
-    bound, resolved one at a time as they are read; the arguments are
-    checked when this is called."""
+def check_param_bound(param_bound: int) -> None:
+    """Raise InvalidParams unless 1 <= param_bound <= MAX_RANK."""
     if param_bound < 1:
         raise InvalidParams("param_bound must be >= 1")
     if param_bound > MAX_RANK:
         raise InvalidParams(f"param_bound must be <= {MAX_RANK}")
+
+
+def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
+    """The rows of classification table "4.1" or "4.2" with parameters <=
+    bound, resolved one at a time as they are read; the arguments are
+    checked when this is called."""
+    check_param_bound(param_bound)
     if which not in ("4.1", "4.2"):
         raise InvalidParams(f"unknown table {which!r}; use 4.1 or 4.2")
     if which == "4.2":

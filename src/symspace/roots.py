@@ -1,21 +1,23 @@
 """Irreducible root systems realized in simple-root coordinates.
 
 Each family (a, b, c, d, e6, e7, e8, f4, g2 and the non-reduced bc) is
-built from three pieces of data: its Cartan matrix, the relative squared
-lengths of its simple roots, and the coefficients of the highest root.
-All inner products go through the Gram matrix, which is normalized so
-that the highest root has squared length 1 and is kept as integer rows
-M over one positive denominator g (gram = M/g).  That O(rank^2) data is all
-the Cartan polytope needs, so ``build`` stops there; the roots themselves
-(integer coefficient vectors over the simple roots) are enumerated on
-first access, and only for systems of at most MAX_ROOTS roots.  One pass
-builds the positive roots level by level in height from simple-root
-strings, and records how each is reached from a root one level below: the
-chain that the conjugacy test in ``geometry`` walks.
+described once, by its Dynkin diagram (Bourbaki, Lie Groups and Lie
+Algebras, Ch. VI, Plates I-IX): the relative squared lengths L of its
+simple roots and its edges, with (a_i, a_j) = -max(L_i, L_j)/2 on an edge
+and 0 off the edges; the Cartan matrix and the Gram matrix follow from it.
+The Gram matrix is normalized so that the highest root has squared length
+1 and is kept as integer rows M over one positive denominator g (gram =
+M/g).  ``build`` derives it in O(rank) arithmetic steps and stops there:
+that is all the Cartan polytope needs.  The roots themselves (integer
+coefficient vectors over the simple roots) are enumerated on first
+access, and only for systems of at most MAX_ROOTS roots.  One pass builds the positive roots level by level
+in height from simple-root strings, and records how each is reached from
+a root one level below: the chain that the conjugacy test in
+``geometry`` walks.
 
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
-hanging off the chain comes last (it attaches to the chain node with the
-largest highest-root coefficient).
+hanging off the chain comes last, attached to the fork node (l-3 for d,
+2, 3, 4 for e6, e7, e8).
 
 ``RootKind`` and ``RootSystem`` are named tuples, immutable and equal to
 plain tuples of their fields; ``RootSystem`` also keeps its lazily built
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from operator import add, mul
 from typing import NamedTuple
@@ -120,49 +121,6 @@ def root_count(kind: RootKind) -> int:
     return 48 if kind.family == "f" else 12
 
 
-def _chain_cartan(l: int) -> list[list[int]]:
-    a = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i in range(l - 1):
-        a[i][i + 1] = a[i + 1][i] = -1
-    return a
-
-
-def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix A[i][j] = 2(a_i, a_j)/(a_j, a_j); for bc, of the indivisible set."""
-    fam, l = kind.family, kind.rank
-    if fam == "a" or (fam == "bc" and l == 1):
-        a = _chain_cartan(l)
-    elif fam in ("b", "bc"):
-        a = _chain_cartan(l)
-        a[l - 2][l - 1] = -2          # short last node
-    elif fam == "c":
-        a = _chain_cartan(l)
-        a[l - 1][l - 2] = -2          # long last node
-    elif fam == "d":
-        a = _chain_cartan(l - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * l)
-        a[l - 1][l - 1] = 2
-        a[l - 3][l - 1] = a[l - 1][l - 3] = -1
-    elif fam == "e":
-        a = _chain_cartan(l - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * l)
-        a[l - 1][l - 1] = 2
-        branch = {6: 2, 7: 3, 8: 4}[l]  # chain node carrying the off-chain edge
-        a[branch][l - 1] = a[l - 1][branch] = -1
-    elif fam == "f":
-        a = _chain_cartan(4)
-        a[1][2] = -2                  # nodes 3,4 short
-    elif fam == "g":
-        a = [[2, -3], [-1, 2]]
-    else:  # pragma: no cover
-        raise InvalidRank(fam)
-    return tuple(tuple(r) for r in a)
-
-
 def _relative_lengths(kind: RootKind) -> tuple[int, ...]:
     """Squared simple-root lengths up to overall scale: 1, 2 or 3."""
     fam, l = kind.family, kind.rank
@@ -177,6 +135,37 @@ def _relative_lengths(kind: RootKind) -> tuple[int, ...]:
     if fam == "g":
         return (3, 1)
     raise InvalidRank(fam)  # pragma: no cover
+
+
+def _diagram(kind: RootKind) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The Dynkin diagram: the relative squared lengths L of the simple
+    roots, and its edges (i, j, max(L_i, L_j)).  The edges run along the
+    chain 0..l-2 and join the last node l-1 to the chain's end, or for d and
+    e to the fork node: l-3 for d, 2/3/4 for e6/e7/e8."""
+    lengths = _relative_lengths(kind)
+    l = kind.rank
+    fork = {"d": l - 3, "e": l - 4}.get(kind.family, l - 2)
+    pairs = [(i, i + 1) for i in range(l - 2)] + [(fork, l - 1)] * (l > 1)
+    return lengths, [(i, j, max(lengths[i], lengths[j])) for i, j in pairs]
+
+
+def _on_diagram(diagonal, edges, entry) -> tuple[tuple[int, ...], ...]:
+    """The square matrix with this diagonal, entry(bond, j) at [i][j] and
+    entry(bond, i) at [j][i] on each edge (i, j, bond), and zeros elsewhere."""
+    rows = [[0] * len(diagonal) for _ in diagonal]
+    for i, x in enumerate(diagonal):
+        rows[i][i] = x
+    for i, j, bond in edges:
+        rows[i][j] = entry(bond, j)
+        rows[j][i] = entry(bond, i)
+    return tuple(map(tuple, rows))
+
+
+def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix A[i][j] = 2(a_i, a_j)/(a_j, a_j); for bc, of the indivisible set.
+    On an edge (a_i, a_j) = -max(L_i, L_j)/2, so A[i][j] = -max(L_i, L_j)/L_j."""
+    lengths, edges = _diagram(kind)
+    return _on_diagram((2,) * kind.rank, edges, lambda bond, j: -bond // lengths[j])
 
 
 def highest_root_coeffs(kind: RootKind) -> tuple[int, ...]:
@@ -320,18 +309,18 @@ def build(kind: RootKind | str) -> RootSystem:
     if isinstance(kind, str):
         kind = parse_kind(kind)
     l = check_rank(kind).rank
-    cartan = cartan_matrix(kind)
-    lengths = _relative_lengths(kind)
+    lengths, edges = _diagram(kind)
     psi = highest_root_coeffs(kind)
-    # S_ij = A[j][i] * L_i = 2 (a_i, a_j) / scale, an integer matrix; dividing
-    # by N = psi^T S psi normalizes (psi, psi) to 1.  Dividing S and N by
-    # their common gcd leaves gram = M/g in lowest terms.
-    s = [[cartan[j][i] * lengths[i] for j in range(l)] for i in range(l)]
-    norm = sum(p * sum(map(mul, row, psi)) for p, row in zip(psi, s))
-    c = gcd(norm, *chain.from_iterable(s))
-    m = tuple(tuple(x // c for x in row) for row in s)
-    return RootSystem(kind=kind, rank=l, cartan=cartan, int_gram=(m, norm // c),
-                      highest_root=psi)
+    # S = 2 Gram / scale is the integer matrix with S_ii = 2 L_i and
+    # S_ij = -max(L_i, L_j) on an edge; dividing by N = psi^T S psi
+    # normalizes (psi, psi) to 1.  Dividing S and N by their common gcd
+    # leaves gram = M/g in lowest terms.
+    norm = 2 * (sum(x * p * p for x, p in zip(lengths, psi))
+                - sum(bond * psi[i] * psi[j] for i, j, bond in edges))
+    c = gcd(norm, *(2 * x for x in lengths), *(bond for _, _, bond in edges))
+    m = _on_diagram([2 * x // c for x in lengths], edges, lambda bond, _: -bond // c)
+    return RootSystem(kind=kind, rank=l, cartan=cartan_matrix(kind),
+                      int_gram=(m, norm // c), highest_root=psi)
 
 
 def to_json_dict(rs: RootSystem) -> dict:

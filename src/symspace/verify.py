@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .closedform import expected
 from .geometry import report
-from .catalog import enumerate_table
+from .catalog import check_param_bound, enumerate_table
 from .oracle import OracleReport, standard_suite
 
 # Largest simplex-oracle sample count, ten times the default.  A rank-8
@@ -46,6 +46,7 @@ def run_all(seed: int, samples: int = 100_000, oracle_max_rank: int = 8,
             table_bound: int = 12) -> list[OracleReport]:
     if not 1000 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1000 and {MAX_SAMPLES} samples, got {samples}")
+    check_param_bound(table_bound)
     reports = standard_suite(seed, samples=samples, max_rank=oracle_max_rank)
     reports.extend(table_reports("4.1", table_bound))
     reports.extend(table_reports("4.2", table_bound))

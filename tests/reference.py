@@ -12,7 +12,10 @@ the point with a Killing-Gram row per positive root.
 ``bareiss_vertex_norms`` is the vertex-norm route that the Dynkin-tree
 minors of ``polytope.tree_minors`` replaced: the diagonal of one Bareiss
 inverse.  ``three_pass_clear_denominators`` is the definition that the
-one-pass ``linalg.clear_denominators`` replaced.
+one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
+``realized_cartan`` read the Dynkin diagram off the Euclidean realization
+of the simple roots in ``oracle.float_simple_roots``, independently of the
+diagram that ``roots`` derives its Cartan matrix and Gram pair from.
 """
 
 from fractions import Fraction
@@ -20,7 +23,10 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
+import numpy as np
+
 from symspace.linalg import DimensionMismatch, int_inverse
+from symspace.oracle import float_simple_roots
 from symspace.roots import RootKind
 
 # Every kind whose roots are enumerated: at most MAX_ROOTS roots.
@@ -183,6 +189,24 @@ def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
                     nxt.append(img)
         frontier = nxt
     return frozenset(seen)
+
+
+def realized_gram(kind) -> np.ndarray:
+    """4 (a_i, a_j) of the realized simple roots, an integer array: their
+    coordinates are 0, +-1/2, +-1 or 2, so every float product is an exact
+    multiple of 1/4."""
+    r = np.array(float_simple_roots(kind))
+    g = 4 * (r @ r.T)
+    assert (g == np.round(g)).all(), kind
+    return g.astype(np.int64)
+
+
+def realized_cartan(kind) -> tuple[tuple[int, ...], ...]:
+    """A[i][j] = 2 (a_i, a_j) / (a_j, a_j) of the realized simple roots."""
+    g = realized_gram(kind)
+    two_g, diagonal = 2 * g, np.diag(g)
+    assert not (two_g % diagonal).any(), kind
+    return tuple(map(tuple, (two_g // diagonal).tolist()))
 
 
 def bareiss_vertex_norms(rs) -> tuple[Fraction, ...]:

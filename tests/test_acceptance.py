@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
+
 from symspace.catalog import enumerate_table, resolve
 from symspace.closedform import (delta_sq_closed_form, expected,
                                  grassmannian_canonical)
@@ -21,7 +23,8 @@ from symspace.killing import (canonical_kind, killing_delta_sq,
 from symspace.linalg import PiSqrtValue
 from symspace.oracle import standard_suite
 from symspace.polytope import dominant_representative, reflect_simple
-from symspace.roots import RootKind, build, root_count
+from symspace.roots import MAX_RANK, RootKind, build, root_count
+from symspace.verify import table_reports
 
 from reference import gram, mul_vec
 
@@ -78,6 +81,17 @@ def test_table41_bound_40():
 def test_table42_bound_40():
     with criterion("2b", "table 4.2 rows reproduce exactly for ranks <= 40"):
         _check_table("4.2", 40)
+
+
+@pytest.mark.parametrize("which, rows", [("4.1", 25_284), ("4.2", 511)])
+def test_table_reports_at_max_rank(which, rows):
+    # Every row at the largest --max-param, checked against closedform
+    # as verify checks it.
+    with criterion(f"{which[-1]}c", f"table {which} rows reproduce exactly "
+                                    f"for parameters <= {MAX_RANK}"):
+        reports = table_reports(which, MAX_RANK)
+        assert len(reports) == rows
+        assert [r.name for r in reports if not r.passed] == []
 
 
 def test_criterion_3_killing_closed_forms():

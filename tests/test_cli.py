@@ -283,6 +283,18 @@ def test_run_all_samples_limits(monkeypatch):
             verify.run_all(0, samples=bad)
 
 
+@pytest.mark.parametrize("bound, message", [("0", "param_bound must be >= 1"),
+                                            ("129", "param_bound must be <= 128")])
+def test_verify_max_param_refused_before_any_check(capsys, monkeypatch, bound, message):
+    from symspace import verify
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("the oracle suite ran")
+
+    monkeypatch.setattr(verify, "standard_suite", no_checks)
+    assert run(capsys, "verify", "--max-param", bound) == (2, "", f"error: {message}\n")
+
+
 def test_cli_import_skips_numpy():
     proc = run_python("-c", "import sys, symspace.cli; "
                             "print('numpy' in sys.modules)")

@@ -2,6 +2,7 @@ import fractions
 from fractions import Fraction as F
 from math import gcd
 
+import numpy as np
 import pytest
 
 from symspace.linalg import DimensionMismatch
@@ -10,8 +11,8 @@ from symspace.roots import (MAX_RANK, InvalidRank, RootKind, RootSystem, build,
                             cartan_matrix, highest_root_coeffs, parse_kind,
                             root_count, to_json_dict)
 
-from reference import (IN_CAP_KINDS, cleared, gram, inner, reflection_closure,
-                       root_norm_sq)
+from reference import (IN_CAP_KINDS, cleared, gram, inner, realized_cartan,
+                       realized_gram, reflection_closure, root_norm_sq)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -167,11 +168,12 @@ def fraction_lengths(kind):
 def fraction_gram(kind):
     """Reference: the nonzero Gram entries by rational arithmetic.
 
-    Omega_ij = A[j][i] (a_i, a_i) / 2, rescaled by 1 / (psi, psi).  A zero
-    Cartan entry adds nothing to (psi, psi) and stays zero, so only the
-    nonzero entries are computed.
+    Omega_ij = A[j][i] (a_i, a_i) / 2, rescaled by 1 / (psi, psi), with
+    the Cartan matrix A of the Euclidean realization.  A zero Cartan entry
+    adds nothing to (psi, psi) and stays zero, so only the nonzero entries
+    are computed.
     """
-    l, cartan = kind.rank, cartan_matrix(kind)
+    l, cartan = kind.rank, realized_cartan(kind)
     lengths = fraction_lengths(kind)
     raw = {(i, j): cartan[j][i] * lengths[i] / 2
            for i in range(l) for j in range(l) if cartan[j][i]}
@@ -198,6 +200,21 @@ def test_gram_matches_fraction_construction(family):
         assert nonzero == fraction_gram(kind), kind
         m, d = cleared(g)             # (M, g) is in lowest terms
         assert rs.int_gram == (tuple(map(tuple, m)), d), kind
+
+
+@pytest.mark.parametrize("family", sorted(GRAM_KINDS))
+def test_diagram_matches_euclidean_realization(family):
+    # The Cartan matrix and the Gram pair, both derived from roots' Dynkin
+    # diagram, against the simple roots realized in R^n (Bourbaki, Lie Groups
+    # and Lie Algebras, Ch. VI, Plates I-IX): M/g = G/(psi, psi) for the
+    # realized Gram matrix G.
+    for kind in GRAM_KINDS[family]:
+        rs = build(kind)
+        assert rs.cartan == cartan_matrix(kind) == realized_cartan(kind), kind
+        g4 = realized_gram(kind)
+        psi = np.array(rs.highest_root)
+        m, g = rs.int_gram
+        assert (np.array(m) * (psi @ g4 @ psi) == g * g4).all(), kind
 
 
 def test_build_makes_no_fractions(monkeypatch):

@@ -15,8 +15,7 @@ from .geometry import (CutDetails, EmptyProduct, GeometryReport, MetricSpec,
 from .killing import (KillingData, NonReducedInput, delta_sq_formula,
                       killing_data, killing_delta_sq, killing_self_consistency,
                       perp_decomposition, perp_subsystem)
-from .linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue, Rational,
-                     SingularMatrix)
+from .linalg import DimensionMismatch, NegativeFactor, PiSqrtValue, Rational
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
 from .roots import (InvalidRank, RootKind, RootSystem, build, parse_kind,
@@ -29,7 +28,7 @@ __all__ = [
     "GeometryReport", "InvalidParams", "InvalidRank", "KillingData",
     "MetricSpec", "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
     "NonReducedInput", "PiSqrtValue", "Rational", "RootKind",
-    "RootSystem", "SingularMatrix", "SliceClass", "SpaceEntry", "SpaceLabel",
+    "RootSystem", "SliceClass", "SpaceEntry", "SpaceLabel",
     "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
     "delta_sq_formula", "dominant_representative", "enumerate_table",
     "is_conjugate", "kappa_relation_check",

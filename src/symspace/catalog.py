@@ -21,7 +21,7 @@ alias table; `ambient`/`restricted` always hold a buildable kind while
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
@@ -100,8 +100,9 @@ def parse_label(text: str) -> SpaceLabel:
     return SpaceLabel(series=series, n=pairs.get("n"), p=pairs.get("p"), q=pairs.get("q"))
 
 
-# Parameter keys of each series that takes any, in table order; the table
-# walk tries each key from 1 to the bound and keeps what ``resolve`` accepts.
+# Parameter keys of each series that takes any, in table order.  The table
+# walk tries each key from 1 to the bound, with p <= q for the two-key series
+# (every one of them requires it), and keeps what ``resolve`` accepts.
 _PARAMS = {"AI": ("n",), "AII": ("n",), "AIII": ("p", "q"), "CI": ("n",),
            "CII": ("p", "q"), "BDI": ("p", "q"), "DIII": ("n",)}
 
@@ -317,7 +318,7 @@ def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
 def _table_41_rows(param_bound: int) -> Iterator[SpaceEntry]:
     for series in (*_PARAMS, *_EXCEPTIONAL_ROWS):
         keys = _PARAMS.get(series, ())
-        for values in product(range(1, param_bound + 1), repeat=len(keys)):
+        for values in combinations_with_replacement(range(1, param_bound + 1), len(keys)):
             try:
                 yield resolve(SpaceLabel(series, **dict(zip(keys, values))))
             except InvalidParams:

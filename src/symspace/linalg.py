@@ -1,13 +1,11 @@
-"""Exact linear algebra over arbitrary-precision rationals.
+"""Exact rational arithmetic helpers.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
 denominator) and vectors are plain tuples of Fractions.  A rational
-matrix is kept as integer rows over one denominator, and ``int_inverse``
-inverts the integer part by fraction-free Bareiss elimination, so every
-intermediate quantity is an exact integer minor: it returns delta *
-N^{-1} with delta for an integer matrix N.  The Cartan polytope's
-vertices read it directly off the integer Gram matrix; reports need only
-its diagonal, which ``polytope`` takes from the Dynkin tree instead.
+vector is kept as integer numerators over one denominator
+(``clear_denominators``).  No general matrix inverse lives here: the only
+matrix the package inverts is the Gram matrix on a Dynkin diagram, a
+tree, and ``polytope.tree_adjugate`` reads its adjugate off continuants.
 
 The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity
@@ -28,10 +26,6 @@ from typing import NamedTuple
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
-
-
-class SingularMatrix(ValueError):
-    """Raised when inverting a singular matrix."""
 
 
 class DimensionMismatch(ValueError):
@@ -65,63 +59,6 @@ def format_rational(x: Fraction) -> str:
         raise ValueError(f"a printed value exceeds the limit of "
                          f"{sys.get_int_max_str_digits()} digits; the metric "
                          f"value (or point) needs fewer digits") from None
-
-
-def int_inverse(rows) -> tuple[list[list[int]], int]:
-    """(y, delta) with y = delta * N^{-1} integral, for a square integer N.
-
-    After the forward phase on [N | I] the last pivot is delta = +-det(N),
-    so y is integral (Cramer's rule) and the back phase solves for it with
-    exact integer division.  Raises SingularMatrix when det(N) = 0.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("inverse needs a square matrix")
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    delta = _bareiss_forward(aug, n)
-    if delta is None:
-        raise SingularMatrix("matrix is singular")
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = [delta * x for x in row[n:]]
-        for k in range(i + 1, n):
-            c = row[k]
-            if c:
-                acc = [a - c * b for a, b in zip(acc, y[k])]
-        piv = row[i]
-        y[i] = [a // piv for a in acc]
-    return y, delta
-
-
-def _bareiss_forward(m: list[list[int]], n: int) -> int | None:
-    """Fraction-free forward elimination in place on integer rows.
-
-    Eliminates below the first n pivot columns of the (possibly augmented)
-    integer row list ``m``.  Returns the last pivot, or None when the
-    matrix is singular.  Divisions are exact by Sylvester's identity, so
-    no rational arithmetic is needed.
-    """
-    prev = 1
-    width = len(m[0]) if m else 0
-    for k in range(n):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    break
-            else:
-                return None
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, width):
-                row_i[j] = (piv * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = piv
-    return m[n - 1][n - 1] if n else 1
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")

@@ -1,11 +1,14 @@
 """Independent floating-point brute-force checks for the exact machinery.
 
 Everything here deliberately takes a different route from the exact
-modules: root systems are rebuilt from explicit Euclidean coordinates and
-closed by numeric reflections, matrix inverses come from partial-pivot
-LU (numpy), and the polytope maximum is attacked by random sampling of
-the simplex.  Agreement with the exact values is then evidence, not
-tautology.  All randomness flows from an explicit seed through numpy's
+modules: root systems are rebuilt from explicit Euclidean coordinates
+and closed by numeric reflections, matrix inverses come from
+partial-pivot LU (numpy), and the polytope maximum is attacked by random
+sampling of the simplex.  Agreement with the exact values is then
+evidence, not tautology.  The exact inverse of each Gram matrix is the
+one the program uses, ``polytope.tree_adjugate``; the suite's two fixed
+matrices (the 3x3 Hilbert matrix and the identity) bring their known
+inverses.  All randomness flows from an explicit seed through numpy's
 PCG64 generator, so reports are bit-reproducible.
 
 The closure keeps a reflected vector unless it lies within 1e-7
@@ -35,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import format_rational, int_inverse
-from .polytope import CartanPolytope
+from .linalg import format_rational
+from .polytope import CartanPolytope, tree_adjugate
 from .roots import RootKind
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -154,11 +157,12 @@ def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleRepo
     )
 
 
-def inverse_oracle(rows, den: int, name: str = "") -> OracleReport:
+def inverse_oracle(rows, den: int, exact, name: str = "") -> OracleReport:
     """Partial-pivot numeric inverse vs the exact one, 1e-9 relative, for
     the matrix N/den given by its integer rows N and positive ``den``.
 
-    (N/den)^{-1} = den * y / delta with (y, delta) from ``int_inverse``.
+    ``exact`` is (delta, y) with y = delta * N^{-1} integral, as the
+    caller computes it, so (N/den)^{-1} = den * y / delta.
     """
     a = np.array([[x / den for x in row] for row in rows])
     label = f"inverse {name}".strip()
@@ -167,7 +171,7 @@ def inverse_oracle(rows, den: int, name: str = "") -> OracleReport:
         return OracleReport(name=label, exact="-", numeric=cond, error=float("nan"),
                             passed=True, note="skipped: ill-conditioned")
     num = np.linalg.inv(a)
-    y, delta = int_inverse(rows)
+    delta, y = exact
     err = 0.0
     for i, row in enumerate(y):
         for j, v in enumerate(row):
@@ -335,10 +339,13 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
     for k in sorted(kinds, key=lambda kind: kind.rank):   # one draw per rank
         rs = build(k)
         reports.append(closure_count_oracle(k))
-        reports.append(inverse_oracle(*rs.int_gram, name=f"gram {k}"))
+        m, g = rs.int_gram
+        reports.append(inverse_oracle(m, g, tree_adjugate(m), name=f"gram {k}"))
         reports.append(simplex_max_oracle(build_polytope(rs), samples, seed))
     hilbert = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]  # 1/(i+j+1)
-    reports.append(inverse_oracle(hilbert, 60, name="hilbert3"))
+    # The classical integer inverse of the Hilbert matrix, 60 * (60 H)^{-1}.
+    hilbert_inv = [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]
+    reports.append(inverse_oracle(hilbert, 60, (60, hilbert_inv), name="hilbert3"))
     identity = [[int(i == j) for j in range(5)] for i in range(5)]
-    reports.append(inverse_oracle(identity, 1, name="identity5"))
+    reports.append(inverse_oracle(identity, 1, (1, identity), name="identity5"))
     return sorted(reports, key=lambda r: r.name)

@@ -12,8 +12,10 @@ tree, and elimination on a tree makes no fill-in (Parter, SIAM Rev. 3,
 prefix and suffix continuants along the chain, in O(l) integer products.
 ``farthest_vertex`` picks d_sq from them by cross-multiplication and
 builds one Fraction; it is all a report needs.  ``build_polytope`` also
-forms the vertices, from one fraction-free (Bareiss) solve of M, and
-takes the norms from the same minors.
+forms the vertices, from ``tree_adjugate``: off the diagonal, a cofactor
+on a tree is a path product times the same continuants (Usmani, Linear
+Algebra Appl. 212/213, 1994, for the chain), so det M and adj M come
+from one fold of the tree and no general solve.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -38,7 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import DimensionMismatch, Vector, clear_denominators, int_inverse
+from .linalg import DimensionMismatch, Vector, clear_denominators
 from .roots import RootSystem
 
 
@@ -73,41 +75,82 @@ def _continuants(a: list[int], b: list[int]) -> list[int]:
     return p
 
 
-def tree_minors(m) -> tuple[int, list[int]]:
-    """(det M, [det(M minus node j) for each j]) for a square integer
-    matrix M on a Dynkin diagram in this package's numbering: a chain, or
-    for d and e a chain 0..l-2 and the leaf l-1 on the chain node c with
-    M[c][l-1] != 0.
+def _folded(m) -> tuple[list[int], list[int], tuple[int, int, int] | None]:
+    """(pre, suf, fork) for a square integer matrix M on a Dynkin diagram
+    in this package's numbering: a chain, or for d and e a chain 0..l-2
+    and the leaf l-1 on the chain node c with M[c][l-1] != 0.
 
-    Removing node j from a chain leaves the blocks before and after it, so
-    its minor is prefix(j) * suffix(j + 1), from continuants.  For d and e
-    the leaf (diagonal f, coupling product w = M[c][leaf] M[leaf][c]) is
-    eliminated into node c: with row c scaled by f, the leaf's Schur
-    complement is a chain whose a_c is f a_c - w and whose two products at
-    c are f times as large, with the same det M and det(M minus j) for
-    every chain node j != c.  M minus c is f times the blocks beside c;
-    M minus the leaf is the bare chain.
+    pre[k] and suf[k] are the continuants of the chain nodes before k and
+    from k on.  For d and e the leaf (diagonal f != 0, coupling product
+    w = M[c][leaf] M[leaf][c]) is first eliminated into node c: with row c
+    scaled by f, the leaf's Schur complement is a chain whose a_c is
+    f a_c - w and whose two products at c are f times as large, and a
+    continuant over a block holding c is the determinant of that block
+    with the leaf.  fork is (c, f, the bare chain's determinant), or None
+    on a chain.
     """
     l = len(m)
     a = [m[k][k] for k in range(l)]
     b = [m[k][k + 1] * m[k + 1][k] for k in range(l - 1)]
-    leaf = l > 2 and not b[-1]           # d, e: node l-1 hangs off the chain
-    if leaf:
+    fork = None
+    if l > 2 and not b[-1]:              # d, e: node l-1 hangs off the chain
         c = next(k for k in range(l - 2) if m[k][l - 1])
         f = a.pop()
         b.pop()
-        chain_det = _continuants(a, b)[-1]
+        fork = c, f, _continuants(a, b)[-1]
         a[c] = f * a[c] - m[c][l - 1] * m[l - 1][c]
         if c:
             b[c - 1] *= f
         b[c] *= f
-    pre = _continuants(a, b)
-    suf = _continuants(a[::-1], b[::-1])[::-1]      # suf[k]: nodes k..end
-    minors = [pre[j] * suf[j + 1] for j in range(len(a))]
-    if leaf:
+    return _continuants(a, b), _continuants(a[::-1], b[::-1])[::-1], fork
+
+
+def tree_minors(m) -> tuple[int, list[int]]:
+    """(det M, [det(M minus node j) for each j]) for M as in ``_folded``.
+
+    Removing chain node j leaves the blocks before and after it, so its
+    minor is pre[j] * suf[j + 1]; M minus c is f times the blocks beside
+    c, and M minus the leaf is the bare chain.
+    """
+    pre, suf, fork = _folded(m)
+    minors = [pre[j] * suf[j + 1] for j in range(len(pre) - 1)]
+    if fork:
+        c, f, chain_det = fork
         minors[c] *= f
         minors.append(chain_det)
     return pre[-1], minors
+
+
+def tree_adjugate(m) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) = (det M, det M * M^{-1}) for a symmetric M as in
+    ``_folded``, from the same continuants as ``tree_minors``.
+
+    On a tree, the cofactor of (k, j) is the product of -M along the path
+    from k to j times the determinant of M minus the path's nodes.  For
+    chain nodes k <= j that is the path product times pre[k] suf[j + 1],
+    and times f when the path passes c (the leaf is then cut off alone).
+    The leaf's path runs through c, so its row is -M[leaf][c] times row c
+    divided by f, and its diagonal entry is the bare chain's determinant.
+    """
+    l = len(m)
+    pre, suf, fork = _folded(m)
+    n = len(pre) - 1                     # chain nodes
+    c, f, chain_det = fork or (-1, 1, 0)
+    adj = [[0] * l for _ in range(l)]
+    for k in range(n):
+        run = pre[k]
+        for j in range(k, n):
+            if j > k:
+                run *= -m[j - 1][j]
+            if j == c:
+                run *= f
+            adj[k][j] = adj[j][k] = run * suf[j + 1]
+    if fork:
+        w = -m[l - 1][c]
+        adj[l - 1] = [w * x // f for x in adj[c][:n]] + [chain_det]
+        for j in range(n):
+            adj[j][l - 1] = adj[l - 1][j]
+    return pre[-1], adj
 
 
 def _norm_sq(g: int, det: int, minor: int, d: int) -> Fraction:
@@ -130,17 +173,16 @@ def farthest_vertex(rs: RootSystem) -> tuple[Fraction, int]:
 
 
 def build_polytope(rs: RootSystem) -> CartanPolytope:
-    """The polytope: with gram = M/g and y = delta * M^{-1} from one
-    integer solve, inv(Gram) = g * y / delta gives the vertices; the norms
-    come from ``tree_minors``."""
+    """The polytope: with gram = M/g and (det M, adj M) from
+    ``tree_adjugate``, inv(Gram) = g adj M / det M gives the vertices and,
+    on its diagonal, the norms."""
     m, g = rs.int_gram
-    y, delta = int_inverse(m)
-    det, minors = tree_minors(m)
+    det, adj = tree_adjugate(m)
     d = rs.highest_root
     l = rs.rank
-    verts = tuple(tuple(Fraction(g * y[k][j], delta * d[j]) for k in range(l))
+    verts = tuple(tuple(Fraction(g * adj[k][j], det * d[j]) for k in range(l))
                   for j in range(l))
-    norms = tuple(_norm_sq(g, det, c, dj) for c, dj in zip(minors, d))
+    norms = tuple(_norm_sq(g, det, adj[j][j], dj) for j, dj in enumerate(d))
     d_sq = max(norms)
     return CartanPolytope(
         system=rs,

@@ -4,14 +4,17 @@ The package computes inner products on integers (``RootSystem.int_gram``,
 the pair (M, g) with gram = M/g); these are the plain Fraction products of
 vectors and matrices (tuples of Fraction rows), the Fraction Gram matrix
 and the Fraction formulas through it, and a Gauss-Jordan inverse, that the
-tests compare it against.  ``reflection_closure`` is the root enumeration
+tests compare it against.  ``int_inverse`` (with ``_bareiss_forward`` and
+``SingularMatrix``) is the general fraction-free Bareiss inverse that the
+package used for the polytope's vertices until ``polytope.tree_adjugate``
+replaced it, and for the vertex norms until ``polytope.tree_minors`` did;
+it is kept verbatim as the exact reference for both.
+``reflection_closure`` is the root enumeration
 that the height-ordered one of ``RootSystem.positive_roots`` replaced, and
 ``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
-``bareiss_vertex_norms`` is the vertex-norm route that the Dynkin-tree
-minors of ``polytope.tree_minors`` replaced: the diagonal of one Bareiss
-inverse.  ``three_pass_clear_denominators`` is the definition that the
+``three_pass_clear_denominators`` is the definition that the
 one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
 of the simple roots in ``oracle.float_simple_roots``, independently of the
@@ -25,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from symspace.linalg import DimensionMismatch, int_inverse
+from symspace.linalg import DimensionMismatch
 from symspace.oracle import float_simple_roots
 from symspace.roots import RootKind
 
@@ -39,6 +42,67 @@ IN_CAP_KINDS = (
     + [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
        RootKind("f", 4), RootKind("g", 2)]
 )
+
+
+class SingularMatrix(ValueError):
+    """Raised when inverting a singular matrix."""
+
+
+def int_inverse(rows) -> tuple[list[list[int]], int]:
+    """(y, delta) with y = delta * N^{-1} integral, for a square integer N.
+
+    After the forward phase on [N | I] the last pivot is delta = +-det(N),
+    so y is integral (Cramer's rule) and the back phase solves for it with
+    exact integer division.  Raises SingularMatrix when det(N) = 0.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("inverse needs a square matrix")
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    delta = _bareiss_forward(aug, n)
+    if delta is None:
+        raise SingularMatrix("matrix is singular")
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [delta * x for x in row[n:]]
+        for k in range(i + 1, n):
+            c = row[k]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, y[k])]
+        piv = row[i]
+        y[i] = [a // piv for a in acc]
+    return y, delta
+
+
+def _bareiss_forward(m: list[list[int]], n: int) -> int | None:
+    """Fraction-free forward elimination in place on integer rows.
+
+    Eliminates below the first n pivot columns of the (possibly augmented)
+    integer row list ``m``.  Returns the last pivot, or None when the
+    matrix is singular.  Divisions are exact by Sylvester's identity, so
+    no rational arithmetic is needed.
+    """
+    prev = 1
+    width = len(m[0]) if m else 0
+    for k in range(n):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    break
+            else:
+                return None
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            for j in range(k + 1, width):
+                row_i[j] = (piv * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = piv
+    return m[n - 1][n - 1] if n else 1
 
 
 @lru_cache(maxsize=8)
@@ -207,15 +271,6 @@ def realized_cartan(kind) -> tuple[tuple[int, ...], ...]:
     two_g, diagonal = 2 * g, np.diag(g)
     assert not (two_g % diagonal).any(), kind
     return tuple(map(tuple, (two_g // diagonal).tolist()))
-
-
-def bareiss_vertex_norms(rs) -> tuple[Fraction, ...]:
-    """(e_j, e_j) = g y_jj / (delta d_j^2) from y = delta * M^{-1} of one
-    Bareiss inverse of the integer Gram matrix M/g."""
-    m, g = rs.int_gram
-    y, delta = int_inverse(m)
-    d = rs.highest_root
-    return tuple(Fraction(g * y[j][j], delta * d[j] * d[j]) for j in range(rs.rank))
 
 
 def three_pass_clear_denominators(xs) -> tuple[list[int], int]:

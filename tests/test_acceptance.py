@@ -5,6 +5,7 @@ Every comparison is exact (Fraction / PiSqrtValue equality) unless the
 criterion itself states a float tolerance.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -83,15 +84,26 @@ def test_table42_bound_40():
         _check_table("4.2", 40)
 
 
+# SHA-256 of the table rows that `verify --max-param 128` prints for each
+# table, one tsv_row() a line, recorded before the polytope's vertices came
+# from the tree adjugate.
+MAX_RANK_TSV_SHA256 = {
+    "4.1": "58d879f8ea75078ecf75616eeb45d352db220fd69782555da88305390162ad5e",
+    "4.2": "ef7c3f58cdf42f9d8fa8505931d064e7a85a43710155d2fea2cb0cf6f4d62379",
+}
+
+
 @pytest.mark.parametrize("which, rows", [("4.1", 25_284), ("4.2", 511)])
 def test_table_reports_at_max_rank(which, rows):
     # Every row at the largest --max-param, checked against closedform
-    # as verify checks it.
+    # as verify checks it, and printed as verify prints it.
     with criterion(f"{which[-1]}c", f"table {which} rows reproduce exactly "
                                     f"for parameters <= {MAX_RANK}"):
         reports = table_reports(which, MAX_RANK)
         assert len(reports) == rows
         assert [r.name for r in reports if not r.passed] == []
+        tsv = "".join(r.tsv_row() + "\n" for r in reports)
+        assert hashlib.sha256(tsv.encode()).hexdigest() == MAX_RANK_TSV_SHA256[which]
 
 
 def test_criterion_3_killing_closed_forms():

@@ -292,3 +292,23 @@ def test_table_command_resolves_each_label_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == 286
     assert max(calls.values()) == 1
+
+
+def test_table_41_walk_refuses_few_labels(monkeypatch):
+    # The walk tries p <= q only, so at the largest bound at most 8 labels
+    # end in InvalidParams (the low-rank exclusions), not one per p > q.
+    from symspace import catalog
+    refused = Counter()
+    real = catalog.resolve
+
+    def counting(label):
+        try:
+            return real(label)
+        except InvalidParams:
+            refused[label] += 1
+            raise
+
+    monkeypatch.setattr(catalog, "resolve", counting)
+    rows = sum(1 for _ in enumerate_table("4.1", MAX_RANK))
+    assert rows == 25_284
+    assert sum(refused.values()) <= 8, list(refused)[:20]

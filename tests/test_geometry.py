@@ -28,23 +28,35 @@ def test_report_group_g2():
     assert r.diameter == PiSqrtValue(F(32, 3))
 
 
-def test_report_makes_no_inverse(monkeypatch):
-    # d_sq comes from the Dynkin tree, so a cold report at rank 100-128
-    # never reaches the Bareiss inverse that build_polytope makes.
+def test_report_is_linear_and_makes_no_adjugate(monkeypatch):
+    # d_sq comes from the tree minors, so a cold report at rank 100-128
+    # never reaches the adjugate that build_polytope makes, and its
+    # continuants run over at most 3 rank nodes in all (prefix, suffix and,
+    # for d, the bare chain): the cost is linear in the rank.
     import symspace.geometry as geometry
-    import symspace.linalg as linalg
     import symspace.polytope as polytope
 
-    def no_inverse(*_args):
-        raise AssertionError("int_inverse on the report path")
+    def no_adjugate(*_args):
+        raise AssertionError("tree_adjugate on the report path")
 
-    monkeypatch.setattr(linalg, "int_inverse", no_inverse)
-    monkeypatch.setattr(polytope, "int_inverse", no_inverse)
+    monkeypatch.setattr(polytope, "tree_adjugate", no_adjugate)
     geometry._d_sq.cache_clear()
     assert report("GROUP:a128").d_sq_sigma == d_sq_closed_form("a", 128)
     assert report("BDI:p=100,q=120").d_sq_sigma == d_sq_closed_form("b", 100)
-    with pytest.raises(AssertionError, match="int_inverse"):
+    with pytest.raises(AssertionError, match="tree_adjugate"):
         build_polytope(build("a3"))           # the patch is in force
+
+    nodes = []
+    continuants = polytope._continuants
+    monkeypatch.setattr(polytope, "_continuants",
+                        lambda a, b: nodes.append(len(a)) or continuants(a, b))
+    for rank in (32, 64, 128):
+        for label in (f"GROUP:a{rank}", f"GROUP:d{rank}", f"BDI:p={rank},q={rank + 20}",
+                      f"CII:p={rank},q={rank + 3}"):
+            geometry._d_sq.cache_clear()
+            nodes.clear()
+            report(label)
+            assert 0 < sum(nodes) <= 3 * rank, (label, nodes)
 
 
 def test_report_canonical_grassmannian():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.linalg import (DimensionMismatch, NegativeFactor, PiSqrtValue,
-                             SingularMatrix, clear_denominators,
-                             format_rational, int_inverse)
+                             clear_denominators, format_rational)
 from symspace.roots import MAX_RANK, RootKind, build
 
-from reference import (cleared, gauss_jordan_inverse, gram, identity, inverse,
-                       matrix, mul_mat, mul_vec, three_pass_clear_denominators)
+from reference import (SingularMatrix, cleared, gauss_jordan_inverse, gram,
+                       identity, int_inverse, inverse, matrix, mul_mat, mul_vec,
+                       three_pass_clear_denominators)
 
 
 _BIG = 10 ** 4299 + 7                  # 4,300 digits, the int-to-str limit

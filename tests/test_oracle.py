@@ -11,10 +11,10 @@ from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
                              closure_count_oracle,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
-from symspace.polytope import build_polytope
+from symspace.polytope import build_polytope, tree_adjugate
 from symspace.roots import RootKind, build, parse_kind
 
-from reference import cleared, gram, identity
+from reference import cleared, gram, int_inverse
 
 # The 39 kinds of standard_suite at its default max_rank.
 SUITE_KINDS = ([RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3),
@@ -166,16 +166,40 @@ def test_row_sums_refuse_recursive_widths():
         _row_sums(np.ones((2, 129)))
 
 
+def _bareiss(rows):
+    """(delta, y) from the reference Bareiss inverse of integer rows."""
+    y, delta = int_inverse(rows)
+    return delta, y
+
+
 def test_inverse_oracle_cases():
-    assert inverse_oracle(*cleared(identity(5)), "identity5").error == 0
-    assert inverse_oracle(*build("e8").int_gram, "e8").passed
+    ident = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert inverse_oracle(ident, 1, (1, ident), "identity5").error == 0
+    assert inverse_oracle(ident, 1, _bareiss(ident), "identity5").error == 0
+    m, g = build("e8").int_gram
+    rep = inverse_oracle(m, g, tree_adjugate(m), "e8")
+    assert rep.passed
+    assert inverse_oracle(m, g, _bareiss(m), "e8") == rep
     hilbert = [[F(1, i + j + 1) for j in range(3)] for i in range(3)]
-    assert inverse_oracle(*cleared(hilbert), "hilbert3").passed
+    rows, den = cleared(hilbert)
+    assert den == 60
+    classical = (60, [[9, -36, 30], [-36, 192, -180], [30, -180, 180]])
+    rep = inverse_oracle(rows, den, classical, "hilbert3")
+    assert rep.passed
+    assert inverse_oracle(rows, den, _bareiss(rows), "hilbert3") == rep
+
+
+def test_inverse_oracle_fails_a_wrong_adjugate():
+    m, g = build("d5").int_gram
+    det, adj = tree_adjugate(m)
+    adj[4][2] += 1
+    assert not inverse_oracle(m, g, (det, adj), "d5").passed
 
 
 def test_inverse_oracle_ill_conditioned_skip():
     hilbert12 = [[F(1, i + j + 1) for j in range(12)] for i in range(12)]
-    rep = inverse_oracle(*cleared(hilbert12), "hilbert12")
+    rows, den = cleared(hilbert12)
+    rep = inverse_oracle(rows, den, _bareiss(rows), "hilbert12")
     assert rep.passed and "skipped" in rep.note
 
 

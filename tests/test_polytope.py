@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.closedform import d_sq_closed_form
-from symspace.linalg import DimensionMismatch, int_inverse
+from symspace.linalg import DimensionMismatch
 from symspace.polytope import (SliceClass, build_polytope, classify_point,
                                dominant_representative, farthest_vertex,
-                               reflect_simple, to_json_dict, tree_minors)
+                               reflect_simple, to_json_dict, tree_adjugate,
+                               tree_minors)
 from symspace.roots import RootKind, build
 
-from reference import bareiss_vertex_norms, dot_gram, gram, mul_vec
-from test_roots import ALL_KINDS
+from reference import dot_gram, gram, int_inverse, mul_vec
+from test_roots import ALL_KINDS, GRAM_KINDS
 
 
 def _poly(kind):
@@ -51,8 +52,15 @@ TREE_KINDS = ([RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3),
 
 @pytest.mark.parametrize("kind", TREE_KINDS, ids=str)
 def test_tree_norms_match_bareiss(kind):
+    # adj/det from the tree equals y/delta from one reference Bareiss
+    # inverse entrywise; the norms are its diagonal over d_j^2.
     rs = build(kind)
-    norms = bareiss_vertex_norms(rs)
+    m, g = rs.int_gram
+    y, delta = int_inverse(m)
+    det, adj = tree_adjugate(m)
+    assert all(u * det == v * delta for yr, ar in zip(y, adj) for u, v in zip(yr, ar))
+    d = rs.highest_root
+    norms = tuple(F(g * y[j][j], delta * d[j] * d[j]) for j in range(rs.rank))
     d_sq = max(norms)
     assert farthest_vertex(rs) == (d_sq, norms.index(d_sq))
     p = build_polytope(rs)
@@ -60,7 +68,21 @@ def test_tree_norms_match_bareiss(kind):
     assert (p.d_sq, p.argmax_vertex) == (d_sq, norms.index(d_sq))
 
 
-def _tree_matrix(rng, l, fork):
+@pytest.mark.parametrize("family", sorted(GRAM_KINDS))
+def test_tree_adjugate_times_gram(family):
+    # M adj M == det M * I on every kind up to rank 128, in integers, with
+    # each row of M read as its few nonzero entries.
+    for kind in GRAM_KINDS[family]:
+        m, _ = build(kind).int_gram
+        det, adj = tree_adjugate(m)
+        l = len(m)
+        for i, row in enumerate(m):
+            terms = [(x, adj[k]) for k, x in enumerate(row) if x]
+            prod = [sum(x * r[j] for x, r in terms) for j in range(l)]
+            assert prod == [det if j == i else 0 for j in range(l)], kind
+
+
+def _tree_matrix(rng, l, fork, symmetric=False):
     """A random integer matrix on a chain of l nodes, or on a chain of l - 1
     and a leaf l - 1 on chain node ``fork``, with a dominant diagonal, so
     that Bareiss needs no row swap and its last pivot is det M."""
@@ -69,7 +91,7 @@ def _tree_matrix(rng, l, fork):
     edges.append((l - 2, l - 1) if fork is None else (fork, l - 1))
     for i, j in edges:
         m[i][j] = rng.choice([-3, -2, -1, 1, 2])
-        m[j][i] = rng.choice([-3, -2, -1, 1, 2])
+        m[j][i] = m[i][j] if symmetric else rng.choice([-3, -2, -1, 1, 2])
     for k in range(l):
         m[k][k] = rng.randint(10, 30)     # > 9, the largest off-diagonal row sum
     return m
@@ -86,6 +108,31 @@ def test_tree_minors_random_matrices(l):
             m = _tree_matrix(rng, l, fork)
             y, delta = int_inverse(m)
             assert tree_minors(m) == (delta, [y[j][j] for j in range(l)])
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_tree_adjugate_random_symmetric(l):
+    """The whole adjugate, on chains and on every fork position, with
+    couplings of either sign: Bareiss makes no row swap, so its (y, delta)
+    is (adj M, det M) exactly."""
+    rng = random.Random(100 + l)
+    for fork in [None, *range(l - 2)]:
+        for _ in range(5):
+            m = _tree_matrix(rng, l, fork, symmetric=True)
+            y, delta = int_inverse(m)
+            assert tree_adjugate(m) == (delta, y)
+
+
+def test_build_polytope_makes_one_tree_solve(monkeypatch):
+    import symspace.polytope as polytope
+    calls = []
+    solve = polytope.tree_adjugate
+    monkeypatch.setattr(polytope, "tree_adjugate", lambda m: calls.append(m) or solve(m))
+    monkeypatch.setattr(polytope, "tree_minors", None)
+    for kind in ("a1", "g2", "d4", "e8", "bc5"):
+        calls.clear()
+        p = build_polytope(build(kind))
+        assert calls == [p.system.int_gram[0]]
 
 
 # Past the hand-picked kinds: every classical family at ranks 13, 24 and 40.

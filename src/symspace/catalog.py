@@ -21,7 +21,7 @@ alias table; `ambient`/`restricted` always hold a buildable kind while
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
@@ -38,6 +38,43 @@ class InvalidParams(ValueError):
 
 class MissingSatakeData(LookupError):
     """Raised when a cross-check needs black-node data that is not embedded."""
+
+
+class NodeSet:
+    """A set of 1-based simple-root indices held as disjoint ranges (at most
+    two here), so it costs the same however many nodes it holds."""
+
+    __slots__ = ("ranges",)
+
+    def __init__(self, *ranges: range):
+        self.ranges = tuple(r for r in ranges if r)
+
+    def __iter__(self):
+        return chain.from_iterable(self.ranges)
+
+    def __contains__(self, node) -> bool:
+        return any(node in r for r in self.ranges)
+
+    def __bool__(self) -> bool:
+        return bool(self.ranges)
+
+    @property
+    def size(self) -> int:
+        """The number of nodes, which ``len`` could not return past sys.maxsize."""
+        return sum((r.stop - r.start + r.step - 1) // r.step for r in self.ranges)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NodeSet) and self.ranges == other.ranges
+
+    def __hash__(self) -> int:
+        return hash(self.ranges)
+
+    def __repr__(self) -> str:
+        return f"NodeSet{self.ranges}"
+
+
+# The most black nodes a JSON entry lists; one node is a line of output.
+MAX_LISTED_NODES = 10 ** 6
 
 
 class SpaceLabel(NamedTuple):
@@ -67,7 +104,7 @@ class SpaceEntry(NamedTuple):
     restricted_name: str          # nominal restricted label
     restriction_factor: Fraction
     psi_sq_killing: Fraction      # squared Killing length of the highest restricted root
-    satake_black_nodes: frozenset[int] | None   # 1-based simple-root indices
+    satake_black_nodes: NodeSet | None
     canonical_epsilon: Fraction | None = None
 
 
@@ -107,19 +144,19 @@ _PARAMS = {"AI": ("n",), "AII": ("n",), "AIII": ("p", "q"), "CI": ("n",),
            "CII": ("p", "q"), "BDI": ("p", "q"), "DIII": ("n",)}
 
 # Fixed rows: ambient, restricted, factor, Satake black nodes, manifold name.
-_EXCEPTIONAL_ROWS: dict[str, tuple[str, str, Fraction, frozenset[int] | None, str]] = {
-    "EI":    ("e6", "e6", ONE, frozenset(), "(e6, sp(4))"),
-    "EII":   ("e6", "f4", ONE, frozenset(), "(e6, su(6)+su(2))"),
-    "EIII":  ("e6", "bc2", ONE, frozenset({2, 3, 4}), "(e6, so(10)+R)"),
-    "EIV":   ("e6", "a2", HALF, frozenset({2, 3, 4, 6}), "(e6, f4)"),
-    "EV":    ("e7", "e7", ONE, frozenset(), "(e7, su(8))"),
-    "EVI":   ("e7", "f4", ONE, frozenset({1, 3, 7}), "(e7, so(12)+su(2))"),
-    "EVII":  ("e7", "c3", ONE, frozenset({3, 4, 5, 7}), "(e7, e6+R)"),
-    "EVIII": ("e8", "e8", ONE, frozenset(), "(e8, so(16))"),
-    "EIX":   ("e8", "f4", ONE, frozenset({4, 5, 6, 8}), "(e8, e7+su(2))"),
-    "FI":    ("f4", "f4", ONE, frozenset(), "(f4, sp(3)+su(2))"),
-    "FII":   ("f4", "bc1", HALF, frozenset({1, 2, 3}), "(f4, so(9))"),
-    "G":     ("g2", "g2", ONE, frozenset(), "(g2, su(2)+su(2))"),
+_EXCEPTIONAL_ROWS: dict[str, tuple[str, str, Fraction, NodeSet, str]] = {
+    "EI":    ("e6", "e6", ONE, NodeSet(), "(e6, sp(4))"),
+    "EII":   ("e6", "f4", ONE, NodeSet(), "(e6, su(6)+su(2))"),
+    "EIII":  ("e6", "bc2", ONE, NodeSet(range(2, 5)), "(e6, so(10)+R)"),
+    "EIV":   ("e6", "a2", HALF, NodeSet(range(2, 5), range(6, 7)), "(e6, f4)"),
+    "EV":    ("e7", "e7", ONE, NodeSet(), "(e7, su(8))"),
+    "EVI":   ("e7", "f4", ONE, NodeSet(range(1, 4, 2), range(7, 8)), "(e7, so(12)+su(2))"),
+    "EVII":  ("e7", "c3", ONE, NodeSet(range(3, 6), range(7, 8)), "(e7, e6+R)"),
+    "EVIII": ("e8", "e8", ONE, NodeSet(), "(e8, so(16))"),
+    "EIX":   ("e8", "f4", ONE, NodeSet(range(4, 7), range(8, 9)), "(e8, e7+su(2))"),
+    "FI":    ("f4", "f4", ONE, NodeSet(), "(f4, sp(3)+su(2))"),
+    "FII":   ("f4", "bc1", HALF, NodeSet(range(1, 4)), "(f4, so(9))"),
+    "G":     ("g2", "g2", ONE, NodeSet(), "(g2, su(2)+su(2))"),
 }
 
 SERIES = (*_PARAMS, *_EXCEPTIONAL_ROWS, "GROUP")
@@ -184,21 +221,21 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         if n < 2:
             raise InvalidParams("AI requires n >= 2")
         return _entry(label, f"SU({n})/SO({n})", "I", f"a{n - 1}",
-                      _restricted("a", n - 1), ONE, frozenset())
+                      _restricted("a", n - 1), ONE, NodeSet())
 
     if s == "AII":
         n = _need(label.n, "n", "AII")
         if n < 2:
             raise InvalidParams("AII requires n >= 2")
         restr = _restricted("a", n - 1)
-        satake = frozenset(range(1, 2 * n, 2))
+        satake = NodeSet(range(1, 2 * n, 2))
         return _entry(label, f"SU({2 * n})/Sp({n})", "I", f"a{2 * n - 1}",
                       restr, HALF, satake)
 
     if s == "AIII":
         p, q = _need_pq(label, "AIII")
         restr = _restricted("bc" if p == 1 or p < q else "c", p)
-        satake = frozenset(range(p + 1, q))
+        satake = NodeSet(range(p + 1, q))
         return _entry(label, f"G_{{{p},{q}}}(C)", "I", f"a{p + q - 1}", restr,
                       ONE, satake)
 
@@ -207,14 +244,14 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         if n < 1:
             raise InvalidParams("CI requires n >= 1")
         return _entry(label, f"Sp({n})/U({n})", "I", f"c{n}", _restricted("c", n),
-                      ONE, frozenset())
+                      ONE, NodeSet())
 
     if s == "CII":
         p, q = _need_pq(label, "CII")
         restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = None
         if p + q >= 3:
-            satake = frozenset(range(1, 2 * p, 2)) | frozenset(range(2 * p + 1, p + q + 1))
+            satake = NodeSet(range(1, 2 * p, 2), range(2 * p + 1, p + q + 1))
         return _entry(label, f"G_{{{p},{q}}}(H)", "I", f"c{p + q}", restr,
                       HALF, satake)
 
@@ -226,7 +263,7 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         if n < 4:
             raise InvalidParams("DIII requires n >= 4")
         restr = _restricted("bc" if n % 2 else "c", n // 2)
-        satake = frozenset(range(1, n, 2))      # the odd nodes below n
+        satake = NodeSet(range(1, n, 2))        # the odd nodes below n
         return _entry(label, f"SO({2 * n})/U({n})", "I", f"d{n}", restr,
                       ONE, satake)
 
@@ -264,12 +301,12 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
     if total % 2 == 1:
         m = (total - 1) // 2
         ambient_name = f"b{m}"
-        black = frozenset(range(p + 1, m + 1)) if p < m else frozenset()
+        black = NodeSet(range(p + 1, m + 1))
         aliased = m < 2
     else:
         m = total // 2
         ambient_name = f"d{m}"
-        black = frozenset(range(p + 1, m + 1)) if p <= m - 2 else frozenset()
+        black = NodeSet(range(p + 1, m + 1)) if p <= m - 2 else NodeSet()
         aliased = m < 4
     if ambient_name == "d2" or (black and aliased):
         black = None                  # no data for so(4) or aliased black nodes
@@ -286,9 +323,10 @@ def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
     """
     if entry.satake_black_nodes is None:
         raise MissingSatakeData(f"no black-node data for {entry.label}")
-    rs = build(entry.ambient)
-    perp = {i + 1 for i in perp_simple_indices(rs)}
-    return (entry.satake_black_nodes <= perp) == (entry.restriction_factor == 1)
+    black = entry.satake_black_nodes
+    perp = perp_simple_indices(build(entry.ambient))
+    all_perp = sum(i + 1 in black for i in perp) == black.size
+    return all_perp == (entry.restriction_factor == 1)
 
 
 def check_param_bound(param_bound: int) -> None:
@@ -326,6 +364,11 @@ def _table_41_rows(param_bound: int) -> Iterator[SpaceEntry]:
 
 
 def to_json_dict(entry: SpaceEntry) -> dict:
+    """The entry as JSON values; InvalidParams past MAX_LISTED_NODES black nodes."""
+    black = entry.satake_black_nodes
+    if black is not None and black.size > MAX_LISTED_NODES:
+        raise InvalidParams(f"{entry.label}: {black.size} Satake black nodes exceed "
+                            f"the JSON limit of {MAX_LISTED_NODES}")
     return {
         "label": str(entry.label),
         "name": entry.name,
@@ -336,8 +379,7 @@ def to_json_dict(entry: SpaceEntry) -> dict:
         "restricted_built": str(entry.restricted),
         "restriction_factor": format_rational(entry.restriction_factor),
         "psi_sq_killing": format_rational(entry.psi_sq_killing),
-        "satake_black_nodes": (sorted(entry.satake_black_nodes)
-                               if entry.satake_black_nodes is not None else None),
+        "satake_black_nodes": sorted(black) if black is not None else None,
         "canonical_epsilon": (format_rational(entry.canonical_epsilon)
                               if entry.canonical_epsilon is not None else None),
     }

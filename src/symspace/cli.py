@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import catalog, geometry, killing, polytope, roots
 from .linalg import DimensionMismatch, format_rational
@@ -49,19 +50,21 @@ def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
     return value
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
+    """Print the rows as a table, one line at a time."""
     if fmt == "tsv":
-        return "\n".join(["\t".join(header)] + ["\t".join(r) for r in rows])
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(" --- " for _ in header) + "|"]
-        lines += ["| " + " | ".join(r) + " |" for r in rows]
-        return "\n".join(lines)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
-    return "\n".join(lines)
+        lines = ("\t".join(r) for r in chain([header], rows))
+    elif fmt == "markdown":
+        lines = chain(["| " + " | ".join(header) + " |",
+                       "|" + "|".join(" --- " for _ in header) + "|"],
+                      ("| " + " | ".join(r) + " |" for r in rows))
+    else:
+        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(header)]
+        lines = ("  ".join(c.ljust(w) for c, w in zip(r, widths))
+                 for r in chain([header], rows))
+    for line in lines:
+        print(line)
 
 
 def cmd_rootsystem(args) -> int:
@@ -91,7 +94,7 @@ def cmd_rootsystem(args) -> int:
     if kind.is_reduced:
         rows.append(["killing delta_sq", format_rational(kd.delta_sq)])
         rows.append(["perp subsystem", " ".join(str(k) for k in kd.perp_subsystem) or "-"])
-    print(_emit_rows(["field", "value"], rows, args.format))
+    _emit_rows(["field", "value"], rows, args.format)
     return 0
 
 
@@ -141,9 +144,11 @@ def _report_rows(rep) -> list[list[str]]:
 def cmd_space(args) -> int:
     rep = geometry.report(args.label, _metric_from_args(args))
     if args.format == "json":
-        print(json.dumps(geometry.report_json_dict(rep), indent=2))
+        # Written as it is encoded: a black-node list can run to a million lines.
+        json.dump(geometry.report_json_dict(rep), sys.stdout, indent=2)
+        print()
         return 0
-    print(_emit_rows(["field", "value"], _report_rows(rep), args.format))
+    _emit_rows(["field", "value"], _report_rows(rep), args.format)
     return 0
 
 
@@ -167,7 +172,7 @@ def cmd_table(args) -> int:
              format_rational(r.psi_sq),
              r.injectivity_radius.exact_str(), r.injectivity_radius.decimal_str(),
              r.diameter.exact_str(), r.diameter.decimal_str()] for r in reps]
-    print(_emit_rows(header, rows, args.format))
+    _emit_rows(header, rows, args.format)
     return 0
 
 
@@ -190,7 +195,7 @@ def cmd_cut(args) -> int:
         print(json.dumps(data, indent=2))
         return 0
     rows = [[k, v if isinstance(v, str) else json.dumps(v)] for k, v in data.items()]
-    print(_emit_rows(["field", "value"], rows, args.format))
+    _emit_rows(["field", "value"], rows, args.format)
     return 0
 
 
@@ -209,7 +214,7 @@ def cmd_product(args) -> int:
     rows = [["factors", " ".join(data["factors"])],
             ["injectivity radius", str(inj)],
             ["diameter", str(diam)]]
-    print(_emit_rows(["field", "value"], rows, args.format))
+    _emit_rows(["field", "value"], rows, args.format)
     return 0
 
 

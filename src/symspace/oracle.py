@@ -21,11 +21,10 @@ boundary decides whether two vectors are duplicates.
 
 The simplex sample depends only on the seed, the sample count and the
 rank, so every kind of one rank gets the same one.  The suite runs the
-kinds grouped by rank and draws each rank's sample once; the cache keeps
-only the latest, and drops it before drawing the next, so one sample is
-alive at a time.  The sample is drawn, normalized and evaluated in blocks
-of rows, and only the weights of e_1..e_l are kept, in one contiguous
-array that the vertex product reads without a copy.  Each block's row
+kinds grouped by rank and draws each rank's sample once, a block of rows
+at a time: each block is normalized and then checked against every kind
+of the rank before the next is drawn, so no array larger than a block is
+alive and memory does not grow with the sample count.  Each block's row
 sums follow numpy's pairwise summation order for rows of up to 128 (8
 lanes), so every float is the one a whole-array ``sum(axis=1)`` gives and
 the pinned ``verify`` TSVs hold.
@@ -33,7 +32,7 @@ the pinned ``verify`` TSVs hold.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -93,68 +92,60 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=1)
-def _dirichlet_weights(seed: int, samples: int, rank: int) -> np.ndarray:
-    """Read-only weights of e_1..e_l, one contiguous row of ``rank`` per
-    sample, from Dirichlet-uniform weights over {0, e_1..e_l}.
+def _weight_blocks(seed: int, samples: int, rank: int):
+    """Dirichlet-uniform weights over {0, e_1..e_l} via normalized
+    exponentials, a block of rows at a time: yields each block's weights of
+    e_1..e_l, one contiguous row of ``rank`` per sample.
 
-    The draw depends only on (seed, samples, rank), so the kinds of one
-    rank share it; the suite evaluates them together to draw it once.  The
-    exponentials are drawn a block of rows at a time, which continues the
-    generator's stream exactly as one (samples, rank + 1) draw would.
+    The blocks continue the generator's stream exactly as one
+    (samples, rank + 1) draw would, so the weights are those of one draw.
     """
-    _dirichlet_weights.cache_clear()     # drop the previous sample first
     rng = np.random.default_rng(seed & (2 ** 64 - 1))   # accept signed seeds
-    w = np.empty((samples, rank))
     for i in range(0, samples, _BLOCK_ROWS):
         e = rng.exponential(1.0, size=(min(_BLOCK_ROWS, samples - i), rank + 1))
-        np.divide(e[:, 1:], _row_sums(e)[:, None], out=w[i:i + len(e)])
-    w.flags.writeable = False
-    return w
+        yield e[:, 1:] / _row_sums(e)[:, None]
 
 
-@lru_cache(maxsize=1)
-def _product_buffers(samples: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (samples, rank) arrays that every kind of one rank overwrites
-    with its sample points and their Gram products."""
-    _product_buffers.cache_clear()       # drop the previous rank's first
-    return np.empty((samples, rank)), np.empty((samples, rank))
+def simplex_max_oracle(polytopes: list[CartanPolytope], samples: int,
+                       seed: int) -> list[OracleReport]:
+    """Random convex combinations of each polytope's vertices never beat d_sq.
 
-
-def simplex_max_oracle(p: CartanPolytope, samples: int, seed: int) -> OracleReport:
-    """Random convex combinations of the polytope vertices never beat d_sq.
-
-    Draws Dirichlet-uniform weights over {0, e_1..e_l} via normalized
-    exponentials and checks that no sampled squared norm exceeds the exact
-    maximum (tolerance 1e-9) and that the best vertex reproduces it to 1e-10.
+    The polytopes share one rank and so one sample, which is drawn once,
+    a block of rows at a time, and checked against every polytope before
+    the next block is drawn.  A report passes when no sampled squared norm
+    exceeds the exact maximum (tolerance 1e-9) and the best vertex
+    reproduces it to 1e-10.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    rank = p.system.rank
-    m, g = p.system.int_gram
-    verts = np.array([[float(c) for c in v] for v in p.vertices])
-    gram = np.array([[x / g for x in row] for row in m])
-    pts, q = _product_buffers(samples, rank)
-    np.matmul(_dirichlet_weights(seed, samples, rank), verts, out=pts)
-    np.matmul(pts, gram, out=q)
-    sampled_max = -np.inf
-    for i in range(0, samples, _BLOCK_ROWS):
-        block = q[i:i + _BLOCK_ROWS]
-        block *= pts[i:i + _BLOCK_ROWS]
-        sampled_max = np.maximum(sampled_max, _row_sums(block).max())
-    sampled_max = float(sampled_max)
-    vertex_norms = ((verts @ gram) * verts).sum(axis=1)
-    vertex_max = float(vertex_norms.max())
-    exact = float(p.d_sq)
-    passed = sampled_max <= exact + 1e-9 and abs(vertex_max - exact) <= 1e-10
-    return OracleReport(
-        name=f"simplex-max {p.system.kind}",
-        exact=format_rational(p.d_sq),
-        numeric=sampled_max,
-        error=abs(vertex_max - exact),
-        passed=passed,
-        note=f"samples={samples} seed={seed} rng={RNG_ALGORITHM}",
-    )
+    rank = polytopes[0].system.rank
+    if any(p.system.rank != rank for p in polytopes):
+        raise ValueError("the polytopes of one simplex check share one rank")
+    forms = []
+    for p in polytopes:
+        m, g = p.system.int_gram
+        forms.append((np.array([[float(c) for c in v] for v in p.vertices]),
+                      np.array([[x / g for x in row] for row in m])))
+    sampled = np.full(len(forms), -np.inf)
+    for w in _weight_blocks(seed, samples, rank):
+        for k, (verts, gram) in enumerate(forms):
+            pts = w @ verts
+            q = pts @ gram
+            q *= pts
+            sampled[k] = np.maximum(sampled[k], _row_sums(q).max())
+    reports = []
+    for p, (verts, gram), sampled_max in zip(polytopes, forms, sampled.tolist()):
+        vertex_max = float(((verts @ gram) * verts).sum(axis=1).max())
+        exact = float(p.d_sq)
+        reports.append(OracleReport(
+            name=f"simplex-max {p.system.kind}",
+            exact=format_rational(p.d_sq),
+            numeric=sampled_max,
+            error=abs(vertex_max - exact),
+            passed=sampled_max <= exact + 1e-9 and abs(vertex_max - exact) <= 1e-10,
+            note=f"samples={samples} seed={seed} rng={RNG_ALGORITHM}",
+        ))
+    return reports
 
 
 def inverse_oracle(rows, den: int, exact, name: str = "") -> OracleReport:
@@ -336,12 +327,16 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
                   RootKind("f", 4), RootKind("g", 2)])
 
     reports: list[OracleReport] = []
-    for k in sorted(kinds, key=lambda kind: kind.rank):   # one draw per rank
-        rs = build(k)
-        reports.append(closure_count_oracle(k))
-        m, g = rs.int_gram
-        reports.append(inverse_oracle(m, g, tree_adjugate(m), name=f"gram {k}"))
-        reports.append(simplex_max_oracle(build_polytope(rs), samples, seed))
+    for _, group in groupby(sorted(kinds, key=lambda kind: kind.rank),
+                            key=lambda kind: kind.rank):
+        polytopes = []
+        for k in group:
+            rs = build(k)
+            reports.append(closure_count_oracle(k))
+            m, g = rs.int_gram
+            reports.append(inverse_oracle(m, g, tree_adjugate(m), name=f"gram {k}"))
+            polytopes.append(build_polytope(rs))
+        reports.extend(simplex_max_oracle(polytopes, samples, seed))   # one draw per rank
     hilbert = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]  # 1/(i+j+1)
     # The classical integer inverse of the Hilbert matrix, 60 * (60 H)^{-1}.
     hilbert_inv = [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from symspace.catalog import (InvalidParams, MissingSatakeData, SpaceLabel,
-                              enumerate_table, parse_label, resolve,
-                              restriction_factor_crosscheck, to_json_dict)
-from symspace.killing import killing_delta_sq
+from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData,
+                              NodeSet, SpaceLabel, enumerate_table, parse_label,
+                              resolve, restriction_factor_crosscheck, to_json_dict)
+from symspace.killing import killing_delta_sq, perp_simple_indices
 from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
 
 
@@ -167,10 +167,10 @@ def test_satake_crosscheck_examples():
     # a5 ambient with odd nodes black: alpha_1 black but not orthogonal to
     # the highest root, so the factor must be 1/2
     e = resolve("AII:n=3")
-    assert e.satake_black_nodes == frozenset({1, 3, 5})
+    assert set(e.satake_black_nodes) == {1, 3, 5}
     assert restriction_factor_crosscheck(e)
     e = resolve("AI:n=5")
-    assert e.satake_black_nodes == frozenset()
+    assert set(e.satake_black_nodes) == set()
     assert restriction_factor_crosscheck(e)
     assert restriction_factor_crosscheck(resolve("EIV"))
 
@@ -183,6 +183,50 @@ def test_satake_crosscheck_sweep():
         assert restriction_factor_crosscheck(entry), str(entry.label)
         past_cap += root_count(entry.ambient) > MAX_ROOTS
     assert past_cap > 0
+
+
+def test_black_nodes_match_set_criterion():
+    # Each black-node set lists its nodes once, in order, with the size its
+    # ranges give; the range cross-check answers as the subset test does.
+    checked = 0
+    for entry in enumerate_table("4.1", 24):
+        black = entry.satake_black_nodes
+        if black is None:
+            continue
+        nodes = list(black)
+        assert nodes == sorted(set(nodes)) and len(nodes) == black.size, str(entry.label)
+        assert all(i in black for i in nodes) and 0 not in black
+        assert len(black.ranges) <= 2 and bool(black) == bool(nodes)
+        if entry.ambient.rank <= MAX_RANK:
+            perp = {i + 1 for i in perp_simple_indices(build(entry.ambient))}
+            want = (set(nodes) <= perp) == (entry.restriction_factor == 1)
+            assert restriction_factor_crosscheck(entry) == want, str(entry.label)
+            checked += 1
+    assert checked > 900
+
+
+BIG = 10 ** 100
+
+
+@pytest.mark.parametrize("label,size,inside,outside", [
+    (SpaceLabel("AIII", p=3, q=BIG), BIG - 4, BIG - 1, BIG),
+    (SpaceLabel("CII", p=3, q=BIG), BIG, 5, 6),
+    (SpaceLabel("BDI", p=2, q=BIG + 1), BIG // 2 - 1, BIG // 2 + 1, 2),
+    (SpaceLabel("AII", n=129), 129, 257, 256),
+], ids=["AIII", "CII", "BDI", "AII"])
+def test_black_nodes_cost_nothing_per_node(label, size, inside, outside):
+    black = resolve(label).satake_black_nodes
+    assert black.size == size
+    assert inside in black and outside not in black
+    assert black == NodeSet(*black.ranges) and hash(black) == hash(NodeSet(*black.ranges))
+
+
+def test_entry_json_black_node_limit():
+    entry = resolve(f"CII:p=1,q={MAX_LISTED_NODES}")
+    nodes = to_json_dict(entry)["satake_black_nodes"]
+    assert nodes == [1, *range(3, MAX_LISTED_NODES + 2)]
+    with pytest.raises(InvalidParams, match="exceed the JSON limit of 1000000"):
+        to_json_dict(resolve(f"CII:p=1,q={MAX_LISTED_NODES + 1}"))
 
 
 @pytest.mark.parametrize("label", ["AIII:p=20,q=30", "CII:p=10,q=20",

@@ -11,7 +11,7 @@ import pytest
 
 import symspace
 from symspace.catalog import parse_label
-from symspace.cli import main
+from symspace.cli import FORMATS, main
 from symspace.closedform import expected
 
 SRC = str(Path(symspace.__file__).resolve().parents[1])
@@ -104,6 +104,24 @@ def test_table_41_small_bound(capsys):
     assert code == 0
     assert "FII" in out and "pi*sqrt(18)" in out
     assert "AIII:p=1,q=2" in out and "bc1" in out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_table_prints_nothing_when_a_later_row_fails(monkeypatch, capsys, fmt):
+    from symspace import geometry
+    real = geometry.report
+    calls = []
+
+    def report(entry, metric):
+        calls.append(entry)
+        if len(calls) == 5:
+            raise geometry.NoCanonicalMetric("no canonical metric preset for row 5")
+        return real(entry, metric)
+
+    monkeypatch.setattr(geometry, "report", report)
+    code, out, err = run(capsys, "table", "4.1", "--max-param", "4", "--format", fmt)
+    assert (code, out, err) == (3, "", "error: no canonical metric preset for row 5\n")
+    assert len(calls) == 5
 
 
 def test_table_json_roundtrip(capsys):
@@ -464,13 +482,22 @@ def test_table_peak_rss_near_one_report():
 
 def test_table_41_peak_rss_holds_row_text_only():
     # enumerate_table yields its entries and cmd_table keeps only the row
-    # strings, so no row's entry or black-node set (up to 128 nodes each,
-    # over 6,000 rows here) lives past its row.  Holding them all costs
-    # about 22 MB more than one report; the row text, about 7 MB.
+    # strings, so no row's entry or report (over 6,000 rows here) lives
+    # past its row.  The row strings take about 5 MB.
     base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
     code, err, rss = peak_rss_kb("table", "4.1", "--max-param", "64")
     assert (base_code, code, err) == (0, 0, "")
     assert rss <= base_rss + 12 * 1024, (rss, base_rss)
+
+
+def test_table_41_tsv_peak_rss_holds_rows_only():
+    # The lines are printed one at a time once every row has succeeded, so
+    # neither the lines nor their joined text (2.4 MB here) is held beside
+    # the rows' cells, about 16 MB over one report (22 MB with both held).
+    base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
+    code, err, rss = peak_rss_kb("table", "4.1", "--max-param", "128", "--format", "tsv")
+    assert (base_code, code, err) == (0, 0, "")
+    assert rss <= base_rss + 19 * 1024, (rss, base_rss)
 
 
 def test_table_json_peak_rss_near_tsv():
@@ -481,6 +508,36 @@ def test_table_json_peak_rss_near_tsv():
     code, err, rss = peak_rss_kb(*argv, "json")
     assert (tsv_code, code, err) == (0, 0, "")
     assert rss <= tsv_rss + 4 * 1024, (rss, tsv_rss)
+
+
+def test_black_node_labels_peak_rss_near_one_report():
+    # Black-node sets are held as ranges, so a label's parameters cost no
+    # memory (as frozensets, q = 10**6 took 67 MB more for AIII, 95 MB
+    # for CII and 150 MB for AIII in JSON; q = 10**8 exhausted memory).
+    # JSON lists the nodes, streamed, up to a limit, and refuses past it.
+    base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
+    assert base_code == 0
+    for label in ("AIII:p=1,q=1000000", "CII:p=1,q=1000000", "BDI:p=2,q=100000000"):
+        code, err, rss = peak_rss_kb("space", label)
+        assert (code, err) == (0, ""), label
+        assert rss <= base_rss + 4096, (label, rss, base_rss)
+    code, err, rss = peak_rss_kb("space", "AIII:p=1,q=1000000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert rss <= base_rss + 48 * 1024, (rss, base_rss)
+    code, err, rss = peak_rss_kb("space", "AIII:p=1,q=100000000", "--format", "json")
+    assert (code, err) == (2, "error: AIII:p=1,q=100000000: 99999998 Satake black "
+                              "nodes exceed the JSON limit of 1000000\n")
+    assert rss <= base_rss + 4096, (rss, base_rss)
+
+
+def test_verify_peak_rss_flat_in_samples():
+    # The simplex sample is drawn and checked a block of rows at a time, so
+    # a thousandfold sample costs time, not memory (one whole draw and its
+    # products at 10**6 samples took about 180 MB more).
+    base_code, _, base_rss = peak_rss_kb("verify", "--samples", "1000")
+    code, err, rss = peak_rss_kb("verify", "--samples", "1000000")
+    assert (base_code, code, err) == (0, 0, "")
+    assert rss <= base_rss + 8 * 1024, (rss, base_rss)
 
 
 @pytest.mark.parametrize("label,kind", [

@@ -9,7 +9,8 @@ The two inputs whose work grows with a flag's value are drawn from ranges
 that finish inside the time bound: ``--max-param`` of ``table``/``verify``
 (a whole ``table 4.2 --max-param 128`` takes seconds; the report at every
 rank up to MAX_RANK is covered by ``test_scaling``) and ``--samples`` of
-``verify``.  Values past each limit are drawn too.
+``verify``.  Values past each limit are drawn too.  A label's parameters
+no longer grow any work, so ``q`` is drawn up to Python's digit limit.
 """
 
 import io
@@ -51,9 +52,16 @@ param = st.builds(lambda k, sp, v: f"{k}{sp}={v}",
                   st.sampled_from(["", " "]), int_text)
 series = st.one_of(st.sampled_from(SERIES), st.sampled_from(SERIES).map(str.lower),
                    st.text(max_size=6))
+# Well-formed two-key labels with q up to the int-to-str digit limit: a
+# black-node set costs nothing however large q is, and JSON, which lists
+# it, refuses past its node limit (q >= 10**7 is past it in every series).
+big_pq = st.builds(lambda s, p, q: f"{s}:p={p},q={q}",
+                   st.sampled_from(["AIII", "CII", "BDI"]), st.integers(1, 140),
+                   st.one_of(st.integers(1, 10 ** 4), st.integers(10 ** 7, 10 ** 4299)))
 label = st.one_of(
     st.builds(lambda s, ps: s + (":" + ",".join(ps) if ps else ""),
               series, st.lists(param, max_size=4)),
+    big_pq,
     st.builds(lambda s, k: f"{s}:{k}", st.sampled_from(["GROUP", "group"]), kind_text),
     st.text(max_size=20),
 )

@@ -1,5 +1,5 @@
 import math
-import weakref
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 
 from symspace.linalg import format_rational
 from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
-                             _dirichlet_weights, _float_closure, _row_sums,
+                             _float_closure, _row_sums, _weight_blocks,
                              closure_count_oracle,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
@@ -59,26 +59,52 @@ def assert_same_vectors(got, want):
 
 
 def test_simplex_max_a1():
-    rep = simplex_max_oracle(build_polytope(build("a1")), 2000, seed=1)
+    [rep] = simplex_max_oracle([build_polytope(build("a1"))], 2000, seed=1)
     assert rep.passed
     assert rep.numeric <= 1 + 1e-9
 
 
 def test_simplex_max_c4_vertex():
-    rep = simplex_max_oracle(build_polytope(build("c4")), 5000, seed=3)
+    [rep] = simplex_max_oracle([build_polytope(build("c4"))], 5000, seed=3)
     assert rep.passed
     assert rep.error <= 1e-10          # best vertex vs exact 4
 
 
 def test_simplex_max_e6():
-    rep = simplex_max_oracle(build_polytope(build("e6")), 5000, seed=5)
+    [rep] = simplex_max_oracle([build_polytope(build("e6"))], 5000, seed=5)
     assert rep.passed
     assert rep.exact == "8/3"
 
 
 def test_simplex_sample_floor():
     with pytest.raises(ValueError):
-        simplex_max_oracle(build_polytope(build("a2")), 10, seed=0)
+        simplex_max_oracle([build_polytope(build("a2"))], 10, seed=0)
+
+
+def test_simplex_max_one_draw_for_one_rank():
+    """Checking the kinds of one rank against one draw gives each kind the
+    report of its own call."""
+    polytopes = [build_polytope(build(k)) for k in ("a4", "b4", "c4", "d4", "bc4", "f4")]
+    samples = 3 * _BLOCK_ROWS + 5
+    alone = [rep for p in polytopes for rep in simplex_max_oracle([p], samples, 8)]
+    assert simplex_max_oracle(polytopes, samples, 8) == alone
+    with pytest.raises(ValueError, match="one rank"):
+        simplex_max_oracle([build_polytope(build("a3")), polytopes[0]], 1000, 8)
+
+
+def test_simplex_max_memory_flat_in_samples():
+    # Each block of rows is drawn, checked and dropped before the next, so
+    # the peak is a few blocks, about 1.5 MB at rank 8 whatever the sample
+    # count (38 MB for a whole 200,000-sample draw and its two products).
+    polytopes = [build_polytope(build(k)) for k in ("a8", "e8")]
+    simplex_max_oracle(polytopes, 1000, 3)       # numpy.random's first import
+    tracemalloc.start()
+    try:
+        simplex_max_oracle(polytopes, 200_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def fresh_draw_simplex(p, samples, seed):
@@ -117,35 +143,16 @@ def test_suite_simplex_rows_match_fresh_draws(seed, samples):
     assert [r.tsv_row() for r in rows] == [r.tsv_row() for r in want]
 
 
-def test_dirichlet_weights_read_only():
-    w = _dirichlet_weights(5, 1000, 3)
-    assert w.shape == (1000, 3) and not w.flags.writeable
-    assert w.flags.c_contiguous
-    with pytest.raises(ValueError):
-        w[0, 0] = 0.0
-    assert _dirichlet_weights(5, 1000, 3) is w
-
-
 @pytest.mark.parametrize("samples", [1000, 2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 5])
 def test_dirichlet_weights_match_one_draw(samples):
     """The block-wise draw gives the weights of e_1..e_l of one whole draw,
-    bit for bit."""
+    bit for bit, in contiguous blocks of at most _BLOCK_ROWS rows."""
     rng = np.random.default_rng(7)
     e = rng.exponential(1.0, size=(samples, 5))
     e /= e.sum(axis=1, keepdims=True)
-    assert _dirichlet_weights(7, samples, 4).tobytes() == e[:, 1:].tobytes()
-
-
-def test_dirichlet_weights_drop_previous_sample(monkeypatch):
-    previous = weakref.ref(_dirichlet_weights(7, 1000, 4))
-    real = np.random.default_rng
-
-    def rng(seed):
-        assert previous() is None, "the previous sample is alive during the draw"
-        return real(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", rng)
-    _dirichlet_weights(7, 1000, 3)
+    blocks = list(_weight_blocks(7, samples, 4))
+    assert all(len(w) <= _BLOCK_ROWS and w.flags.c_contiguous for w in blocks)
+    assert np.concatenate(blocks).tobytes() == e[:, 1:].tobytes()
 
 
 @pytest.mark.parametrize("width", range(1, 129))

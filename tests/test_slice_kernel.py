@@ -419,8 +419,8 @@ def test_warm_predicates_build_no_fractions(monkeypatch):
 
 
 def test_slice_caches_pin_no_black_node_sets():
-    # Each AIII:p=1,q label resolves to an entry holding a q-element
-    # black-node set (several MB at q ~ 10^5); none may outlive the call.
+    # Each AIII:p=1,q label resolves to its own entry, with its black-node
+    # set; no entry may outlive the call.
     for pred in (cut_classify, is_conjugate, cut_details):
         pred("AIII:p=1,q=3", (F(1, 3),))
     tracemalloc.start()

@@ -12,9 +12,7 @@ from .catalog import (InvalidParams, MissingSatakeData, SpaceEntry, SpaceLabel,
 from .geometry import (CutDetails, EmptyProduct, GeometryReport, MetricSpec,
                        NoCanonicalMetric, cut_classify, cut_details,
                        is_conjugate, kappa_relation_check, product, report)
-from .killing import (KillingData, NonReducedInput, delta_sq_formula,
-                      killing_data, killing_delta_sq, killing_self_consistency,
-                      perp_decomposition, perp_subsystem)
+from .killing import KillingData, NonReducedInput, delta_sq_formula, killing_data
 from .linalg import DimensionMismatch, NegativeFactor, PiSqrtValue, Rational
 from .polytope import (CartanPolytope, SliceClass, build_polytope,
                        classify_point, dominant_representative)
@@ -32,8 +30,7 @@ __all__ = [
     "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
     "delta_sq_formula", "dominant_representative", "enumerate_table",
     "is_conjugate", "kappa_relation_check",
-    "killing_data", "killing_delta_sq", "killing_self_consistency",
-    "parse_kind", "parse_label", "perp_decomposition", "perp_subsystem",
+    "killing_data", "parse_kind", "parse_label",
     "product", "report", "resolve", "restriction_factor_crosscheck",
     "root_count",
 ]

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
 from .roots import (_EXCEPTIONAL_RANKS, _MIN_RANK, MAX_RANK, InvalidRank, RootKind,
-                    build, check_rank, parse_kind, split_kind)
+                    build, check_rank, parse_kind)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -126,7 +126,7 @@ def parse_label(text: str) -> SpaceLabel:
         for item in tail.split(","):
             key, _, value = item.partition("=")
             key = key.strip().lower()
-            if key not in ("n", "p", "q") or not value.strip().lstrip("-").isdigit():
+            if key not in ("n", "p", "q") or not value.strip().removeprefix("-").isdecimal():
                 raise InvalidParams(f"bad parameter {item!r}")
             if key in pairs:
                 raise InvalidParams(f"parameter {key} given twice in {text.strip()!r}")
@@ -143,20 +143,24 @@ def parse_label(text: str) -> SpaceLabel:
 _PARAMS = {"AI": ("n",), "AII": ("n",), "AIII": ("p", "q"), "CI": ("n",),
            "CII": ("p", "q"), "BDI": ("p", "q"), "DIII": ("n",)}
 
+# A nominal root-system label as a (family, rank) pair, e.g. ("c", 2).
+Nominal = tuple[str, int]
+E6, E7, E8, F4, G2 = ("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)
+
 # Fixed rows: ambient, restricted, factor, Satake black nodes, manifold name.
-_EXCEPTIONAL_ROWS: dict[str, tuple[str, str, Fraction, NodeSet, str]] = {
-    "EI":    ("e6", "e6", ONE, NodeSet(), "(e6, sp(4))"),
-    "EII":   ("e6", "f4", ONE, NodeSet(), "(e6, su(6)+su(2))"),
-    "EIII":  ("e6", "bc2", ONE, NodeSet(range(2, 5)), "(e6, so(10)+R)"),
-    "EIV":   ("e6", "a2", HALF, NodeSet(range(2, 5), range(6, 7)), "(e6, f4)"),
-    "EV":    ("e7", "e7", ONE, NodeSet(), "(e7, su(8))"),
-    "EVI":   ("e7", "f4", ONE, NodeSet(range(1, 4, 2), range(7, 8)), "(e7, so(12)+su(2))"),
-    "EVII":  ("e7", "c3", ONE, NodeSet(range(3, 6), range(7, 8)), "(e7, e6+R)"),
-    "EVIII": ("e8", "e8", ONE, NodeSet(), "(e8, so(16))"),
-    "EIX":   ("e8", "f4", ONE, NodeSet(range(4, 7), range(8, 9)), "(e8, e7+su(2))"),
-    "FI":    ("f4", "f4", ONE, NodeSet(), "(f4, sp(3)+su(2))"),
-    "FII":   ("f4", "bc1", HALF, NodeSet(range(1, 4)), "(f4, so(9))"),
-    "G":     ("g2", "g2", ONE, NodeSet(), "(g2, su(2)+su(2))"),
+_EXCEPTIONAL_ROWS: dict[str, tuple[Nominal, Nominal, Fraction, NodeSet, str]] = {
+    "EI":    (E6, E6, ONE, NodeSet(), "(e6, sp(4))"),
+    "EII":   (E6, F4, ONE, NodeSet(), "(e6, su(6)+su(2))"),
+    "EIII":  (E6, ("bc", 2), ONE, NodeSet(range(2, 5)), "(e6, so(10)+R)"),
+    "EIV":   (E6, ("a", 2), HALF, NodeSet(range(2, 5), range(6, 7)), "(e6, f4)"),
+    "EV":    (E7, E7, ONE, NodeSet(), "(e7, su(8))"),
+    "EVI":   (E7, F4, ONE, NodeSet(range(1, 4, 2), range(7, 8)), "(e7, so(12)+su(2))"),
+    "EVII":  (E7, ("c", 3), ONE, NodeSet(range(3, 6), range(7, 8)), "(e7, e6+R)"),
+    "EVIII": (E8, E8, ONE, NodeSet(), "(e8, so(16))"),
+    "EIX":   (E8, F4, ONE, NodeSet(range(4, 7), range(8, 9)), "(e8, e7+su(2))"),
+    "FI":    (F4, F4, ONE, NodeSet(), "(f4, sp(3)+su(2))"),
+    "FII":   (F4, ("bc", 1), HALF, NodeSet(range(1, 4)), "(f4, so(9))"),
+    "G":     (G2, G2, ONE, NodeSet(), "(g2, su(2)+su(2))"),
 }
 
 SERIES = (*_PARAMS, *_EXCEPTIONAL_ROWS, "GROUP")
@@ -166,33 +170,33 @@ _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1}
                 "e": lambda l: f"E{l}", "f": lambda l: "F4", "g": lambda l: "G2"}
 
 
-def _nominal_to_kind(name: str) -> RootKind:
-    """Parse a nominal label like "c2" and collapse rank coincidences."""
-    if name == "d2":
+def _nominal_to_kind(family: str, rank: int) -> RootKind:
+    """The buildable kind of a nominal pair like ("c", 2): collapse rank coincidences."""
+    if (family, rank) == ("d", 2):
         # so(4) splits into two a1 ideals swapped by the involution; the
         # halving factor carries the whole reduction, so the buildable
         # ambient is a single a1 factor, and the black-node criterion
         # (which presumes a simple ambient) does not apply.
         return RootKind("a", 1)
-    return canonical_kind(*split_kind(name))
+    return canonical_kind(family, rank)
 
 
-def _restricted(family: str, rank: int) -> str:
-    """The nominal restricted label; past MAX_RANK, InvalidRank (as ``build``
+def _restricted(family: str, rank: int) -> Nominal:
+    """The nominal restricted pair; past MAX_RANK, InvalidRank (as ``build``
     would raise) before anything as large as the label's parameters is built."""
     if rank > MAX_RANK:
         check_rank(RootKind(family, rank))
-    return f"{family}{rank}"
+    return family, rank
 
 
-def _entry(label, name, space_type, ambient_name, restricted_name, factor,
-           satake, canonical_eps=None) -> SpaceEntry:
-    ambient = _nominal_to_kind(ambient_name)
-    restricted = _nominal_to_kind(restricted_name)
+def _entry(label, name, space_type, ambient_nominal: Nominal,
+           restricted_nominal: Nominal, factor, satake, canonical_eps=None) -> SpaceEntry:
+    ambient = _nominal_to_kind(*ambient_nominal)
     psi = factor * delta_sq_formula(ambient)
     return SpaceEntry(label=label, name=name, space_type=space_type,
-                      ambient=ambient, ambient_name=ambient_name,
-                      restricted=restricted, restricted_name=restricted_name,
+                      ambient=ambient, ambient_name="%s%d" % ambient_nominal,
+                      restricted=_nominal_to_kind(*restricted_nominal),
+                      restricted_name="%s%d" % restricted_nominal,
                       restriction_factor=factor, psi_sq_killing=psi,
                       satake_black_nodes=satake, canonical_epsilon=canonical_eps)
 
@@ -210,7 +214,7 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         if not kind.is_reduced:
             raise InvalidParams("group manifolds have reduced root systems; bc is not valid")
         return _entry(label, _GROUP_NAMES[kind.family](kind.rank), "II",
-                      str(kind), str(kind), HALF, None)
+                      kind, kind, HALF, None)
 
     if s in _EXCEPTIONAL_ROWS:
         amb, restr, factor, satake, name = _EXCEPTIONAL_ROWS[s]
@@ -220,7 +224,7 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         n = _need(label.n, "n", "AI")
         if n < 2:
             raise InvalidParams("AI requires n >= 2")
-        return _entry(label, f"SU({n})/SO({n})", "I", f"a{n - 1}",
+        return _entry(label, f"SU({n})/SO({n})", "I", ("a", n - 1),
                       _restricted("a", n - 1), ONE, NodeSet())
 
     if s == "AII":
@@ -229,21 +233,21 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
             raise InvalidParams("AII requires n >= 2")
         restr = _restricted("a", n - 1)
         satake = NodeSet(range(1, 2 * n, 2))
-        return _entry(label, f"SU({2 * n})/Sp({n})", "I", f"a{2 * n - 1}",
+        return _entry(label, f"SU({2 * n})/Sp({n})", "I", ("a", 2 * n - 1),
                       restr, HALF, satake)
 
     if s == "AIII":
         p, q = _need_pq(label, "AIII")
         restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = NodeSet(range(p + 1, q))
-        return _entry(label, f"G_{{{p},{q}}}(C)", "I", f"a{p + q - 1}", restr,
+        return _entry(label, f"G_{{{p},{q}}}(C)", "I", ("a", p + q - 1), restr,
                       ONE, satake)
 
     if s == "CI":
         n = _need(label.n, "n", "CI")
         if n < 1:
             raise InvalidParams("CI requires n >= 1")
-        return _entry(label, f"Sp({n})/U({n})", "I", f"c{n}", _restricted("c", n),
+        return _entry(label, f"Sp({n})/U({n})", "I", ("c", n), _restricted("c", n),
                       ONE, NodeSet())
 
     if s == "CII":
@@ -252,7 +256,7 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
         satake = None
         if p + q >= 3:
             satake = NodeSet(range(1, 2 * p, 2), range(2 * p + 1, p + q + 1))
-        return _entry(label, f"G_{{{p},{q}}}(H)", "I", f"c{p + q}", restr,
+        return _entry(label, f"G_{{{p},{q}}}(H)", "I", ("c", p + q), restr,
                       HALF, satake)
 
     if s == "BDI":
@@ -264,7 +268,7 @@ def resolve(label: SpaceLabel | str) -> SpaceEntry:
             raise InvalidParams("DIII requires n >= 4")
         restr = _restricted("bc" if n % 2 else "c", n // 2)
         satake = NodeSet(range(1, n, 2))        # the odd nodes below n
-        return _entry(label, f"SO({2 * n})/U({n})", "I", f"d{n}", restr,
+        return _entry(label, f"SO({2 * n})/U({n})", "I", ("d", n), restr,
                       ONE, satake)
 
     raise InvalidParams(f"unknown series {s!r}")  # pragma: no cover
@@ -292,7 +296,7 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
         raise InvalidParams("BDI with p=q requires p >= 4 "
                             "(p=q=2 splits as a product; p=q=3 is AI:n=4)")
     if p == 1:
-        restr = "a1"
+        restr = ("a", 1)
         factor = HALF if q >= 3 else ONE
     else:
         restr = _restricted("b" if p < q else "d", p)
@@ -300,17 +304,17 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
     total = p + q
     if total % 2 == 1:
         m = (total - 1) // 2
-        ambient_name = f"b{m}"
+        ambient = ("b", m)
         black = NodeSet(range(p + 1, m + 1))
         aliased = m < 2
     else:
         m = total // 2
-        ambient_name = f"d{m}"
+        ambient = ("d", m)
         black = NodeSet(range(p + 1, m + 1)) if p <= m - 2 else NodeSet()
         aliased = m < 4
-    if ambient_name == "d2" or (black and aliased):
+    if ambient == ("d", 2) or (black and aliased):
         black = None                  # no data for so(4) or aliased black nodes
-    return _entry(label, f"G_{{{p},{q}}}(R)", "I", ambient_name, restr, factor,
+    return _entry(label, f"G_{{{p},{q}}}(R)", "I", ambient, restr, factor,
                   black, Fraction(1, 2 * (p + q - 2)))
 
 

@@ -4,10 +4,11 @@ The squared Killing length of the highest root delta of an irreducible
 system is 4 / (|roots| - |roots orthogonal to delta| + 6): summing
 (alpha, delta)^2 over all roots reproduces (delta, delta) because the
 Killing form is the trace form of the adjoint action and every root space
-is one-dimensional.  The module computes the orthogonal subsystem and its
-decomposition type by enumeration, exposes the closed-form count path for
-use at ranks where enumeration is unnecessary, and provides the trace-sum
-self-consistency check.
+is one-dimensional.  Both counts come from closed formulas: the classical
+root count of each family and the type of the subsystem orthogonal to
+delta (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX), so
+nothing here enumerates roots and every rank is answered alike.  The
+simple roots orthogonal to delta are read off the integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -49,81 +50,10 @@ def _delta_pairings(rs: RootSystem) -> list[int]:
     return [sum(map(mul, row, rs.highest_root)) for row in m]
 
 
-def perp_subsystem(rs: RootSystem) -> frozenset[tuple[int, ...]]:
-    """All roots with exact inner product 0 against the highest root."""
-    w = _delta_pairings(rs)
-    return frozenset(r for r in rs.roots if sum(map(mul, r, w)) == 0)
-
-
 def perp_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     """0-based indices i with (a_i, delta) = 0 (equivalently, delta - a_i
     is not a root); needs no root list, so it holds at any rank."""
     return tuple(i for i, w in enumerate(_delta_pairings(rs)) if w == 0)
-
-
-def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
-    """Decomposition type of the orthogonal subsystem, canonicalized and sorted.
-
-    Components of the induced simple-root graph are identified by rank,
-    root count, and the long/short split of their simple roots.
-    """
-    if not rs.kind.is_reduced:
-        raise NonReducedInput("orthogonal-subsystem typing needs a reduced system")
-    return _decompose(rs, perp_subsystem(rs))
-
-
-def _decompose(rs: RootSystem, perp: frozenset) -> tuple[RootKind, ...]:
-    comps = _graph_components(rs, perp_simple_indices(rs))
-    kinds = [_identify_component(rs, comp, perp) for comp in comps]
-    return tuple(sorted(kinds, key=lambda k: (k.family, k.rank)))
-
-
-def _graph_components(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    m, _ = rs.int_gram
-    nodes = list(nodes)
-    seen: set[int] = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in nodes:
-                if j not in seen and m[i][j] != 0:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _identify_component(rs: RootSystem, comp: tuple[int, ...],
-                        perp: frozenset) -> RootKind:
-    rank = len(comp)
-    support = set(comp)
-    count = sum(1 for r in perp
-                if all(c == 0 or i in support for i, c in enumerate(r)) and any(r))
-    m, _ = rs.int_gram               # lengths up to the common factor 1/g
-    lengths = [m[i][i] for i in comp]
-    if rank == 1:
-        return RootKind("a", 1)
-    if len(set(lengths)) == 1:
-        if count == rank * (rank + 1):
-            return canonical_kind("a", rank)
-        if count == 2 * rank * (rank - 1):
-            return canonical_kind("d", rank)
-        if (rank, count) in ((6, 72), (7, 126), (8, 240)):
-            return RootKind("e", rank)
-        raise NonReducedInput(f"unrecognized simply-laced component: rank {rank}, {count} roots")
-    if rank == 2:
-        return RootKind("g", 2) if count == 12 else RootKind("b", 2)
-    if rank == 4 and count == 48:
-        return RootKind("f", 4)
-    long_len = max(lengths)
-    n_long = sum(1 for x in lengths if x == long_len)
-    return canonical_kind("b" if n_long == rank - 1 else "c", rank)
 
 
 def _delta_sq(total: int, perp: int) -> Fraction:
@@ -136,13 +66,9 @@ def _require_reduced(kind: RootKind) -> None:
         raise NonReducedInput("Killing normalization applies to reduced ambient systems")
 
 
-def killing_delta_sq(rs: RootSystem) -> Fraction:
-    """Killing-normalized (delta, delta), computed from enumerated root counts."""
-    _require_reduced(rs.kind)
-    return _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
-
-
-# Orthogonal-subsystem types per ambient family, including low-rank cases.
+# Orthogonal-subsystem types per ambient family, including low-rank cases;
+# each kind canonical and the tuple sorted by (family, rank), the form in
+# which ``killing_data`` reports them.
 def perp_kinds_formula(kind: RootKind) -> tuple[RootKind, ...]:
     fam, l = kind.family, kind.rank
     if fam == "a":
@@ -179,31 +105,14 @@ def delta_sq_formula(kind: RootKind) -> Fraction:
                      sum(root_count(k) for k in perp_kinds_formula(kind)))
 
 
-def killing_self_consistency(rs: RootSystem) -> Fraction:
-    """Sum of (alpha, delta)^2 over all roots minus (delta, delta); must be 0.
-
-    The Gram matrix is rescaled so (delta, delta) takes its Killing value
-    from root counting; the sum then recomputes the trace of (ad delta)^2
-    independently.  Works for the non-reduced family too, where the count
-    formula extends verbatim.
-    """
-    c = _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
-    _, g = rs.int_gram
-    w = _delta_pairings(rs)           # (alpha, delta) = c * (alpha . w) / g
-    total = sum(sum(map(mul, r, w)) ** 2 for r in rs.roots)
-    return c * c * Fraction(total, g * g) - c
-
-
 def killing_data(rs: RootSystem) -> KillingData:
-    _require_reduced(rs.kind)
-    perp = perp_subsystem(rs)
-    return KillingData(
-        system=rs.kind,
-        total_roots=len(rs.roots),
-        perp_roots=len(perp),
-        delta_sq=_delta_sq(len(rs.roots), len(perp)),
-        perp_subsystem=_decompose(rs, perp),
-    )
+    """The Killing data of ``rs`` from the per-family formulas; reads no root list."""
+    kind = rs.kind
+    _require_reduced(kind)
+    perp = perp_kinds_formula(kind)
+    total, perp_roots = root_count(kind), sum(map(root_count, perp))
+    return KillingData(system=kind, total_roots=total, perp_roots=perp_roots,
+                       delta_sq=_delta_sq(total, perp_roots), perp_subsystem=perp)
 
 
 def to_json_dict(data: KillingData) -> dict:

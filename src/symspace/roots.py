@@ -88,7 +88,7 @@ def split_kind(text: str) -> tuple[str, int]:
     while i < len(s) and s[i].isalpha():
         i += 1
     fam, digits = s[:i], s[i:]
-    if not fam or not digits.isdigit():
+    if not fam or not digits.isdecimal():
         raise InvalidRank(f"cannot parse root-system kind {text!r}")
     return fam, int(digits)
 

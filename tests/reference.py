@@ -19,6 +19,12 @@ one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
 of the simple roots in ``oracle.float_simple_roots``, independently of the
 diagram that ``roots`` derives its Cartan matrix and Gram pair from.
+``perp_subsystem`` and the functions after it are the enumeration half
+of ``killing`` that the per-family formulas replaced in
+``killing.killing_data``: they list the roots orthogonal to the highest
+root and type their components by root count, and
+``killing_self_consistency`` recomputes (delta, delta) as a trace sum over
+the enumerated roots.
 """
 
 from fractions import Fraction
@@ -28,9 +34,11 @@ from operator import mul
 
 import numpy as np
 
+from symspace.killing import (KillingData, NonReducedInput, _delta_pairings, _delta_sq,
+                              _require_reduced, canonical_kind, perp_simple_indices)
 from symspace.linalg import DimensionMismatch
 from symspace.oracle import float_simple_roots
-from symspace.roots import RootKind
+from symspace.roots import RootKind, RootSystem
 
 # Every kind whose roots are enumerated: at most MAX_ROOTS roots.
 IN_CAP_KINDS = (
@@ -279,3 +287,108 @@ def three_pass_clear_denominators(xs) -> tuple[list[int], int]:
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def perp_subsystem(rs: RootSystem) -> frozenset[tuple[int, ...]]:
+    """All roots with exact inner product 0 against the highest root."""
+    w = _delta_pairings(rs)
+    return frozenset(r for r in rs.roots if sum(map(mul, r, w)) == 0)
+
+
+def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
+    """Decomposition type of the orthogonal subsystem, canonicalized and sorted.
+
+    Components of the induced simple-root graph are identified by rank,
+    root count, and the long/short split of their simple roots.
+    """
+    if not rs.kind.is_reduced:
+        raise NonReducedInput("orthogonal-subsystem typing needs a reduced system")
+    return _decompose(rs, perp_subsystem(rs))
+
+
+def _decompose(rs: RootSystem, perp: frozenset) -> tuple[RootKind, ...]:
+    comps = _graph_components(rs, perp_simple_indices(rs))
+    kinds = [_identify_component(rs, comp, perp) for comp in comps]
+    return tuple(sorted(kinds, key=lambda k: (k.family, k.rank)))
+
+
+def _graph_components(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    m, _ = rs.int_gram
+    nodes = list(nodes)
+    seen: set[int] = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in nodes:
+                if j not in seen and m[i][j] != 0:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _identify_component(rs: RootSystem, comp: tuple[int, ...],
+                        perp: frozenset) -> RootKind:
+    rank = len(comp)
+    support = set(comp)
+    count = sum(1 for r in perp
+                if all(c == 0 or i in support for i, c in enumerate(r)) and any(r))
+    m, _ = rs.int_gram               # lengths up to the common factor 1/g
+    lengths = [m[i][i] for i in comp]
+    if rank == 1:
+        return RootKind("a", 1)
+    if len(set(lengths)) == 1:
+        if count == rank * (rank + 1):
+            return canonical_kind("a", rank)
+        if count == 2 * rank * (rank - 1):
+            return canonical_kind("d", rank)
+        if (rank, count) in ((6, 72), (7, 126), (8, 240)):
+            return RootKind("e", rank)
+        raise NonReducedInput(f"unrecognized simply-laced component: rank {rank}, {count} roots")
+    if rank == 2:
+        return RootKind("g", 2) if count == 12 else RootKind("b", 2)
+    if rank == 4 and count == 48:
+        return RootKind("f", 4)
+    long_len = max(lengths)
+    n_long = sum(1 for x in lengths if x == long_len)
+    return canonical_kind("b" if n_long == rank - 1 else "c", rank)
+
+
+def killing_delta_sq(rs: RootSystem) -> Fraction:
+    """Killing-normalized (delta, delta), computed from enumerated root counts."""
+    _require_reduced(rs.kind)
+    return _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
+
+
+def killing_self_consistency(rs: RootSystem) -> Fraction:
+    """Sum of (alpha, delta)^2 over all roots minus (delta, delta); must be 0.
+
+    The Gram matrix is rescaled so (delta, delta) takes its Killing value
+    from root counting; the sum then recomputes the trace of (ad delta)^2
+    independently.  Works for the non-reduced family too, where the count
+    formula extends verbatim.
+    """
+    c = _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
+    _, g = rs.int_gram
+    w = _delta_pairings(rs)           # (alpha, delta) = c * (alpha . w) / g
+    total = sum(sum(map(mul, r, w)) ** 2 for r in rs.roots)
+    return c * c * Fraction(total, g * g) - c
+
+
+def killing_data_by_roots(rs: RootSystem) -> KillingData:
+    """``killing.killing_data`` as it was computed from the enumerated roots."""
+    _require_reduced(rs.kind)
+    perp = perp_subsystem(rs)
+    return KillingData(
+        system=rs.kind,
+        total_roots=len(rs.roots),
+        perp_roots=len(perp),
+        delta_sq=_delta_sq(len(rs.roots), len(perp)),
+        perp_subsystem=_decompose(rs, perp),
+    )

@@ -18,16 +18,15 @@ from symspace.closedform import (delta_sq_closed_form, expected,
                                  grassmannian_canonical)
 from symspace.geometry import (MetricSpec, cut_classify, is_conjugate,
                                kappa_relation_check, product, report)
-from symspace.killing import (canonical_kind, killing_delta_sq,
-                              killing_self_consistency, perp_decomposition,
-                              perp_kinds_formula, perp_subsystem)
+from symspace.killing import canonical_kind, perp_kinds_formula
 from symspace.linalg import PiSqrtValue
 from symspace.oracle import standard_suite
 from symspace.polytope import dominant_representative, reflect_simple
 from symspace.roots import MAX_RANK, RootKind, build, root_count
 from symspace.verify import table_reports
 
-from reference import gram, mul_vec
+from reference import (gram, killing_delta_sq, killing_self_consistency, mul_vec,
+                       perp_decomposition, perp_subsystem)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]

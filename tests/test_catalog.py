@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,8 +7,10 @@ import pytest
 from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData,
                               NodeSet, SpaceLabel, enumerate_table, parse_label,
                               resolve, restriction_factor_crosscheck, to_json_dict)
-from symspace.killing import killing_delta_sq, perp_simple_indices
+from symspace.killing import perp_simple_indices
 from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
+
+from reference import killing_delta_sq
 
 
 def test_parse_label_grammar():
@@ -18,6 +21,12 @@ def test_parse_label_grammar():
     for bad in ("XX:n=1", "AI", "AI:p=2", "AI:n=x", "GROUP", "GROUP:h3",
                 "AIII:p=2", "G:n=2"):
         with pytest.raises(InvalidParams):
+            parse_label(bad)
+    # One sign and decimal digits only, as int() reads them.
+    for bad, message in (("AI:n=--5", "bad parameter 'n=--5'"),
+                         ("AI:n=²", "bad parameter 'n=²'"),
+                         ("GROUP:e⁸", "cannot parse root-system kind 'e⁸'")):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             parse_label(bad)
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from symspace.closedform import delta_sq_closed_form
 from symspace.killing import (NonReducedInput, delta_sq_formula, killing_data,
-                              killing_delta_sq, killing_self_consistency,
-                              perp_decomposition, perp_simple_indices,
-                              perp_subsystem, to_json_dict)
+                              perp_simple_indices, to_json_dict)
 from symspace.roots import RootKind, build, root_count
 
-from reference import gram, mul_vec, perp_simple_indices_by_roots
+from reference import (gram, killing_data_by_roots, killing_delta_sq,
+                       killing_self_consistency, mul_vec, perp_decomposition,
+                       perp_simple_indices_by_roots, perp_subsystem)
 from test_roots import ALL_KINDS
 from test_slice_kernel import IN_CAP_KINDS
 
@@ -55,6 +55,8 @@ def test_killing_delta_sq_examples():
 def test_killing_delta_sq_rejects_bc():
     with pytest.raises(NonReducedInput):
         killing_delta_sq(build("bc2"))
+    with pytest.raises(NonReducedInput):
+        killing_data(build("bc2"))
 
 
 @pytest.mark.parametrize("kind", REDUCED_KINDS, ids=str)
@@ -122,3 +124,20 @@ def test_killing_data_json():
     d = to_json_dict(kd)
     assert d["delta_sq"] == "1/9"
     assert d["perp_subsystem"] == ["c3"]
+
+
+@pytest.mark.parametrize("kind", [k for k in IN_CAP_KINDS if k.is_reduced], ids=str)
+def test_killing_data_matches_enumeration(kind):
+    rs = build(kind)
+    assert killing_data(rs) == killing_data_by_roots(rs)
+
+
+@pytest.mark.parametrize("kind", ["a128", "b128", "c128", "d128"])
+def test_killing_data_lists_no_roots(kind):
+    rs = build(kind)
+    kd = killing_data(rs)
+    assert "positive_roots" not in vars(rs)
+    assert kd.delta_sq == delta_sq_closed_form(rs.kind.family, rs.kind.rank)
+    assert kd.delta_sq == F(4, kd.total_roots - kd.perp_roots + 6)
+    assert kd.perp_roots == sum(root_count(k) for k in kd.perp_subsystem)
+

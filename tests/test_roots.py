@@ -33,6 +33,8 @@ def test_parse_kind():
     for bad in ("a0", "b1", "c2", "d3", "e5", "f3", "g4", "h2", "a", "3"):
         with pytest.raises(InvalidRank):
             parse_kind(bad)
+    with pytest.raises(InvalidRank, match="^cannot parse root-system kind 'a²'$"):
+        parse_kind("a²")
 
 
 def test_a1_smallest():

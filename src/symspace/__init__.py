@@ -4,33 +4,47 @@ Builds restricted root systems and their Cartan polytopes in exact
 rational arithmetic, normalizes lengths through the Killing form, and
 computes injectivity radii, diameters, curvature constants, and
 cut/conjugate predicates for every space in the classification.
+
+The public names are loaded on first use (PEP 562), so ``import
+symspace.cli`` compiles only the modules its command runs, while
+``symspace.report`` and every other name below work as plain attributes.
 """
 
-from .catalog import (InvalidParams, MissingSatakeData, SpaceEntry, SpaceLabel,
-                      enumerate_table, parse_label, resolve,
-                      restriction_factor_crosscheck)
-from .geometry import (CutDetails, EmptyProduct, GeometryReport, MetricSpec,
-                       NoCanonicalMetric, cut_classify, cut_details,
-                       is_conjugate, kappa_relation_check, product, report)
-from .killing import KillingData, NonReducedInput, delta_sq_formula, killing_data
-from .linalg import DimensionMismatch, NegativeFactor, PiSqrtValue, Rational
-from .polytope import (CartanPolytope, SliceClass, build_polytope,
-                       classify_point, dominant_representative)
-from .roots import (InvalidRank, RootKind, RootSystem, build, parse_kind,
-                    root_count)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanPolytope", "CutDetails", "DimensionMismatch", "EmptyProduct",
-    "GeometryReport", "InvalidParams", "InvalidRank", "KillingData",
-    "MetricSpec", "MissingSatakeData", "NegativeFactor", "NoCanonicalMetric",
-    "NonReducedInput", "PiSqrtValue", "Rational", "RootKind",
-    "RootSystem", "SliceClass", "SpaceEntry", "SpaceLabel",
-    "build", "build_polytope", "classify_point", "cut_classify", "cut_details",
-    "delta_sq_formula", "dominant_representative", "enumerate_table",
-    "is_conjugate", "kappa_relation_check",
-    "killing_data", "parse_kind", "parse_label",
-    "product", "report", "resolve", "restriction_factor_crosscheck",
-    "root_count",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "InvalidParams": "catalog", "MissingSatakeData": "catalog", "SpaceEntry": "catalog",
+    "SpaceLabel": "catalog", "enumerate_table": "catalog", "parse_label": "catalog",
+    "resolve": "catalog", "restriction_factor_crosscheck": "catalog",
+    "CutDetails": "geometry", "cut_classify": "geometry", "cut_details": "geometry",
+    "is_conjugate": "geometry",
+    "EmptyProduct": "reporting", "GeometryReport": "reporting", "MetricSpec": "reporting",
+    "NoCanonicalMetric": "reporting", "kappa_relation_check": "reporting",
+    "product": "reporting", "report": "reporting",
+    "KillingData": "killing", "NonReducedInput": "killing", "delta_sq_formula": "killing",
+    "killing_data": "killing",
+    "DimensionMismatch": "linalg", "NegativeFactor": "linalg", "PiSqrtValue": "linalg",
+    "Rational": "linalg",
+    "CartanPolytope": "polytope", "SliceClass": "polytope", "build_polytope": "polytope",
+    "classify_point": "polytope", "dominant_representative": "polytope",
+    "InvalidRank": "roots", "RootKind": "roots", "RootSystem": "roots", "build": "roots",
+    "parse_kind": "roots", "root_count": "roots",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value           # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

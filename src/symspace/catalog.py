@@ -20,14 +20,16 @@ alias table; `ambient`/`restricted` always hold a buildable kind while
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
-from .roots import (_EXCEPTIONAL_RANKS, _MIN_RANK, MAX_RANK, InvalidRank, RootKind,
-                    build, check_rank, parse_kind)
+from .dynkin import (_EXCEPTIONAL_RANKS, _MIN_RANK, MAX_RANK, InvalidRank, RootKind,
+                     check_rank, parse_kind)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -47,7 +49,7 @@ class NodeSet:
     __slots__ = ("ranges",)
 
     def __init__(self, *ranges: range):
-        self.ranges = tuple(r for r in ranges if r)
+        self.ranges = tuple(filter(None, ranges))
 
     def __iter__(self):
         return chain.from_iterable(self.ranges)
@@ -122,14 +124,18 @@ def parse_label(text: str) -> SpaceLabel:
         except InvalidRank as e:
             raise InvalidParams(str(e)) from e
     pairs: dict[str, int] = {}
+    limit = sys.get_int_max_str_digits()
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
             key = key.strip().lower()
-            if key not in ("n", "p", "q") or not value.strip().removeprefix("-").isdecimal():
+            digits = value.strip().removeprefix("-")
+            if key not in ("n", "p", "q") or not digits.isdecimal():
                 raise InvalidParams(f"bad parameter {item!r}")
             if key in pairs:
                 raise InvalidParams(f"parameter {key} given twice in {text.strip()!r}")
+            if limit and len(digits) > limit:
+                raise InvalidParams(f"parameter {key} has more than {limit} digits")
             pairs[key] = int(value)
     want = _PARAMS.get(series, ())
     if set(pairs) != set(want):
@@ -181,6 +187,20 @@ def _nominal_to_kind(family: str, rank: int) -> RootKind:
     return canonical_kind(family, rank)
 
 
+# A table visits a few dozen nominal pairs and ambient kinds; a label of
+# any rank passes through these caches, which stay bounded.
+@lru_cache(maxsize=1024)
+def _nominal(family: str, rank: int) -> tuple[RootKind, str]:
+    """(buildable kind, nominal label) of a nominal pair, e.g. (b2, "c2")."""
+    return _nominal_to_kind(family, rank), f"{family}{rank}"
+
+
+@lru_cache(maxsize=1024)
+def _psi_sq(ambient: RootKind, halving: int) -> Fraction:
+    """psi_sq_killing for the restriction factor 1/halving (1 or 2)."""
+    return delta_sq_formula(ambient) / halving
+
+
 def _restricted(family: str, rank: int) -> Nominal:
     """The nominal restricted pair; past MAX_RANK, InvalidRank (as ``build``
     would raise) before anything as large as the label's parameters is built."""
@@ -191,20 +211,38 @@ def _restricted(family: str, rank: int) -> Nominal:
 
 def _entry(label, name, space_type, ambient_nominal: Nominal,
            restricted_nominal: Nominal, factor, satake, canonical_eps=None) -> SpaceEntry:
-    ambient = _nominal_to_kind(*ambient_nominal)
-    psi = factor * delta_sq_formula(ambient)
-    return SpaceEntry(label=label, name=name, space_type=space_type,
-                      ambient=ambient, ambient_name="%s%d" % ambient_nominal,
-                      restricted=_nominal_to_kind(*restricted_nominal),
-                      restricted_name="%s%d" % restricted_nominal,
-                      restriction_factor=factor, psi_sq_killing=psi,
-                      satake_black_nodes=satake, canonical_epsilon=canonical_eps)
+    ambient, ambient_name = _nominal(*ambient_nominal)
+    restricted, restricted_name = _nominal(*restricted_nominal)
+    return SpaceEntry(label, name, space_type, ambient, ambient_name, restricted,
+                      restricted_name, factor, _psi_sq(ambient, factor.denominator),
+                      satake, canonical_eps)
 
 
 def resolve(label: SpaceLabel | str) -> SpaceEntry:
-    """Resolve a space label into its catalog entry."""
+    """Resolve a space label into its catalog entry.  A name the label's
+    parameters make too long to print (past ``sys.get_int_max_str_digits()``)
+    is refused as InvalidParams."""
     if isinstance(label, str):
         label = parse_label(label)
+    try:
+        return _resolve(label)
+    except ValueError as e:
+        if type(e) is not ValueError:         # InvalidParams, InvalidRank
+            raise
+        raise long_label(label) from None     # str() of an int past the limit
+
+
+def long_label(label: SpaceLabel) -> InvalidParams:
+    """The refusal of a label whose parameters give a value too long to print:
+    int() reads a parameter of up to L = ``sys.get_int_max_str_digits()``
+    digits, but a name like a{p+q-1} or a value like psi_sq = 1/(p+q) can
+    have one more."""
+    return InvalidParams(f"{label.series}: a printed value exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits; the label's "
+                         "parameters need fewer digits")
+
+
+def _resolve(label: SpaceLabel) -> SpaceEntry:
     s = label.series
 
     if s == "GROUP":
@@ -327,6 +365,7 @@ def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
     """
     if entry.satake_black_nodes is None:
         raise MissingSatakeData(f"no black-node data for {entry.label}")
+    from .roots import build
     black = entry.satake_black_nodes
     perp = perp_simple_indices(build(entry.ambient))
     all_perp = sum(i + 1 in black for i in perp) == black.size
@@ -360,9 +399,11 @@ def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
 def _table_41_rows(param_bound: int) -> Iterator[SpaceEntry]:
     for series in (*_PARAMS, *_EXCEPTIONAL_ROWS):
         keys = _PARAMS.get(series, ())
+        # The label's fields are (series, n, p, q): p, q come after n's place.
+        head = (series, None) if keys == ("p", "q") else (series,)
         for values in combinations_with_replacement(range(1, param_bound + 1), len(keys)):
             try:
-                yield resolve(SpaceLabel(series, **dict(zip(keys, values))))
+                yield resolve(SpaceLabel(*head, *values))
             except InvalidParams:
                 pass                  # outside the series' parameter domain
 

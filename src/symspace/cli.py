@@ -4,18 +4,25 @@ Subcommands: rootsystem, space, table, cut, product, verify.  Exact
 values are always printed alongside 12-digit decimals.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 missing
 data (e.g. no canonical metric).
+
+Each command imports what it runs.  Every command loads the catalog and
+the report path (``catalog``, ``dynkin``, ``killing``, ``linalg`` and
+``reporting``), which is all ``space``, ``table`` and ``product`` run;
+``cut`` adds ``geometry``, ``polytope`` and ``roots``, ``rootsystem``
+adds ``polytope`` and ``roots``, and ``verify`` its checks and numpy.
+``json`` is loaded for JSON output and by ``cut``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 from itertools import chain
 
-from . import catalog, geometry, killing, polytope, roots
+from . import catalog, reporting
+from .dynkin import InvalidRank
 from .linalg import DimensionMismatch, format_rational
 
 FORMATS = ("text", "markdown", "json", "tsv")
@@ -23,7 +30,9 @@ FORMATS = ("text", "markdown", "json", "tsv")
 
 # A decimal literal split at its exponent: Fraction's grammar for the part
 # before "e" (no "/", no second exponent, no space before "e") and after it.
-_EXPONENT = re.compile(r"([^/eE]*[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*")
+# Compiled on first use (by ``re``'s cache), so a command without a metric
+# value or a point does not compile it.
+_EXPONENT = r"([^/eE]*[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*"
 
 
 def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
@@ -31,7 +40,7 @@ def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
     or denominator has more digits is refused, and a decimal exponent is
     read before 10**exponent is formed, so "1e10000000" costs nothing."""
     try:
-        m = _EXPONENT.fullmatch(text) if max_digits else None
+        m = re.fullmatch(_EXPONENT, text) if max_digits else None
         if m is None:
             value = Fraction(text)
         else:
@@ -50,24 +59,38 @@ def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
     return value
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
-    """Print the rows as a table, one line at a time."""
+def _write(pieces) -> None:
+    """Write the strings to stdout in writes of about 64 KB: when stdout is
+    unbuffered (``python -u``), every write is a system call."""
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    sys.stdout.write("".join(chunk))
+
+
+def _emit_rows(header: list[str], rows, fmt: str) -> None:
+    """Print the rows (cell lists, or an iterator of them) as a table once
+    every row is rendered.  tsv and markdown keep one joined line per row;
+    text keeps the cells, whose widths it needs."""
     if fmt == "tsv":
-        lines = ("\t".join(r) for r in chain([header], rows))
+        lines = ["\t".join(header), *("\t".join(r) for r in rows)]
     elif fmt == "markdown":
-        lines = chain(["| " + " | ".join(header) + " |",
-                       "|" + "|".join(" --- " for _ in header) + "|"],
-                      ("| " + " | ".join(r) + " |" for r in rows))
+        lines = ["| " + " | ".join(header) + " |",
+                 "|" + "|".join(" --- " for _ in header) + "|",
+                 *("| " + " | ".join(r) + " |" for r in rows)]
     else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        lines = ("  ".join(c.ljust(w) for c, w in zip(r, widths))
-                 for r in chain([header], rows))
-    for line in lines:
-        print(line)
+        rows = [header, *rows]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)
+    _write(line + "\n" for line in lines)
 
 
 def cmd_rootsystem(args) -> int:
+    from . import killing, polytope, roots
     kind = roots.parse_kind(args.kind)
     rs = roots.build(kind)
     data = roots.to_json_dict(rs)     # counts the roots, so past MAX_ROOTS refuses first
@@ -77,6 +100,7 @@ def cmd_rootsystem(args) -> int:
         kd = killing.killing_data(rs)
         data["killing"] = killing.to_json_dict(kd)
     if args.format == "json":
+        import json
         print(json.dumps(data, indent=2))
         return 0
     rows = [
@@ -98,7 +122,7 @@ def cmd_rootsystem(args) -> int:
     return 0
 
 
-def _metric_from_args(args) -> geometry.MetricSpec:
+def _metric_from_args(args) -> reporting.MetricSpec:
     chosen = [x for x in (args.epsilon, args.ric, "c" if args.canonical else None)
               if x is not None]
     if len(chosen) > 1:
@@ -115,12 +139,24 @@ def _metric_from_args(args) -> geometry.MetricSpec:
     limit = sys.get_int_max_str_digits()
     max_digits = 2 * limit + 2 if limit else 0
     if args.epsilon is not None:
-        return geometry.MetricSpec.epsilon(_parse_fraction(args.epsilon, max_digits))
+        return reporting.MetricSpec.epsilon(_parse_fraction(args.epsilon, max_digits))
     if args.ric is not None:
-        return geometry.MetricSpec.ricci(_parse_fraction(args.ric, max_digits))
+        return reporting.MetricSpec.ricci(_parse_fraction(args.ric, max_digits))
     if args.canonical:
-        return geometry.MetricSpec.canonical()
-    return geometry.DEFAULT_METRIC
+        return reporting.MetricSpec.canonical()
+    return reporting.DEFAULT_METRIC
+
+
+def _refuse_long_labels(reps) -> None:
+    """Called when a report's value is too long to print: InvalidParams
+    naming the label when the label alone gives such a value, as it does
+    at eps = 1, where the values are psi_sq, its reciprocal (as many
+    digits) and d_sq / psi_sq; otherwise the metric value is the cause."""
+    for rep in reps:
+        try:
+            str(rep.psi_sq), str(rep.d_sq_sigma / rep.psi_sq)
+        except ValueError:
+            raise catalog.long_label(rep.space.label) from None
 
 
 def _report_rows(rep) -> list[list[str]]:
@@ -142,14 +178,30 @@ def _report_rows(rep) -> list[list[str]]:
 
 
 def cmd_space(args) -> int:
-    rep = geometry.report(args.label, _metric_from_args(args))
+    rep = reporting.report(args.label, _metric_from_args(args))
+    try:
+        data = (reporting.report_json_dict(rep) if args.format == "json"
+                else _report_rows(rep))
+    except ValueError:
+        _refuse_long_labels([rep])
+        raise
     if args.format == "json":
+        import json
         # Written as it is encoded: a black-node list can run to a million lines.
-        json.dump(geometry.report_json_dict(rep), sys.stdout, indent=2)
+        _write(json.JSONEncoder(indent=2).iterencode(data))
         print()
         return 0
-    _emit_rows(["field", "value"], _report_rows(rep), args.format)
+    _emit_rows(["field", "value"], data, args.format)
     return 0
+
+
+TABLE_HEADER = ["type", "space", "sigma", "psi_sq", "i", "i_dec", "d", "d_dec"]
+
+
+def _table_cells(rep) -> list[str]:
+    e, i, d = rep.space, rep.injectivity_radius, rep.diameter
+    return [str(e.label), e.name, e.restricted_name, format_rational(rep.psi_sq),
+            i.exact_str(), i.decimal_str(), d.exact_str(), d.decimal_str()]
 
 
 def cmd_table(args) -> int:
@@ -158,25 +210,24 @@ def cmd_table(args) -> int:
     # report as it comes, so no entry (with its black-node set) or report
     # outlives its row's text.  Nothing is printed until every row has
     # succeeded.
-    entries = catalog.enumerate_table(args.which, args.max_param)
+    reps = (reporting.report(e, metric)
+            for e in catalog.enumerate_table(args.which, args.max_param))
     if args.format == "json":
+        import json
         # json.dumps(reports, indent=2) for the (never empty) table, written
         # piece by piece.
-        rows = [json.dumps(geometry.report_json_dict(geometry.report(e, metric)),
-                           indent=2).replace("\n", "\n  ") for e in entries]
-        print("[\n  " + rows[0], *rows[1:], sep=",\n  ", end="\n]\n")
+        rows = [json.dumps(reporting.report_json_dict(r), indent=2).replace("\n", "\n  ")
+                for r in reps]
+        _write(chain("[", (("," if i else "") + "\n  " + r for i, r in enumerate(rows)),
+                     ["\n]\n"]))
         return 0
-    reps = (geometry.report(e, metric) for e in entries)
-    header = ["type", "space", "sigma", "psi_sq", "i", "i_dec", "d", "d_dec"]
-    rows = [[str(r.space.label), r.space.name, r.space.restricted_name,
-             format_rational(r.psi_sq),
-             r.injectivity_radius.exact_str(), r.injectivity_radius.decimal_str(),
-             r.diameter.exact_str(), r.diameter.decimal_str()] for r in reps]
-    _emit_rows(header, rows, args.format)
+    _emit_rows(TABLE_HEADER, map(_table_cells, reps), args.format)
     return 0
 
 
 def cmd_cut(args) -> int:
+    import json
+    from . import geometry
     entry = catalog.resolve(args.label)
     # The point is echoed, and str() of an int is capped at this many digits.
     max_digits = sys.get_int_max_str_digits()
@@ -201,14 +252,19 @@ def cmd_cut(args) -> int:
 
 def cmd_product(args) -> int:
     metric = _metric_from_args(args)
-    reps = [geometry.report(label, metric) for label in args.labels]
-    inj, diam = geometry.product(reps)
-    data = {
-        "factors": [str(r.space.label) for r in reps],
-        "injectivity_radius": inj.to_json(),
-        "diameter": diam.to_json(),
-    }
+    reps = [reporting.report(label, metric) for label in args.labels]
+    inj, diam = reporting.product(reps)
+    try:
+        data = {
+            "factors": [str(r.space.label) for r in reps],
+            "injectivity_radius": inj.to_json(),
+            "diameter": diam.to_json(),
+        }
+    except ValueError:
+        _refuse_long_labels(reps)
+        raise
     if args.format == "json":
+        import json
         print(json.dumps(data, indent=2))
         return 0
     rows = [["factors", " ".join(data["factors"])],
@@ -231,7 +287,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser.  Given a command name, only that subcommand gets its
+    arguments: the others keep their names and help, so usage lines and
+    errors read the same, and parsing a line of that command needs no more."""
     top = argparse.ArgumentParser(prog="symspace",
                                   description="Exact geometry of compact symmetric spaces")
     sub = top.add_subparsers(dest="command", required=True)
@@ -245,52 +304,62 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--canonical", action="store_true",
                        help="use the catalog's canonical metric preset")
 
-    p = sub.add_parser("rootsystem", help="inspect a root system and its polytope")
-    p.add_argument("kind")
-    add_format(p)
-    p.set_defaults(func=cmd_rootsystem)
+    def rootsystem(p):
+        p.add_argument("kind")
+        add_format(p)
 
-    p = sub.add_parser("space", help="geometry report for one space")
-    p.add_argument("label")
-    add_metric(p)
-    add_format(p)
-    p.set_defaults(func=cmd_space)
+    def space(p):
+        p.add_argument("label")
+        add_metric(p)
+        add_format(p)
 
-    p = sub.add_parser("table", help="regenerate a classification table")
-    p.add_argument("which", choices=("4.1", "4.2"))
-    p.add_argument("--max-param", type=int, default=8)
-    add_metric(p)
-    add_format(p)
-    p.set_defaults(func=cmd_table)
+    def table(p):
+        p.add_argument("which", choices=("4.1", "4.2"))
+        p.add_argument("--max-param", type=int, default=8)
+        add_metric(p)
+        add_format(p)
 
-    p = sub.add_parser("cut", help="classify a Cartan-slice point")
-    p.add_argument("label")
-    p.add_argument("--point", required=True, help="comma-separated rationals")
-    add_format(p)
-    p.set_defaults(func=cmd_cut)
+    def cut(p):
+        p.add_argument("label")
+        p.add_argument("--point", required=True, help="comma-separated rationals")
+        add_format(p)
 
-    p = sub.add_parser("product", help="geometry of a product of spaces")
-    p.add_argument("labels", nargs="+")
-    add_metric(p)
-    add_format(p)
-    p.set_defaults(func=cmd_product)
+    def product(p):
+        p.add_argument("labels", nargs="+")
+        add_metric(p)
+        add_format(p)
 
-    p = sub.add_parser("verify", help="run oracles and table reproduction")
-    p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--max-param", type=int, default=12)
-    p.set_defaults(func=cmd_verify)
+    def verify(p):
+        p.add_argument("--seed", type=int, default=20260810)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--max-param", type=int, default=12)
+
+    for name, help_text, func, add_arguments in (
+            ("rootsystem", "inspect a root system and its polytope", cmd_rootsystem, rootsystem),
+            ("space", "geometry report for one space", cmd_space, space),
+            ("table", "regenerate a classification table", cmd_table, table),
+            ("cut", "classify a Cartan-slice point", cmd_cut, cut),
+            ("product", "geometry of a product of spaces", cmd_product, product),
+            ("verify", "run oracles and table reproduction", cmd_verify, verify)):
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command is the first word that is not an option: the top level
+    # has no option that takes a value.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except geometry.NoCanonicalMetric as e:
+    except reporting.NoCanonicalMetric as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (catalog.InvalidParams, catalog.MissingSatakeData, roots.InvalidRank,
+    except (catalog.InvalidParams, catalog.MissingSatakeData, InvalidRank,
             DimensionMismatch, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

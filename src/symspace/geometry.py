@@ -1,26 +1,15 @@
-"""Physical geometry of a symmetric space from its catalog entry.
+"""Conjugate-point and cut predicates on the Cartan slice of a space.
 
-The metric is a positive multiple of the negated Killing form,
-<,> = -eps (,); the space is then Einstein with Ricci constant 1/(2 eps).
-With psi the highest restricted root in Killing units:
+The report path (``report``, ``MetricSpec``, ``GeometryReport``,
+``product``, ``report_json_dict`` and ``kappa_relation_check``) lives in
+``reporting``, so a process that only reports compiles none of this
+module; it is re-exported here, and ``geometry.report`` is the same
+function.
 
-    i(M)^2 = pi^2 * eps / (psi, psi)
-    d(M)^2 = pi^2 * eps * dmax^2 / (psi, psi)
-    kappa  = (psi, psi) / eps          (max sectional curvature)
-
-where dmax^2 is the squared farthest-vertex norm of the restricted
-system's Cartan polytope under highest-root normalization, so that
-i(M) * sqrt(kappa) = pi exactly.  A report needs one catalog entry,
-which it takes as given when passed one, and dmax^2, which is cached
-per restricted kind.  dmax^2 = max_j g det(M minus j) / (det M d_j^2)
-over the integer Gram matrix M/g, with all the minors read from
-continuants along the Dynkin tree (``polytope.farthest_vertex``), so a
-report makes no matrix inverse.
-
-Conjugate-point and cut predicates operate on the Cartan slice in Killing
-units, with inputs pre-divided by pi: a slice vector h is conjugate when
-some restricted root has nonzero integer inner product with it, and the
-cut face is the unit level of the highest root on the dominant chamber.
+The predicates work in Killing units, with inputs pre-divided by pi: a
+slice vector h is conjugate when some restricted root has nonzero
+integer inner product with it, and the cut face is the unit level of
+the highest root on the dominant chamber.
 Mapping a general tangent vector to its slice representative is outside
 this module; callers supply slice coordinates.
 
@@ -41,8 +30,8 @@ are not enumerated; the cut face needs only p (see ``polytope``).
 Fractions are built only for the dominant representative ``cut_details``
 returns.  The predicates take a label, or a catalog entry, used as it is.
 
-``MetricSpec``, ``GeometryReport`` and ``CutDetails`` are named tuples:
-immutable, and equal to plain tuples of their fields.
+``CutDetails`` is a named tuple: immutable, and equal to a plain tuple
+of its fields.
 """
 
 from __future__ import annotations
@@ -53,108 +42,18 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .catalog import SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .linalg import PiSqrtValue, format_rational
+from .catalog import SpaceEntry, SpaceLabel, resolve
 from .polytope import (SliceClass, _classify_cleared, _cleared_point, _pairings,
-                       _reduce_dominant, farthest_vertex)
+                       _reduce_dominant)
+from .reporting import (DEFAULT_METRIC, EmptyProduct, GeometryReport,  # re-exported
+                        MetricSpec, NoCanonicalMetric, kappa_relation_check,
+                        product, report, report_json_dict)
 from .roots import RootKind, RootSystem, build
-
-
-class NoCanonicalMetric(LookupError):
-    """Raised when a canonical metric preset is requested but not defined."""
-
-
-class EmptyProduct(ValueError):
-    """Raised when combining an empty list of factors."""
-
-
-class MetricSpec(NamedTuple):
-    """Metric scale: explicit eps, a Ricci constant, or a catalog preset."""
-
-    mode: str                      # "epsilon" | "ricci" | "canonical"
-    value: Fraction | None = None
-
-    @classmethod
-    def epsilon(cls, value) -> "MetricSpec":
-        v = Fraction(value)
-        if v <= 0:
-            raise ValueError(f"epsilon must be positive, got {v}")
-        return cls("epsilon", v)
-
-    @classmethod
-    def ricci(cls, value) -> "MetricSpec":
-        v = Fraction(value)
-        if v <= 0:
-            raise ValueError(f"Ricci constant must be positive, got {v}")
-        return cls("ricci", v)
-
-    @classmethod
-    def canonical(cls) -> "MetricSpec":
-        return cls("canonical")
-
-
-DEFAULT_METRIC = MetricSpec.epsilon(1)
-
-
-class GeometryReport(NamedTuple):
-    space: SpaceEntry
-    epsilon: Fraction
-    psi_sq: Fraction
-    d_sq_sigma: Fraction           # polytope max of the restricted system
-    injectivity_radius: PiSqrtValue
-    diameter: PiSqrtValue
-    kappa: Fraction
-    ricci: Fraction
 
 
 @lru_cache(maxsize=None)
 def _system(kind: RootKind) -> RootSystem:
     return build(kind)
-
-
-@lru_cache(maxsize=None)
-def _d_sq(kind: RootKind) -> Fraction:
-    """d_sq of a kind's polytope, all a report reads of it, from the
-    Dynkin tree in O(l) integer products: no inverse and no vertex is
-    formed, and the root system is not kept."""
-    return farthest_vertex(build(kind))[0]
-
-
-def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:
-    if metric.mode == "epsilon":
-        return metric.value
-    if metric.mode == "ricci":
-        return Fraction(1, 2) / metric.value
-    if metric.mode == "canonical":
-        if entry.canonical_epsilon is None:
-            raise NoCanonicalMetric(f"no canonical metric preset for {entry.label}")
-        return entry.canonical_epsilon
-    raise ValueError(f"unknown metric mode {metric.mode!r}")  # pragma: no cover
-
-
-def report(label: SpaceEntry | SpaceLabel | str,
-           metric: MetricSpec = DEFAULT_METRIC) -> GeometryReport:
-    """Compute the geometric quantities of a catalog space under a metric;
-    a catalog entry (as ``enumerate_table`` yields) is used as it is."""
-    entry = label if isinstance(label, SpaceEntry) else resolve(label)
-    eps = _epsilon_for(entry, metric)
-    psi_sq = entry.psi_sq_killing
-    d_sq = _d_sq(entry.restricted)
-    return GeometryReport(
-        space=entry,
-        epsilon=eps,
-        psi_sq=psi_sq,
-        d_sq_sigma=d_sq,
-        injectivity_radius=PiSqrtValue(eps / psi_sq),
-        diameter=PiSqrtValue(eps * d_sq / psi_sq),
-        kappa=psi_sq / eps,
-        ricci=Fraction(1, 2) / eps,
-    )
-
-
-def kappa_relation_check(rep: GeometryReport) -> Fraction:
-    """i(M)^2 * kappa / pi^2 - 1; identically zero when the two formulas agree."""
-    return rep.injectivity_radius.radicand * rep.kappa - 1
 
 
 _SLICE_CACHE_SIZE = 256      # labels kept by the slice label cache
@@ -251,30 +150,3 @@ def cut_details(label: SpaceEntry | SpaceLabel | str, h) -> CutDetails:
     return CutDetails(classification=cls,
                       dominant_representative=tuple(Fraction(v, d) for v in n),
                       reflections=nrefl, conjugate=conjugate)
-
-
-def product(reports: list[GeometryReport] | tuple[GeometryReport, ...]) -> tuple[PiSqrtValue, PiSqrtValue]:
-    """Injectivity radius and diameter of a product of factors.
-
-    The injectivity radius is the minimum over factors; the squared
-    diameter is the sum of squared factor diameters.
-    """
-    if not reports:
-        raise EmptyProduct("product of no factors")
-    inj = min(r.injectivity_radius for r in reports)
-    diam_sq = sum((r.diameter.radicand for r in reports), Fraction(0))
-    return inj, PiSqrtValue(diam_sq)
-
-
-def report_json_dict(rep: GeometryReport) -> dict:
-    out = {"space": entry_json(rep.space)}
-    out.update({
-        "epsilon": format_rational(rep.epsilon),
-        "ricci": format_rational(rep.ricci),
-        "kappa": format_rational(rep.kappa),
-        "psi_sq": format_rational(rep.psi_sq),
-        "d_sq_sigma": format_rational(rep.d_sq_sigma),
-        "injectivity_radius": rep.injectivity_radius.to_json(),
-        "diameter": rep.diameter.to_json(),
-    })
-    return out

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from .dynkin import RootKind, root_count
 from .linalg import format_rational
-from .roots import RootKind, RootSystem, root_count
+
+if TYPE_CHECKING:                     # a report loads this module without roots
+    from .roots import RootSystem
 
 
 class NonReducedInput(ValueError):

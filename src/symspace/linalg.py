@@ -19,8 +19,9 @@ hashable, and equal to a plain tuple of its fields.
 from __future__ import annotations
 
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -52,7 +53,8 @@ def format_rational(x: Fraction) -> str:
     Past Python's int-to-str limit (``sys.get_int_max_str_digits()``) the
     ValueError names that limit and the inputs that can bring a value under it.
     """
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     try:
         return str(x)
     except ValueError:
@@ -62,6 +64,22 @@ def format_rational(x: Fraction) -> str:
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+@lru_cache(maxsize=None)
+def _contexts(digits: int) -> tuple[Context, Context]:
+    """The working and the rounding context of ``_pi_sqrt_decimal``; every
+    other setting is ``decimal.DefaultContext``'s."""
+    return Context(prec=digits + 10), Context(prec=digits, rounding=ROUND_HALF_EVEN)
+
+
+@lru_cache(maxsize=1024)
+def _pi_sqrt_decimal(num: int, den: int, digits: int) -> str:
+    """pi * sqrt(num / den) for num > 0: the quotient, its root and the
+    product at digits + 10 figures, then rounded half even to ``digits``."""
+    wide, rounding = _contexts(digits)
+    val = wide.multiply(_PI, wide.sqrt(wide.divide(Decimal(num), Decimal(den))))
+    return str(rounding.plus(val))
 
 
 class _PiSqrtFields(NamedTuple):
@@ -79,8 +97,9 @@ class PiSqrtValue(_PiSqrtFields):
     __slots__ = ()
 
     def __new__(cls, radicand):
-        radicand = Fraction(radicand)
-        if radicand < 0:
+        if type(radicand) is not Fraction:
+            radicand = Fraction(radicand)
+        if radicand.numerator < 0:
             raise NegativeFactor(f"radicand must be >= 0, got {radicand}")
         return super().__new__(cls, radicand)
 
@@ -103,15 +122,8 @@ class PiSqrtValue(_PiSqrtFields):
 
     def decimal_str(self, digits: int = 12) -> str:
         """Decimal rendering at ``digits`` significant figures, round half even."""
-        if self.radicand == 0:
-            return "0"
-        with localcontext() as ctx:
-            ctx.prec = digits + 10
-            val = _PI * (Decimal(self.radicand.numerator)
-                         / Decimal(self.radicand.denominator)).sqrt()
-            ctx.prec = digits
-            ctx.rounding = ROUND_HALF_EVEN
-            return str(+val)
+        r = self.radicand
+        return _pi_sqrt_decimal(r.numerator, r.denominator, digits) if r else "0"
 
     def to_json(self) -> dict:
         return {

@@ -4,18 +4,16 @@ For an irreducible system with simple roots a_1..a_l and highest root
 psi = sum d_i a_i, the polytope is the simplex cut out by (x, a_i) >= 0
 and (x, psi) <= 1.  Its nonzero vertices e_1..e_l satisfy
 (e_j, a_i) = delta_ij / d_j, so their coefficient vectors are scaled
-columns of the inverse Gram matrix and (e_j, e_j) = (inv(Gram))_jj / d_j^2.
-With the integer Gram matrix M/g of ``RootSystem.int_gram``,
-(inv(Gram))_jj = g det(M minus node j) / det M.  A Dynkin diagram is a
-tree, and elimination on a tree makes no fill-in (Parter, SIAM Rev. 3,
-1961), so ``tree_minors`` reads det M and every det(M minus node j) from
-prefix and suffix continuants along the chain, in O(l) integer products.
-``farthest_vertex`` picks d_sq from them by cross-multiplication and
-builds one Fraction; it is all a report needs.  ``build_polytope`` also
-forms the vertices, from ``tree_adjugate``: off the diagonal, a cofactor
-on a tree is a path product times the same continuants (Usmani, Linear
-Algebra Appl. 212/213, 1994, for the chain), so det M and adj M come
-from one fold of the tree and no general solve.
+columns of the inverse Gram matrix.  With the integer Gram matrix M/g of
+``RootSystem.int_gram``, inv(Gram) = g adj M / det M, and
+``build_polytope`` reads det M and adj M from ``tree_adjugate``: a
+Dynkin diagram is a tree, and off the diagonal a cofactor on a tree is a
+path product times the prefix and suffix continuants along its chain
+(Usmani, Linear Algebra Appl. 212/213, 1994, for the chain), so both
+come from one fold of the tree and no general solve.  The fold, the
+minors on the diagonal (``tree_minors``) and the farthest vertex norm
+that reports read (``farthest_vertex``) live in ``reporting``, which a
+report process loads without this module; they are re-exported here.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -41,6 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .linalg import DimensionMismatch, Vector, clear_denominators
+from .reporting import _folded, _tree_form, farthest_vertex, tree_minors  # re-exported
 from .roots import RootSystem
 
 
@@ -65,65 +64,9 @@ class CartanPolytope(NamedTuple):
     argmax_vertex: int                    # 0-based index into vertices
 
 
-def _continuants(a: list[int], b: list[int]) -> list[int]:
-    """p_k, the determinant of the tridiagonal matrix on nodes 0..k-1 with
-    diagonal a and off-diagonal products b_k = T[k][k+1] T[k+1][k], for
-    k = 0..len(a)."""
-    p = [1, a[0]]
-    for k in range(1, len(a)):
-        p.append(a[k] * p[k] - b[k - 1] * p[k - 1])
-    return p
-
-
-def _folded(m) -> tuple[list[int], list[int], tuple[int, int, int] | None]:
-    """(pre, suf, fork) for a square integer matrix M on a Dynkin diagram
-    in this package's numbering: a chain, or for d and e a chain 0..l-2
-    and the leaf l-1 on the chain node c with M[c][l-1] != 0.
-
-    pre[k] and suf[k] are the continuants of the chain nodes before k and
-    from k on.  For d and e the leaf (diagonal f != 0, coupling product
-    w = M[c][leaf] M[leaf][c]) is first eliminated into node c: with row c
-    scaled by f, the leaf's Schur complement is a chain whose a_c is
-    f a_c - w and whose two products at c are f times as large, and a
-    continuant over a block holding c is the determinant of that block
-    with the leaf.  fork is (c, f, the bare chain's determinant), or None
-    on a chain.
-    """
-    l = len(m)
-    a = [m[k][k] for k in range(l)]
-    b = [m[k][k + 1] * m[k + 1][k] for k in range(l - 1)]
-    fork = None
-    if l > 2 and not b[-1]:              # d, e: node l-1 hangs off the chain
-        c = next(k for k in range(l - 2) if m[k][l - 1])
-        f = a.pop()
-        b.pop()
-        fork = c, f, _continuants(a, b)[-1]
-        a[c] = f * a[c] - m[c][l - 1] * m[l - 1][c]
-        if c:
-            b[c - 1] *= f
-        b[c] *= f
-    return _continuants(a, b), _continuants(a[::-1], b[::-1])[::-1], fork
-
-
-def tree_minors(m) -> tuple[int, list[int]]:
-    """(det M, [det(M minus node j) for each j]) for M as in ``_folded``.
-
-    Removing chain node j leaves the blocks before and after it, so its
-    minor is pre[j] * suf[j + 1]; M minus c is f times the blocks beside
-    c, and M minus the leaf is the bare chain.
-    """
-    pre, suf, fork = _folded(m)
-    minors = [pre[j] * suf[j + 1] for j in range(len(pre) - 1)]
-    if fork:
-        c, f, chain_det = fork
-        minors[c] *= f
-        minors.append(chain_det)
-    return pre[-1], minors
-
-
 def tree_adjugate(m) -> tuple[int, list[list[int]]]:
     """(det M, adj M) = (det M, det M * M^{-1}) for a symmetric M as in
-    ``_folded``, from the same continuants as ``tree_minors``.
+    ``reporting._tree_form``, from the same continuants as ``tree_minors``.
 
     On a tree, the cofactor of (k, j) is the product of -M along the path
     from k to j times the determinant of M minus the path's nodes.  For
@@ -133,7 +76,7 @@ def tree_adjugate(m) -> tuple[int, list[list[int]]]:
     divided by f, and its diagonal entry is the bare chain's determinant.
     """
     l = len(m)
-    pre, suf, fork = _folded(m)
+    pre, suf, fork = _folded(*_tree_form(m))
     n = len(pre) - 1                     # chain nodes
     c, f, chain_det = fork or (-1, 1, 0)
     adj = [[0] * l for _ in range(l)]
@@ -156,20 +99,6 @@ def tree_adjugate(m) -> tuple[int, list[list[int]]]:
 def _norm_sq(g: int, det: int, minor: int, d: int) -> Fraction:
     """(e_j, e_j) = (inv(Gram))_jj / d_j^2 = g det(M minus j) / (det M d_j^2)."""
     return Fraction(g * minor, det * d * d)
-
-
-def farthest_vertex(rs: RootSystem) -> tuple[Fraction, int]:
-    """(d_sq, argmax_vertex) of the polytope from ``tree_minors``, without
-    the vertices: the first largest norm, found by cross-multiplying the
-    candidates (det M and g are positive), then one Fraction."""
-    m, g = rs.int_gram
-    det, minors = tree_minors(m)
-    d = rs.highest_root
-    best = 0
-    for j in range(1, rs.rank):
-        if minors[j] * d[best] * d[best] > minors[best] * d[j] * d[j]:
-            best = j
-    return _norm_sq(g, det, minors[best], d[best]), best
 
 
 def build_polytope(rs: RootSystem) -> CartanPolytope:

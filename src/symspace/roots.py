@@ -1,28 +1,21 @@
 """Irreducible root systems realized in simple-root coordinates.
 
-Each family (a, b, c, d, e6, e7, e8, f4, g2 and the non-reduced bc) is
-described once, by its Dynkin diagram (Bourbaki, Lie Groups and Lie
-Algebras, Ch. VI, Plates I-IX): the relative squared lengths L of its
-simple roots and its edges, with (a_i, a_j) = -max(L_i, L_j)/2 on an edge
-and 0 off the edges; the Cartan matrix and the Gram matrix follow from it.
-The Gram matrix is normalized so that the highest root has squared length
-1 and is kept as integer rows M over one positive denominator g (gram =
-M/g).  ``build`` derives it in O(rank) arithmetic steps and stops there:
-that is all the Cartan polytope needs.  The roots themselves (integer
-coefficient vectors over the simple roots) are enumerated on first
-access, and only for systems of at most MAX_ROOTS roots.  One pass builds the positive roots level by level
-in height from simple-root strings, and records how each is reached from
-a root one level below: the chain that the conjugacy test in
-``geometry`` walks.
+Each family is described once, by its Dynkin diagram (``dynkin``, whose
+public names this module re-exports); the Cartan matrix and the Gram
+matrix follow from it.  The Gram matrix is normalized so that the
+highest root has squared length 1 and is kept as integer rows M over one
+positive denominator g (gram = M/g).  ``build`` derives it in O(rank)
+arithmetic steps and stops there: that is all the Cartan polytope needs.
+The roots themselves (integer coefficient vectors over the simple roots)
+are enumerated on first access, and only for systems of at most
+MAX_ROOTS roots.  One pass builds the positive roots level by level in
+height from simple-root strings, and records how each is reached from a
+root one level below: the chain that the conjugacy test in ``geometry``
+walks.
 
-Node numbering runs along the chain first; for d, e6, e7, e8 the node
-hanging off the chain comes last, attached to the fork node (l-3 for d,
-2, 3, 4 for e6, e7, e8).
-
-``RootKind`` and ``RootSystem`` are named tuples, immutable and equal to
-plain tuples of their fields; ``RootSystem`` also keeps its lazily built
-members (the roots, their chain and the sparse Cartan rows) in an
-instance dict.
+``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
+its fields; it also keeps its lazily built members (the roots, their
+chain and the sparse Cartan rows) in an instance dict.
 """
 
 from __future__ import annotations
@@ -33,120 +26,12 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
+from .dynkin import (MAX_RANK, InvalidRank, RootKind, _diagram,  # re-exported
+                     check_rank, gram_diagram, highest_root_coeffs, parse_kind,
+                     root_count, split_kind)
 from .linalg import format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
-MAX_RANK = 128      # largest rank ``build`` accepts
-
-_EXCEPTIONAL_RANKS = {"e": (6, 7, 8), "f": (4,), "g": (2,)}
-_MIN_RANK = {"a": 1, "b": 2, "c": 3, "d": 4, "bc": 1}
-
-
-class InvalidRank(ValueError):
-    """Raised for a family/rank combination outside the classification,
-    or beyond the MAX_RANK / MAX_ROOTS limits."""
-
-
-class _RootKindFields(NamedTuple):
-    family: str
-    rank: int
-
-
-class RootKind(_RootKindFields):
-    """A root-system type: family letter(s) plus rank."""
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, rank: int):
-        fam = family.lower()
-        if fam in _MIN_RANK:
-            if rank < _MIN_RANK[fam]:
-                raise InvalidRank(f"{fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
-        elif fam in _EXCEPTIONAL_RANKS:
-            if rank not in _EXCEPTIONAL_RANKS[fam]:
-                raise InvalidRank(f"no system {fam}{rank}")
-        else:
-            raise InvalidRank(f"unknown family {fam!r}")
-        return super().__new__(cls, fam, rank)
-
-    @classmethod
-    def _make(cls, iterable) -> "RootKind":
-        return cls(*iterable)         # so that _replace validates too
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.family != "bc"
-
-    def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
-
-
-def split_kind(text: str) -> tuple[str, int]:
-    """Split "a3", "bc2", " E8 " (case-insensitive) into (family, rank)."""
-    s = text.strip().lower()
-    i = 0
-    while i < len(s) and s[i].isalpha():
-        i += 1
-    fam, digits = s[:i], s[i:]
-    if not fam or not digits.isdecimal():
-        raise InvalidRank(f"cannot parse root-system kind {text!r}")
-    return fam, int(digits)
-
-
-def parse_kind(text: str) -> RootKind:
-    """Parse "a3", "bc2", "E8" (case-insensitive) into a RootKind."""
-    return RootKind(*split_kind(text))
-
-
-def check_rank(kind: RootKind) -> RootKind:
-    """Return ``kind``; raise InvalidRank when its rank exceeds MAX_RANK."""
-    if kind.rank > MAX_RANK:
-        raise InvalidRank(f"{kind}: rank {kind.rank} exceeds the limit of {MAX_RANK}")
-    return kind
-
-
-def root_count(kind: RootKind) -> int:
-    """Classical root count per family."""
-    l = kind.rank
-    if kind.family == "a":
-        return l * (l + 1)
-    if kind.family in ("b", "c"):
-        return 2 * l * l
-    if kind.family == "d":
-        return 2 * l * (l - 1)
-    if kind.family == "bc":
-        return 2 * l * l + 2 * l
-    if kind.family == "e":
-        return {6: 72, 7: 126, 8: 240}[l]
-    return 48 if kind.family == "f" else 12
-
-
-def _relative_lengths(kind: RootKind) -> tuple[int, ...]:
-    """Squared simple-root lengths up to overall scale: 1, 2 or 3."""
-    fam, l = kind.family, kind.rank
-    if fam in ("a", "d", "e"):
-        return (2,) * l
-    if fam in ("b", "bc"):
-        return (2,) * (l - 1) + (1,) if l > 1 else (2,)
-    if fam == "c":
-        return (1,) * (l - 1) + (2,)
-    if fam == "f":
-        return (2, 2, 1, 1)
-    if fam == "g":
-        return (3, 1)
-    raise InvalidRank(fam)  # pragma: no cover
-
-
-def _diagram(kind: RootKind) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """The Dynkin diagram: the relative squared lengths L of the simple
-    roots, and its edges (i, j, max(L_i, L_j)).  The edges run along the
-    chain 0..l-2 and join the last node l-1 to the chain's end, or for d and
-    e to the fork node: l-3 for d, 2/3/4 for e6/e7/e8."""
-    lengths = _relative_lengths(kind)
-    l = kind.rank
-    fork = {"d": l - 3, "e": l - 4}.get(kind.family, l - 2)
-    pairs = [(i, i + 1) for i in range(l - 2)] + [(fork, l - 1)] * (l > 1)
-    return lengths, [(i, j, max(lengths[i], lengths[j])) for i, j in pairs]
 
 
 def _on_diagram(diagonal, edges, entry) -> tuple[tuple[int, ...], ...]:
@@ -166,30 +51,6 @@ def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
     On an edge (a_i, a_j) = -max(L_i, L_j)/2, so A[i][j] = -max(L_i, L_j)/L_j."""
     lengths, edges = _diagram(kind)
     return _on_diagram((2,) * kind.rank, edges, lambda bond, j: -bond // lengths[j])
-
-
-def highest_root_coeffs(kind: RootKind) -> tuple[int, ...]:
-    """Coefficients of the highest root over the simple roots."""
-    fam, l = kind.family, kind.rank
-    if fam == "a":
-        return (1,) * l
-    if fam == "b":
-        return (1,) + (2,) * (l - 1)
-    if fam == "c":
-        return (2,) * (l - 1) + (1,)
-    if fam == "d":
-        return (1,) + (2,) * (l - 3) + (1, 1)
-    if fam == "e":
-        return {6: (1, 2, 3, 2, 1, 2),
-                7: (1, 2, 3, 4, 3, 2, 2),
-                8: (2, 3, 4, 5, 6, 4, 2, 3)}[l]
-    if fam == "f":
-        return (2, 3, 4, 2)
-    if fam == "g":
-        return (2, 3)
-    if fam == "bc":
-        return (2,) * l
-    raise InvalidRank(fam)  # pragma: no cover
 
 
 class _RootSystemFields(NamedTuple):
@@ -309,14 +170,9 @@ def build(kind: RootKind | str) -> RootSystem:
     if isinstance(kind, str):
         kind = parse_kind(kind)
     l = check_rank(kind).rank
-    lengths, edges = _diagram(kind)
-    psi = highest_root_coeffs(kind)
-    # S = 2 Gram / scale is the integer matrix with S_ii = 2 L_i and
-    # S_ij = -max(L_i, L_j) on an edge; dividing by N = psi^T S psi
-    # normalizes (psi, psi) to 1.  Dividing S and N by their common gcd
+    # gram = S/N (``gram_diagram``); dividing S and N by their common gcd
     # leaves gram = M/g in lowest terms.
-    norm = 2 * (sum(x * p * p for x, p in zip(lengths, psi))
-                - sum(bond * psi[i] * psi[j] for i, j, bond in edges))
+    lengths, edges, psi, norm = gram_diagram(kind)
     c = gcd(norm, *(2 * x for x in lengths), *(bond for _, _, bond in edges))
     m = _on_diagram([2 * x // c for x in lengths], edges, lambda bond, _: -bond // c)
     return RootSystem(kind=kind, rank=l, cartan=cartan_matrix(kind),

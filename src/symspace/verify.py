@@ -8,10 +8,10 @@ brute-force checks.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from .closedform import expected
-from .geometry import report
 from .catalog import check_param_bound, enumerate_table
+from .closedform import expected
 from .oracle import OracleReport, standard_suite
+from .reporting import report
 
 # Largest simplex-oracle sample count, ten times the default.  The sample
 # is drawn and checked a block of rows at a time, so this bounds time, not

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -23,11 +24,20 @@ def test_parse_label_grammar():
         with pytest.raises(InvalidParams):
             parse_label(bad)
     # One sign and decimal digits only, as int() reads them.
+    # int() reads at most L digits; past that the parameter is named.
+    limit = sys.get_int_max_str_digits()
     for bad, message in (("AI:n=--5", "bad parameter 'n=--5'"),
                          ("AI:n=²", "bad parameter 'n=²'"),
-                         ("GROUP:e⁸", "cannot parse root-system kind 'e⁸'")):
+                         ("GROUP:e⁸", "cannot parse root-system kind 'e⁸'"),
+                         (f"AI:n={'1' * (limit + 700)}",
+                          f"parameter n has more than {limit} digits"),
+                         (f"AIII:p=1,q=-{'0' * limit}1",
+                          f"parameter q has more than {limit} digits"),
+                         (f"GROUP:a{'1' * (limit + 1)}",
+                          f"the rank of a root-system kind has more than {limit} digits")):
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             parse_label(bad)
+    assert parse_label(f"AIII:p=1,q={'9' * limit}").q == 10 ** limit - 1
 
 
 @pytest.mark.parametrize("label", ["AI:n=4,n=5", "AII:n=3,n=3", "CI:n=2,N=3",

@@ -108,17 +108,17 @@ def test_table_41_small_bound(capsys):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_table_prints_nothing_when_a_later_row_fails(monkeypatch, capsys, fmt):
-    from symspace import geometry
-    real = geometry.report
+    from symspace import reporting
+    real = reporting.report
     calls = []
 
     def report(entry, metric):
         calls.append(entry)
         if len(calls) == 5:
-            raise geometry.NoCanonicalMetric("no canonical metric preset for row 5")
+            raise reporting.NoCanonicalMetric("no canonical metric preset for row 5")
         return real(entry, metric)
 
-    monkeypatch.setattr(geometry, "report", report)
+    monkeypatch.setattr(reporting, "report", report)
     code, out, err = run(capsys, "table", "4.1", "--max-param", "4", "--format", fmt)
     assert (code, out, err) == (3, "", "error: no canonical metric preset for row 5\n")
     assert len(calls) == 5
@@ -320,6 +320,32 @@ def test_cli_import_skips_numpy():
     assert proc.stdout.strip() == "False"
 
 
+# Runs one command in this interpreter, then prints which loaded modules
+# define the slice kernel or the polytope, and whether json was loaded.
+_MODULES_OF_COMMAND = """
+import contextlib, io, sys
+import symspace.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = symspace.cli.main(sys.argv[1:])
+slice_path = sorted(name for name, mod in sys.modules.items()
+                    if name.startswith("symspace") and
+                    {"cut_classify", "build_polytope"} & set(vars(mod)))
+print(code, slice_path, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [("space", "AI:n=4"),
+                                  ("product", "AI:n=4", "CI:n=3"),
+                                  ("table", "4.1", "--format", "tsv")],
+                         ids=lambda argv: argv[0])
+def test_report_commands_load_only_the_report_path(argv):
+    # space, product and table compile the catalog and the report path:
+    # neither the slice predicates nor the polytope, and no json.
+    proc = run_python("-c", _MODULES_OF_COMMAND, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 [] False"
+
+
 def test_cli_import_skips_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds on
     # every process start.  The value types are named tuples instead.
@@ -356,19 +382,40 @@ def test_product_past_enumeration_limit(capsys):
         str(sum((w.d_radicand for w in want), Fraction(0)))
 
 
-@pytest.mark.parametrize("argv", [
-    ("rootsystem", "c25"),
-    ("cut", "GROUP:a30", "--point", ",".join(["1"] + ["0"] * 29)),
-    ("space", "GROUP:a129"),
-    ("space", "AI:n=99999999999"),
-    ("table", "4.1", "--max-param", "100000"),
-], ids=lambda argv: " ".join(argv[:2]))
-def test_refused_inputs_exit_2(argv):
+# int() reads at most L digits (4300 by default): past that a parameter or a
+# rank is refused by name, and a label with q (or a rank) of L digits gives
+# psi_sq = 1/(p+q) (or the name SU(l+1)) one digit more than can be printed.
+L = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=name or " ".join(argv[:2]))
+    for argv, message, name in [
+        (("rootsystem", "c25"), None, None),
+        (("cut", "GROUP:a30", "--point", ",".join(["1"] + ["0"] * 29)), None, None),
+        (("space", "GROUP:a129"), None, None),
+        (("space", "AI:n=99999999999"), None, None),
+        (("table", "4.1", "--max-param", "100000"), None, None),
+        (("space", f"AI:n={'1' * (L + 700)}"),
+         f"parameter n has more than {L} digits", "space AI:n=<L+700 digits>"),
+        (("rootsystem", f"a{'1' * (L + 700)}"),
+         f"the rank of a root-system kind has more than {L} digits",
+         "rootsystem a<L+700 digits>"),
+        (("space", f"AIII:p=1,q={'9' * L}"),
+         f"AIII: a printed value exceeds the limit of {L} digits; "
+         "the label's parameters need fewer digits", "space AIII:p=1,q=<L digits>"),
+        (("space", f"GROUP:a{'9' * L}"),          # the name SU(l+1), in resolve
+         f"GROUP: a printed value exceeds the limit of {L} digits; "
+         "the label's parameters need fewer digits", "space GROUP:a<L digits>"),
+    ]])
+def test_refused_inputs_exit_2(argv, message):
     proc = run_python("-m", "symspace.cli", *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    if message is not None:
+        assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("coord", ["1e10000000", "1" * 5000, "5e-4301"],
@@ -491,13 +538,14 @@ def test_table_41_peak_rss_holds_row_text_only():
 
 
 def test_table_41_tsv_peak_rss_holds_rows_only():
-    # The lines are printed one at a time once every row has succeeded, so
-    # neither the lines nor their joined text (2.4 MB here) is held beside
-    # the rows' cells, about 16 MB over one report (22 MB with both held).
+    # Each row is held as its joined line (2.4 MB in all here) until every
+    # row has succeeded, and written out in chunks, with no joined copy of
+    # the whole text: about 5 MB over one report (16 MB when each row kept
+    # its eight cells).
     base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
     code, err, rss = peak_rss_kb("table", "4.1", "--max-param", "128", "--format", "tsv")
     assert (base_code, code, err) == (0, 0, "")
-    assert rss <= base_rss + 19 * 1024, (rss, base_rss)
+    assert rss <= base_rss + 7 * 1024, (rss, base_rss)
 
 
 def test_table_json_peak_rss_near_tsv():

@@ -33,27 +33,27 @@ def test_report_is_linear_and_makes_no_adjugate(monkeypatch):
     # never reaches the adjugate that build_polytope makes, and its
     # continuants run over at most 3 rank nodes in all (prefix, suffix and,
     # for d, the bare chain): the cost is linear in the rank.
-    import symspace.geometry as geometry
     import symspace.polytope as polytope
+    import symspace.reporting as reporting
 
     def no_adjugate(*_args):
         raise AssertionError("tree_adjugate on the report path")
 
     monkeypatch.setattr(polytope, "tree_adjugate", no_adjugate)
-    geometry._d_sq.cache_clear()
+    reporting._d_sq.cache_clear()
     assert report("GROUP:a128").d_sq_sigma == d_sq_closed_form("a", 128)
     assert report("BDI:p=100,q=120").d_sq_sigma == d_sq_closed_form("b", 100)
     with pytest.raises(AssertionError, match="tree_adjugate"):
         build_polytope(build("a3"))           # the patch is in force
 
     nodes = []
-    continuants = polytope._continuants
-    monkeypatch.setattr(polytope, "_continuants",
+    continuants = reporting._continuants
+    monkeypatch.setattr(reporting, "_continuants",
                         lambda a, b: nodes.append(len(a)) or continuants(a, b))
     for rank in (32, 64, 128):
         for label in (f"GROUP:a{rank}", f"GROUP:d{rank}", f"BDI:p={rank},q={rank + 20}",
                       f"CII:p={rank},q={rank + 3}"):
-            geometry._d_sq.cache_clear()
+            reporting._d_sq.cache_clear()
             nodes.clear()
             report(label)
             assert 0 < sum(nodes) <= 3 * rank, (label, nodes)

@@ -62,7 +62,7 @@ def test_tree_norms_match_bareiss(kind):
     d = rs.highest_root
     norms = tuple(F(g * y[j][j], delta * d[j] * d[j]) for j in range(rs.rank))
     d_sq = max(norms)
-    assert farthest_vertex(rs) == (d_sq, norms.index(d_sq))
+    assert farthest_vertex(kind) == (d_sq, norms.index(d_sq))
     p = build_polytope(rs)
     assert p.vertex_norms_sq == norms
     assert (p.d_sq, p.argmax_vertex) == (d_sq, norms.index(d_sq))

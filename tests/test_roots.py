@@ -1,4 +1,5 @@
 import fractions
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -35,6 +36,12 @@ def test_parse_kind():
             parse_kind(bad)
     with pytest.raises(InvalidRank, match="^cannot parse root-system kind 'a²'$"):
         parse_kind("a²")
+    # int() reads at most L digits; past that the rank is refused as such.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidRank, match=f"^the rank of a root-system kind has more "
+                                          f"than {limit} digits$"):
+        parse_kind("a" + "1" * (limit + 700))
+    assert parse_kind("a" + "0" * (limit - 1) + "7") == RootKind("a", 7)
 
 
 def test_a1_smallest():

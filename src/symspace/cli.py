@@ -72,6 +72,13 @@ def _write(pieces) -> None:
     sys.stdout.write("".join(chunk))
 
 
+def _write_json(data) -> None:
+    """``print(json.dumps(data, indent=2))``, written as it is encoded: a
+    space's black-node list can run to a million lines."""
+    import json
+    _write(chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"]))
+
+
 def _emit_rows(header: list[str], rows, fmt: str) -> None:
     """Print the rows (cell lists, or an iterator of them) as a table once
     every row is rendered.  tsv and markdown keep one joined line per row;
@@ -93,21 +100,20 @@ def cmd_rootsystem(args) -> int:
     from . import killing, polytope, roots
     kind = roots.parse_kind(args.kind)
     rs = roots.build(kind)
-    data = roots.to_json_dict(rs)     # counts the roots, so past MAX_ROOTS refuses first
+    data = roots.to_json_dict(rs)
     poly = polytope.build_polytope(rs)
     data["polytope"] = polytope.to_json_dict(poly)
     if kind.is_reduced:
         kd = killing.killing_data(rs)
         data["killing"] = killing.to_json_dict(kd)
     if args.format == "json":
-        import json
-        print(json.dumps(data, indent=2))
+        _write_json(data)
         return 0
     rows = [
         ["kind", str(rs.kind)],
         ["rank", str(rs.rank)],
-        ["root count", str(len(rs.roots))],
-        ["indivisible roots", str(len(rs.indivisible_roots))],
+        ["root count", str(data["root_count"])],
+        ["indivisible roots", str(data["indivisible_count"])],
         ["highest root", " ".join(map(str, rs.highest_root))],
         ["gram", "; ".join(",".join(r) for r in data["gram"])],
         ["vertex norms sq", " ".join(format_rational(v) for v in poly.vertex_norms_sq)],
@@ -186,10 +192,7 @@ def cmd_space(args) -> int:
         _refuse_long_labels([rep])
         raise
     if args.format == "json":
-        import json
-        # Written as it is encoded: a black-node list can run to a million lines.
-        _write(json.JSONEncoder(indent=2).iterencode(data))
-        print()
+        _write_json(data)
         return 0
     _emit_rows(["field", "value"], data, args.format)
     return 0
@@ -243,7 +246,7 @@ def cmd_cut(args) -> int:
         "conjugate": details.conjugate,
     }
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        _write_json(data)
         return 0
     rows = [[k, v if isinstance(v, str) else json.dumps(v)] for k, v in data.items()]
     _emit_rows(["field", "value"], rows, args.format)
@@ -264,8 +267,7 @@ def cmd_product(args) -> int:
         _refuse_long_labels(reps)
         raise
     if args.format == "json":
-        import json
-        print(json.dumps(data, indent=2))
+        _write_json(data)
         return 0
     rows = [["factors", " ".join(data["factors"])],
             ["injectivity radius", str(inj)],
@@ -279,11 +281,9 @@ def cmd_verify(args) -> int:
     from .oracle import TSV_HEADER
     reports = verify.run_all(args.seed, samples=args.samples,
                              table_bound=args.max_param)
-    print(TSV_HEADER)
-    for r in reports:
-        print(r.tsv_row())
     failed = [r for r in reports if not r.passed]
-    print(f"# {len(reports) - len(failed)}/{len(reports)} checks passed")
+    _write(chain([TSV_HEADER + "\n"], (r.tsv_row() + "\n" for r in reports),
+                 [f"# {len(reports) - len(failed)}/{len(reports)} checks passed\n"]))
     return 1 if failed else 0
 
 

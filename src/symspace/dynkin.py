@@ -4,10 +4,17 @@ Each family (a, b, c, d, e6, e7, e8, f4, g2 and the non-reduced bc) is
 described once, by its Dynkin diagram (Bourbaki, Lie Groups and Lie
 Algebras, Ch. VI, Plates I-IX): the relative squared lengths L of its
 simple roots and its edges, with (a_i, a_j) = -max(L_i, L_j)/2 on an edge
-and 0 off the edges, and the coefficients of its highest root.  That,
-the classical root counts and the parsing of kinds is all a report
-needs; ``roots`` builds the Cartan and Gram matrices and the roots
-themselves from it, and re-exports the public names here.
+and 0 off the edges, and the coefficients of its highest root.
+``gram_tree`` reads that diagram, once, into the integer Gram matrix M/g
+in the shape of its tree, and every consumer reads the tree: ``roots``
+builds the dense Gram and Cartan matrices from it, the report path folds
+it for the farthest vertex (``reporting.farthest_vertex``), and
+``polytope.tree_adjugate`` reads the inverse off the same fold.
+
+A Dynkin diagram is a tree, and elimination on a tree makes no fill-in
+(Parter, SIAM Rev. 3, 1961): ``fold_tree`` reads the determinants of its
+chain blocks as prefix and suffix continuants, in O(l) integer products,
+and ``principal_minors`` det M and every det(M minus node j) from them.
 
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
 hanging off the chain comes last, attached to the fork node (l-3 for d,
@@ -20,6 +27,7 @@ its fields.
 from __future__ import annotations
 
 import sys
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -129,20 +137,6 @@ def _relative_lengths(kind: RootKind) -> tuple[int, ...]:
     raise InvalidRank(fam)  # pragma: no cover
 
 
-def _diagram(kind: RootKind) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """The Dynkin diagram: the relative squared lengths L of the simple
-    roots, and its edges (i, j, max(L_i, L_j)).  The edges run along the
-    chain 0..l-2 and join the last node l-1 to the chain's end, or for d and
-    e to the fork node: l-3 for d, 2/3/4 for e6/e7/e8."""
-    lengths = _relative_lengths(kind)
-    l = kind.rank
-    edges = [(i, i + 1, max(lengths[i], lengths[i + 1])) for i in range(l - 2)]
-    if l > 1:
-        fork = {"d": l - 3, "e": l - 4}.get(kind.family, l - 2)
-        edges.append((fork, l - 1, max(lengths[fork], lengths[l - 1])))
-    return lengths, edges
-
-
 def highest_root_coeffs(kind: RootKind) -> tuple[int, ...]:
     """Coefficients of the highest root over the simple roots."""
     fam, l = kind.family, kind.rank
@@ -167,14 +161,80 @@ def highest_root_coeffs(kind: RootKind) -> tuple[int, ...]:
     raise InvalidRank(fam)  # pragma: no cover
 
 
-def gram_diagram(kind: RootKind) -> tuple[tuple[int, ...], list[tuple[int, int, int]],
-                                        tuple[int, ...], int]:
-    """(L, edges, psi, N): the diagram of ``_diagram``, the highest root and
-    N = psi^T S psi for the integer matrix S with S_ii = 2 L_i and S_ij =
-    -max(L_i, L_j) on an edge, so that gram = S/N has (psi, psi) = 1.
-    No matrix is formed."""
-    lengths, edges = _diagram(kind)
+def gram_tree(kind: RootKind) -> tuple[list[int], list[int], tuple[int, int, int] | None,
+                                       tuple[int, ...], int]:
+    """(a, b, leaf, psi, g): the Gram matrix M/g of the simple roots, in
+    lowest terms and with (psi, psi) = 1, in the shape of its tree.  a and b
+    are the diagonal and the off-diagonal entries M[k][k+1] of the chain;
+    leaf is (c, M[l-1][l-1], M[c][l-1]) for d and e, whose last node hangs
+    off chain node c, and None for the others.  No matrix is formed.
+
+    Up to scale, M_kk = 2 L_k and M_ij = -max(L_i, L_j) on an edge, and
+    g = psi^T M psi; all of them are then divided by their gcd.
+    """
+    lengths = _relative_lengths(kind)
     psi = highest_root_coeffs(kind)
-    norm = 2 * (sum(map(mul, lengths, map(mul, psi, psi)))
-                - sum([bond * psi[i] * psi[j] for i, j, bond in edges]))
-    return lengths, edges, psi, norm
+    l = kind.rank
+    c = {"d": l - 3, "e": l - 4}.get(kind.family)
+    edges = [(k, k + 1) for k in range(l - 1 if c is None else l - 2)]
+    if c is not None:
+        edges.append((c, l - 1))
+    a = [2 * x for x in lengths]
+    b = [-max(lengths[i], lengths[j]) for i, j in edges]
+    g = (sum(map(mul, a, map(mul, psi, psi)))
+         + 2 * sum([x * psi[i] * psi[j] for x, (i, j) in zip(b, edges)]))
+    r = gcd(g, *a, *b)
+    a = [x // r for x in a]
+    b = [x // r for x in b]
+    return a, b, None if c is None else (c, a.pop(), b.pop()), psi, g // r
+
+
+def _continuants(a: list[int], b: list[int]) -> list[int]:
+    """p_k, the determinant of the tridiagonal matrix on nodes 0..k-1 with
+    diagonal a and off-diagonal products b_k = T[k][k+1] T[k+1][k], for
+    k = 0..len(a)."""
+    p = [1, a[0]]
+    for k in range(1, len(a)):
+        p.append(a[k] * p[k] - b[k - 1] * p[k - 1])
+    return p
+
+
+def fold_tree(a: list[int], b: list[int], leaf) -> tuple[list[int], list[int], int]:
+    """(pre, suf, bare) for the tree (a, b, leaf) of ``gram_tree``, whose
+    lists are left as they are.
+
+    pre[k] and suf[k] are the continuants of the chain nodes before k and
+    from k on, and bare is the determinant of the chain without the leaf.
+    A leaf (diagonal f != 0, coupling w) is first eliminated into its node
+    c: with row c scaled by f, the leaf's Schur complement is a chain whose
+    a_c is f a_c - w^2 and whose two coupling products at c are f times as
+    large, and a continuant over a block holding c is the determinant of
+    that block with the leaf.
+    """
+    b = [x * x for x in b]
+    pre = _continuants(a, b)
+    bare = pre[-1]
+    if leaf:
+        c, f, w = leaf
+        a = a[:]
+        a[c] = f * a[c] - w * w
+        if c:
+            b[c - 1] *= f
+        b[c] *= f
+        pre = _continuants(a, b)
+    return pre, _continuants(a[::-1], b[::-1])[::-1], bare
+
+
+def principal_minors(a: list[int], b: list[int], leaf) -> tuple[int, list[int]]:
+    """(det M, [det(M minus node j) for each j]) for the tree (a, b, leaf).
+
+    Removing chain node j leaves the blocks before and after it, so its
+    minor is pre[j] * suf[j + 1]; the tree minus c is f times the blocks
+    beside c, and the tree minus the leaf is the bare chain.
+    """
+    pre, suf, bare = fold_tree(a, b, leaf)
+    minors = [pre[j] * suf[j + 1] for j in range(len(a))]
+    if leaf:
+        minors[leaf[0]] *= leaf[1]
+        minors.append(bare)
+    return pre[-1], minors

@@ -5,7 +5,8 @@ denominator) and vectors are plain tuples of Fractions.  A rational
 vector is kept as integer numerators over one denominator
 (``clear_denominators``).  No general matrix inverse lives here: the only
 matrix the package inverts is the Gram matrix on a Dynkin diagram, a
-tree, and ``polytope.tree_adjugate`` reads its adjugate off continuants.
+tree (``dynkin.gram_tree``), and ``polytope.tree_adjugate`` reads its
+adjugate off that tree's continuants.
 
 The module also provides :class:`PiSqrtValue`, the value type ``pi *
 sqrt(q)`` for a nonnegative rational ``q``.  Every geometric quantity

@@ -334,7 +334,7 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
             rs = build(k)
             reports.append(closure_count_oracle(k))
             m, g = rs.int_gram
-            reports.append(inverse_oracle(m, g, tree_adjugate(m), name=f"gram {k}"))
+            reports.append(inverse_oracle(m, g, tree_adjugate(k), name=f"gram {k}"))
             polytopes.append(build_polytope(rs))
         reports.extend(simplex_max_oracle(polytopes, samples, seed))   # one draw per rank
     hilbert = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]  # 1/(i+j+1)

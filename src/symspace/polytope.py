@@ -5,15 +5,14 @@ psi = sum d_i a_i, the polytope is the simplex cut out by (x, a_i) >= 0
 and (x, psi) <= 1.  Its nonzero vertices e_1..e_l satisfy
 (e_j, a_i) = delta_ij / d_j, so their coefficient vectors are scaled
 columns of the inverse Gram matrix.  With the integer Gram matrix M/g of
-``RootSystem.int_gram``, inv(Gram) = g adj M / det M, and
+``dynkin.gram_tree``, inv(Gram) = g adj M / det M, and
 ``build_polytope`` reads det M and adj M from ``tree_adjugate``: a
 Dynkin diagram is a tree, and off the diagonal a cofactor on a tree is a
 path product times the prefix and suffix continuants along its chain
 (Usmani, Linear Algebra Appl. 212/213, 1994, for the chain), so both
-come from one fold of the tree and no general solve.  The fold, the
-minors on the diagonal (``tree_minors``) and the farthest vertex norm
-that reports read (``farthest_vertex``) live in ``reporting``, which a
-report process loads without this module; they are re-exported here.
+come from one fold of the tree (``dynkin.fold_tree``) and no general
+solve.  The farthest vertex and its norm are the report path's
+(``reporting.farthest_vertex``), from the minors of the same fold.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -38,8 +37,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from .dynkin import RootKind, fold_tree, gram_tree
 from .linalg import DimensionMismatch, Vector, clear_denominators
-from .reporting import _folded, _tree_form, farthest_vertex, tree_minors  # re-exported
+from .reporting import farthest_vertex
 from .roots import RootSystem
 
 
@@ -64,62 +64,56 @@ class CartanPolytope(NamedTuple):
     argmax_vertex: int                    # 0-based index into vertices
 
 
-def tree_adjugate(m) -> tuple[int, list[list[int]]]:
-    """(det M, adj M) = (det M, det M * M^{-1}) for a symmetric M as in
-    ``reporting._tree_form``, from the same continuants as ``tree_minors``.
+def tree_adjugate(kind: RootKind) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) = (det M, det M * M^{-1}) for the Gram tree M/g of
+    ``dynkin.gram_tree``, from the continuants of ``dynkin.fold_tree``.
 
     On a tree, the cofactor of (k, j) is the product of -M along the path
     from k to j times the determinant of M minus the path's nodes.  For
     chain nodes k <= j that is the path product times pre[k] suf[j + 1],
     and times f when the path passes c (the leaf is then cut off alone).
-    The leaf's path runs through c, so its row is -M[leaf][c] times row c
-    divided by f, and its diagonal entry is the bare chain's determinant.
+    The leaf's path runs through c, so its row is -w times row c divided
+    by f, and its diagonal entry is the bare chain's determinant.
     """
-    l = len(m)
-    pre, suf, fork = _folded(*_tree_form(m))
-    n = len(pre) - 1                     # chain nodes
-    c, f, chain_det = fork or (-1, 1, 0)
-    adj = [[0] * l for _ in range(l)]
+    a, b, leaf, _, _ = gram_tree(kind)
+    pre, suf, bare = fold_tree(a, b, leaf)
+    n = len(a)                           # chain nodes
+    c, f, w = leaf or (-1, 1, 0)
+    adj = [[0] * kind.rank for _ in range(kind.rank)]
     for k in range(n):
         run = pre[k]
         for j in range(k, n):
             if j > k:
-                run *= -m[j - 1][j]
+                run *= -b[j - 1]
             if j == c:
                 run *= f
             adj[k][j] = adj[j][k] = run * suf[j + 1]
-    if fork:
-        w = -m[l - 1][c]
-        adj[l - 1] = [w * x // f for x in adj[c][:n]] + [chain_det]
+    if leaf:
+        adj[n] = [-w * x // f for x in adj[c][:n]] + [bare]
         for j in range(n):
-            adj[j][l - 1] = adj[l - 1][j]
+            adj[j][n] = adj[n][j]
     return pre[-1], adj
-
-
-def _norm_sq(g: int, det: int, minor: int, d: int) -> Fraction:
-    """(e_j, e_j) = (inv(Gram))_jj / d_j^2 = g det(M minus j) / (det M d_j^2)."""
-    return Fraction(g * minor, det * d * d)
 
 
 def build_polytope(rs: RootSystem) -> CartanPolytope:
     """The polytope: with gram = M/g and (det M, adj M) from
     ``tree_adjugate``, inv(Gram) = g adj M / det M gives the vertices and,
-    on its diagonal, the norms."""
-    m, g = rs.int_gram
-    det, adj = tree_adjugate(m)
+    on its diagonal, the norms; ``farthest_vertex`` picks the largest."""
+    g = rs.int_gram[1]
+    det, adj = tree_adjugate(rs.kind)
     d = rs.highest_root
     l = rs.rank
     verts = tuple(tuple(Fraction(g * adj[k][j], det * d[j]) for k in range(l))
                   for j in range(l))
-    norms = tuple(_norm_sq(g, det, adj[j][j], dj) for j, dj in enumerate(d))
-    d_sq = max(norms)
+    norms = tuple(Fraction(g * adj[j][j], det * dj * dj) for j, dj in enumerate(d))
+    d_sq, argmax = farthest_vertex(rs.kind)
     return CartanPolytope(
         system=rs,
         vertices=verts,
         vertex_norms_sq=norms,
         i_sq=1 / rs.psi_sq,
         d_sq=d_sq,
-        argmax_vertex=norms.index(d_sq),
+        argmax_vertex=argmax,
     )
 
 

@@ -17,20 +17,18 @@ per restricted kind.
 For an irreducible system with simple roots a_1..a_l and highest root
 psi = sum d_i a_i, the polytope's nonzero vertices e_j satisfy
 (e_j, a_i) = delta_ij / d_j, so (e_j, e_j) = (inv(Gram))_jj / d_j^2.
-With gram = S/N (``dynkin.gram_diagram``), (inv(Gram))_jj =
-N det(S minus node j) / det S.  A Dynkin diagram is a tree, and
-elimination on a tree makes no fill-in (Parter, SIAM Rev. 3, 1961), so
-``tree_minors`` reads det S and every det(S minus node j) from prefix and
-suffix continuants along the chain, in O(l) integer products.
-``farthest_vertex`` reads S off the diagram, picks d_sq from the minors
-by cross-multiplication and builds one Fraction: no matrix, no inverse
-and no vertex is formed.  ``polytope`` builds the vertices themselves
-from the same continuants.
+With gram = M/g (``dynkin.gram_tree``), (inv(Gram))_jj =
+g det(M minus node j) / det M, and ``dynkin.principal_minors`` reads
+det M and every det(M minus node j) off the tree in O(l) integer
+products.  ``farthest_vertex`` picks d_sq from the minors by
+cross-multiplication and builds one Fraction: no matrix, no inverse and
+no vertex is formed.  ``polytope`` builds the vertices themselves from
+the same fold, and takes d_sq and the farthest vertex from here.
 
 This module holds everything ``space``, ``table`` and ``product`` run
 past the catalog, so a process that only reports compiles neither the
-slice predicates (``geometry``) nor the polytope (``polytope``); both
-re-export the names they share with it.  ``MetricSpec`` and
+slice predicates (``geometry``, which re-exports the names it shares with
+it) nor the polytope (``polytope``).  ``MetricSpec`` and
 ``GeometryReport`` are named tuples: immutable, and equal to plain tuples
 of their fields.
 """
@@ -42,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .catalog import HALF, SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .dynkin import RootKind, check_rank, gram_diagram
+from .dynkin import RootKind, check_rank, gram_tree, principal_minors
 from .linalg import PiSqrtValue, format_rational
 
 
@@ -93,94 +91,18 @@ class GeometryReport(NamedTuple):
     ricci: Fraction
 
 
-def _continuants(a: list[int], b: list[int]) -> list[int]:
-    """p_k, the determinant of the tridiagonal matrix on nodes 0..k-1 with
-    diagonal a and off-diagonal products b_k = T[k][k+1] T[k+1][k], for
-    k = 0..len(a)."""
-    p = [1, a[0]]
-    for k in range(1, len(a)):
-        p.append(a[k] * p[k] - b[k - 1] * p[k - 1])
-    return p
-
-
-def _tree_form(m) -> tuple[list[int], list[int], tuple[int, int, int] | None]:
-    """(a, b, leaf) of a square integer matrix M on a Dynkin diagram in
-    this package's numbering: a chain, or for d and e a chain 0..l-2 and
-    the leaf l-1 on the chain node c with M[c][l-1] != 0.  a and b are the
-    diagonal and the coupling products M[k][k+1] M[k+1][k] of the chain;
-    leaf is (c, M[l-1][l-1], M[c][l-1] M[l-1][c]), or None on a chain."""
-    l = len(m)
-    a = [m[k][k] for k in range(l)]
-    b = [m[k][k + 1] * m[k + 1][k] for k in range(l - 1)]
-    if l > 2 and not b[-1]:              # d, e: node l-1 hangs off the chain
-        b.pop()
-        c = next(k for k in range(l - 2) if m[k][l - 1])
-        return a[:-1], b, (c, a[-1], m[c][l - 1] * m[l - 1][c])
-    return a, b, None
-
-
-def _folded(a: list[int], b: list[int], leaf) -> tuple[list[int], list[int],
-                                                       tuple[int, int, int] | None]:
-    """(pre, suf, fork) for the tree (a, b, leaf) of ``_tree_form``; a and b
-    are changed in place.
-
-    pre[k] and suf[k] are the continuants of the chain nodes before k and
-    from k on.  A leaf (diagonal f != 0, coupling product w) is first
-    eliminated into its node c: with row c scaled by f, the leaf's Schur
-    complement is a chain whose a_c is f a_c - w and whose two products at
-    c are f times as large, and a continuant over a block holding c is the
-    determinant of that block with the leaf.  fork is (c, f, the bare
-    chain's determinant), or None on a chain.
-    """
-    fork = None
-    if leaf:
-        c, f, w = leaf
-        fork = c, f, _continuants(a, b)[-1]
-        a[c] = f * a[c] - w
-        if c:
-            b[c - 1] *= f
-        b[c] *= f
-    return _continuants(a, b), _continuants(a[::-1], b[::-1])[::-1], fork
-
-
-def _minors(a: list[int], b: list[int], leaf) -> tuple[int, list[int]]:
-    """(det, [det minus node j for each j]) of the tree (a, b, leaf).
-
-    Removing chain node j leaves the blocks before and after it, so its
-    minor is pre[j] * suf[j + 1]; the tree minus c is f times the blocks
-    beside c, and the tree minus the leaf is the bare chain.
-    """
-    pre, suf, fork = _folded(a, b, leaf)
-    minors = [pre[j] * suf[j + 1] for j in range(len(pre) - 1)]
-    if fork:
-        c, f, chain_det = fork
-        minors[c] *= f
-        minors.append(chain_det)
-    return pre[-1], minors
-
-
-def tree_minors(m) -> tuple[int, list[int]]:
-    """(det M, [det(M minus node j) for each j]) for M as in ``_tree_form``."""
-    return _minors(*_tree_form(m))
-
-
 def farthest_vertex(kind: RootKind) -> tuple[Fraction, int]:
-    """(d_sq, argmax_vertex) of the kind's polytope, from the minors of S
-    read off the diagram (``dynkin.gram_diagram``): the first largest norm,
-    found by cross-multiplying the candidates (det S and N are positive),
-    then one Fraction.  InvalidRank past MAX_RANK."""
-    lengths, edges, d, norm = gram_diagram(check_rank(kind))
-    a = [2 * x for x in lengths]
-    b = [bond * bond for _, _, bond in edges]
-    leaf = None
-    if edges and edges[-1][0] != len(a) - 2:     # d, e: the last node is a leaf
-        leaf = edges[-1][0], a.pop(), b.pop()
-    det, minors = _minors(a, b, leaf)
+    """(d_sq, argmax_vertex) of the kind's polytope, from the minors of its
+    Gram tree (``dynkin.gram_tree``): the first largest norm, found by
+    cross-multiplying the candidates (det M and g are positive), then one
+    Fraction.  InvalidRank past MAX_RANK."""
+    a, b, leaf, d, g = gram_tree(check_rank(kind))
+    det, minors = principal_minors(a, b, leaf)
     best = 0
     for j in range(1, kind.rank):
         if minors[j] * d[best] * d[best] > minors[best] * d[j] * d[j]:
             best = j
-    return Fraction(norm * minors[best], det * d[best] * d[best]), best
+    return Fraction(g * minors[best], det * d[best] * d[best]), best
 
 
 @lru_cache(maxsize=None)

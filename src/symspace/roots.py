@@ -1,17 +1,17 @@
 """Irreducible root systems realized in simple-root coordinates.
 
 Each family is described once, by its Dynkin diagram (``dynkin``, whose
-public names this module re-exports); the Cartan matrix and the Gram
-matrix follow from it.  The Gram matrix is normalized so that the
-highest root has squared length 1 and is kept as integer rows M over one
-positive denominator g (gram = M/g).  ``build`` derives it in O(rank)
-arithmetic steps and stops there: that is all the Cartan polytope needs.
+public names this module re-exports).  ``build`` lays out the diagram's
+integer Gram tree (``dynkin.gram_tree``) as dense rows M over one positive
+denominator g, gram = M/g with the highest root of squared length 1, and
+reads the Cartan matrix off them; that is all the Cartan polytope needs.
 The roots themselves (integer coefficient vectors over the simple roots)
 are enumerated on first access, and only for systems of at most
 MAX_ROOTS roots.  One pass builds the positive roots level by level in
 height from simple-root strings, and records how each is reached from a
 root one level below: the chain that the conjugacy test in ``geometry``
-walks.
+walks.  The root counts that ``to_json_dict`` reports are the closed
+forms of ``dynkin.root_count``.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
@@ -22,35 +22,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .dynkin import (MAX_RANK, InvalidRank, RootKind, _diagram,  # re-exported
-                     check_rank, gram_diagram, highest_root_coeffs, parse_kind,
-                     root_count, split_kind)
+from .dynkin import (MAX_RANK, InvalidRank, RootKind, check_rank,  # re-exported
+                     gram_tree, highest_root_coeffs, parse_kind, root_count, split_kind)
 from .linalg import format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 
 
-def _on_diagram(diagonal, edges, entry) -> tuple[tuple[int, ...], ...]:
-    """The square matrix with this diagonal, entry(bond, j) at [i][j] and
-    entry(bond, i) at [j][i] on each edge (i, j, bond), and zeros elsewhere."""
-    rows = [[0] * len(diagonal) for _ in diagonal]
-    for i, x in enumerate(diagonal):
-        rows[i][i] = x
-    for i, j, bond in edges:
-        rows[i][j] = entry(bond, j)
-        rows[j][i] = entry(bond, i)
-    return tuple(map(tuple, rows))
-
-
 def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix A[i][j] = 2(a_i, a_j)/(a_j, a_j); for bc, of the indivisible set.
-    On an edge (a_i, a_j) = -max(L_i, L_j)/2, so A[i][j] = -max(L_i, L_j)/L_j."""
-    lengths, edges = _diagram(kind)
-    return _on_diagram((2,) * kind.rank, edges, lambda bond, j: -bond // lengths[j])
+    """Cartan matrix A[i][j] = 2(a_i, a_j)/(a_j, a_j); for bc, of the indivisible set."""
+    return build(kind).cartan
 
 
 class _RootSystemFields(NamedTuple):
@@ -170,25 +154,34 @@ def build(kind: RootKind | str) -> RootSystem:
     if isinstance(kind, str):
         kind = parse_kind(kind)
     l = check_rank(kind).rank
-    # gram = S/N (``gram_diagram``); dividing S and N by their common gcd
-    # leaves gram = M/g in lowest terms.
-    lengths, edges, psi, norm = gram_diagram(kind)
-    c = gcd(norm, *(2 * x for x in lengths), *(bond for _, _, bond in edges))
-    m = _on_diagram([2 * x // c for x in lengths], edges, lambda bond, _: -bond // c)
-    return RootSystem(kind=kind, rank=l, cartan=cartan_matrix(kind),
-                      int_gram=(m, norm // c), highest_root=psi)
+    a, b, leaf, psi, g = gram_tree(kind)
+    m = [[0] * l for _ in range(l)]
+    for k, x in enumerate(a):
+        m[k][k] = x
+    for k, x in enumerate(b):
+        m[k][k + 1] = m[k + 1][k] = x
+    if leaf:
+        c, f, w = leaf
+        m[l - 1][l - 1] = f
+        m[c][l - 1] = m[l - 1][c] = w
+    # A[i][j] = 2 M[i][j] / M[j][j], an exact quotient.
+    cartan = tuple(tuple(2 * x // m[j][j] for j, x in enumerate(row)) for row in m)
+    return RootSystem(kind=kind, rank=l, cartan=cartan,
+                      int_gram=(tuple(map(tuple, m)), g), highest_root=psi)
 
 
 def to_json_dict(rs: RootSystem) -> dict:
     m, g = rs.int_gram
+    count = root_count(rs.kind)
     return {
         "kind": str(rs.kind),
         "family": rs.kind.family,
         "rank": rs.rank,
         "cartan_matrix": [list(row) for row in rs.cartan],
         "gram": [[format_rational(Fraction(x, g)) for x in row] for row in m],
-        "root_count": len(rs.roots),
-        "indivisible_count": len(rs.indivisible_roots),
+        "root_count": count,
+        # bc's 2l doubled roots +-2 eps_i are its only divisible ones.
+        "indivisible_count": count - (0 if rs.kind.is_reduced else 2 * rs.rank),
         "highest_root": list(rs.highest_root),
         "psi_sq": format_rational(rs.psi_sq),
     }

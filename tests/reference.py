@@ -7,13 +7,18 @@ and the Fraction formulas through it, and a Gauss-Jordan inverse, that the
 tests compare it against.  ``int_inverse`` (with ``_bareiss_forward`` and
 ``SingularMatrix``) is the general fraction-free Bareiss inverse that the
 package used for the polytope's vertices until ``polytope.tree_adjugate``
-replaced it, and for the vertex norms until ``polytope.tree_minors`` did;
-it is kept verbatim as the exact reference for both.
+replaced it, and for the vertex norms until the minors of the Gram tree
+(``dynkin.principal_minors``) did; it is kept verbatim as the exact
+reference for both.
 ``reflection_closure`` is the root enumeration
 that the height-ordered one of ``RootSystem.positive_roots`` replaced, and
 ``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
+``epsilon_simple_roots``, ``to_epsilon``, ``signed_sort`` and
+``positive_pairings`` are the classical families in epsilon-coordinates,
+where the Weyl group permutes the coordinates and changes their signs:
+the slice reference past the root-enumeration cap.
 ``three_pass_clear_denominators`` is the definition that the
 one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
@@ -279,6 +284,55 @@ def realized_cartan(kind) -> tuple[tuple[int, ...], ...]:
     two_g, diagonal = 2 * g, np.diag(g)
     assert not (two_g % diagonal).any(), kind
     return tuple(map(tuple, (two_g // diagonal).tolist()))
+
+
+def epsilon_simple_roots(kind) -> list[tuple[int, ...]]:
+    """The simple roots of a classical kind (a, b, c, d, bc) in
+    epsilon-coordinates, in this package's node numbering: a_i = e_i - e_{i+1}
+    along the chain, then e_l for b and bc, 2 e_l for c, and for d the leaf
+    e_{l-1} + e_l last.  These are ``oracle.float_simple_roots``, whose
+    coordinates here are the integers 0, +-1 and 2."""
+    roots = [tuple(map(int, r)) for r in float_simple_roots(kind)]
+    assert roots == [tuple(map(float, r)) for r in roots], kind
+    return roots
+
+
+def to_epsilon(simple, x) -> list[Fraction]:
+    """sum_i x_i a_i in epsilon-coordinates, for the simple roots ``simple``."""
+    v = [Fraction(0)] * len(simple[0])
+    for xi, a in zip(x, simple):
+        for k, c in enumerate(a):
+            if c:
+                v[k] += xi * c
+    return v
+
+
+def signed_sort(family: str, v) -> list[Fraction]:
+    """The dominant point of the Weyl orbit of v in epsilon-coordinates:
+    v sorted decreasing for a, and its absolute values sorted decreasing for
+    b, c and bc.  W(d) changes an even number of signs, so for d the last
+    entry is negated when an odd number of entries is negative and none is
+    zero."""
+    if family == "a":
+        return sorted(v, reverse=True)
+    out = sorted(map(abs, v), reverse=True)
+    if family == "d" and 0 not in v and sum(x < 0 for x in v) % 2:
+        out[-1] = -out[-1]
+    return out
+
+
+def positive_pairings(family: str, v) -> list[Fraction]:
+    """(alpha, v), up to a positive factor, for every indivisible positive
+    root alpha of a classical family in epsilon-coordinates: e_i - e_j for
+    i < j; also e_i + e_j for b, c, d and bc; and e_i for b and bc (2 e_i
+    for c)."""
+    n = len(v)
+    out = [v[i] - v[j] for i in range(n) for j in range(i + 1, n)]
+    if family != "a":
+        out += [v[i] + v[j] for i in range(n) for j in range(i + 1, n)]
+        if family != "d":
+            out += v
+    return out
 
 
 def three_pass_clear_denominators(xs) -> tuple[list[int], int]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,8 @@ import pytest
 import symspace
 from symspace.catalog import parse_label
 from symspace.cli import FORMATS, main
-from symspace.closedform import expected
+from symspace.closedform import d_sq_closed_form, delta_sq_closed_form, expected
+from symspace.dynkin import parse_kind
 
 SRC = str(Path(symspace.__file__).resolve().parents[1])
 
@@ -44,15 +46,45 @@ def test_rootsystem_bad_kind(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("kind", ["a22", "a128"])
+@pytest.mark.parametrize("kind", ["a129"])
 def test_rootsystem_refuses_before_polytope_solve(monkeypatch, capsys, kind):
     from symspace import polytope
     calls = []
     solve = polytope.build_polytope
     monkeypatch.setattr(polytope, "build_polytope", lambda rs: calls.append(rs) or solve(rs))
     code, _, err = run(capsys, "rootsystem", kind)
-    assert code == 2 and "roots" in err
+    assert code == 2 and "exceeds the limit" in err
     assert calls == []
+
+
+# Classical root counts, written out here apart from dynkin.root_count.
+PAST_ROOT_CAP = {"a40": 40 * 41, "bc40": 2 * 40 * 40 + 2 * 40, "d64": 2 * 64 * 63,
+                 "c128": 2 * 128 * 128}
+
+
+@pytest.mark.parametrize("kind", sorted(PAST_ROOT_CAP))
+def test_rootsystem_past_root_cap_matches_closedform(capsys, kind):
+    # Past the 500-root cap nothing is enumerated: the counts are the
+    # closed forms, and d_sq and delta_sq agree with closedform's.
+    k = parse_kind(kind)
+    want = {"root count": str(PAST_ROOT_CAP[kind]),
+            "indivisible roots": str(PAST_ROOT_CAP[kind] - 2 * k.rank * (k.family == "bc")),
+            "d_sq": str(d_sq_closed_form(k.family, k.rank))}
+    if k.is_reduced:
+        want["killing delta_sq"] = str(delta_sq_closed_form(k.family, k.rank))
+    code, out, _ = run(capsys, "rootsystem", kind, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    got = {"root count": str(data["root_count"]),
+           "indivisible roots": str(data["indivisible_count"]),
+           "d_sq": data["polytope"]["d_sq"]}
+    if k.is_reduced:
+        got["killing delta_sq"] = data["killing"]["delta_sq"]
+    assert got == want
+    code, out, _ = run(capsys, "rootsystem", kind)
+    assert code == 0
+    rows = dict(re.split(r"\s{2,}", line.strip(), maxsplit=1) for line in out.splitlines())
+    assert {field: rows[field] for field in want} == want
 
 
 def test_space_ai4(capsys):
@@ -391,7 +423,7 @@ L = sys.get_int_max_str_digits()
 @pytest.mark.parametrize("argv, message", [
     pytest.param(argv, message, id=name or " ".join(argv[:2]))
     for argv, message, name in [
-        (("rootsystem", "c25"), None, None),
+        (("rootsystem", "c129"), None, None),
         (("cut", "GROUP:a30", "--point", ",".join(["1"] + ["0"] * 29)), None, None),
         (("space", "GROUP:a129"), None, None),
         (("space", "AI:n=99999999999"), None, None),

@@ -46,9 +46,10 @@ def test_report_is_linear_and_makes_no_adjugate(monkeypatch):
     with pytest.raises(AssertionError, match="tree_adjugate"):
         build_polytope(build("a3"))           # the patch is in force
 
+    import symspace.dynkin as dynkin
     nodes = []
-    continuants = reporting._continuants
-    monkeypatch.setattr(reporting, "_continuants",
+    continuants = dynkin._continuants
+    monkeypatch.setattr(dynkin, "_continuants",
                         lambda a, b: nodes.append(len(a)) or continuants(a, b))
     for rank in (32, 64, 128):
         for label in (f"GROUP:a{rank}", f"GROUP:d{rank}", f"BDI:p={rank},q={rank + 20}",

@@ -184,7 +184,7 @@ def test_inverse_oracle_cases():
     assert inverse_oracle(ident, 1, (1, ident), "identity5").error == 0
     assert inverse_oracle(ident, 1, _bareiss(ident), "identity5").error == 0
     m, g = build("e8").int_gram
-    rep = inverse_oracle(m, g, tree_adjugate(m), "e8")
+    rep = inverse_oracle(m, g, tree_adjugate(RootKind("e", 8)), "e8")
     assert rep.passed
     assert inverse_oracle(m, g, _bareiss(m), "e8") == rep
     hilbert = [[F(1, i + j + 1) for j in range(3)] for i in range(3)]
@@ -198,7 +198,7 @@ def test_inverse_oracle_cases():
 
 def test_inverse_oracle_fails_a_wrong_adjugate():
     m, g = build("d5").int_gram
-    det, adj = tree_adjugate(m)
+    det, adj = tree_adjugate(RootKind("d", 5))
     adj[4][2] += 1
     assert not inverse_oracle(m, g, (det, adj), "d5").passed
 

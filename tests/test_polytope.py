@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.closedform import d_sq_closed_form
+from symspace.dynkin import fold_tree, principal_minors
 from symspace.linalg import DimensionMismatch
 from symspace.polytope import (SliceClass, build_polytope, classify_point,
-                               dominant_representative, farthest_vertex,
-                               reflect_simple, to_json_dict, tree_adjugate,
-                               tree_minors)
+                               dominant_representative, reflect_simple,
+                               to_json_dict, tree_adjugate)
+from symspace.reporting import farthest_vertex
 from symspace.roots import RootKind, build
 
 from reference import dot_gram, gram, int_inverse, mul_vec
@@ -57,7 +58,7 @@ def test_tree_norms_match_bareiss(kind):
     rs = build(kind)
     m, g = rs.int_gram
     y, delta = int_inverse(m)
-    det, adj = tree_adjugate(m)
+    det, adj = tree_adjugate(kind)
     assert all(u * det == v * delta for yr, ar in zip(y, adj) for u, v in zip(yr, ar))
     d = rs.highest_root
     norms = tuple(F(g * y[j][j], delta * d[j] * d[j]) for j in range(rs.rank))
@@ -74,7 +75,7 @@ def test_tree_adjugate_times_gram(family):
     # each row of M read as its few nonzero entries.
     for kind in GRAM_KINDS[family]:
         m, _ = build(kind).int_gram
-        det, adj = tree_adjugate(m)
+        det, adj = tree_adjugate(kind)
         l = len(m)
         for i, row in enumerate(m):
             terms = [(x, adj[k]) for k, x in enumerate(row) if x]
@@ -82,57 +83,79 @@ def test_tree_adjugate_times_gram(family):
             assert prod == [det if j == i else 0 for j in range(l)], kind
 
 
-def _tree_matrix(rng, l, fork, symmetric=False):
-    """A random integer matrix on a chain of l nodes, or on a chain of l - 1
-    and a leaf l - 1 on chain node ``fork``, with a dominant diagonal, so
-    that Bareiss needs no row swap and its last pivot is det M."""
+def _random_tree(rng, l, fork):
+    """A random tree (a, b, leaf) in the shape of ``dynkin.gram_tree``: a
+    chain of l nodes, or a chain of l - 1 and a leaf l - 1 on chain node
+    ``fork``, with couplings of either sign and a dominant diagonal, so
+    that Bareiss needs no row swap and its (y, delta) is (adj M, det M)
+    exactly; and its dense matrix M."""
+    n = l if fork is None else l - 1
+    a = [rng.randint(10, 30) for _ in range(n)]    # > 9, the largest off-diagonal row sum
+    b = [rng.choice([-3, -2, -1, 1, 2]) for _ in range(n - 1)]
+    leaf = None if fork is None else (fork, rng.randint(10, 30),
+                                      rng.choice([-3, -2, -1, 1, 2]))
     m = [[0] * l for _ in range(l)]
-    edges = [(k, k + 1) for k in range(l - 2)]
-    edges.append((l - 2, l - 1) if fork is None else (fork, l - 1))
-    for i, j in edges:
-        m[i][j] = rng.choice([-3, -2, -1, 1, 2])
-        m[j][i] = m[i][j] if symmetric else rng.choice([-3, -2, -1, 1, 2])
-    for k in range(l):
-        m[k][k] = rng.randint(10, 30)     # > 9, the largest off-diagonal row sum
-    return m
+    for k, x in enumerate(a):
+        m[k][k] = x
+    for k, x in enumerate(b):
+        m[k][k + 1] = m[k + 1][k] = x
+    if leaf:
+        c, m[l - 1][l - 1], w = leaf
+        m[c][l - 1] = m[l - 1][c] = w
+    return (a, b, leaf), m
+
+
+def _forks(l):
+    """A chain, and a leaf on every chain node but the last (where it
+    would extend the chain), the first included."""
+    return [None, *range(l - 2)]
 
 
 @pytest.mark.parametrize("l", range(2, 10))
 def test_tree_minors_random_matrices(l):
     """det M and every det(M minus j) (the diagonal of the adjugate
-    delta * M^{-1}), on chains and on every fork position, also the first
-    chain node and nonsymmetric couplings."""
+    delta * M^{-1}) of random trees, on chains and on every fork position;
+    the fold leaves the tree as it was."""
     rng = random.Random(l)
-    for fork in [None, *range(l - 2)]:
+    for fork in _forks(l):
         for _ in range(5):
-            m = _tree_matrix(rng, l, fork)
+            tree, m = _random_tree(rng, l, fork)
             y, delta = int_inverse(m)
-            assert tree_minors(m) == (delta, [y[j][j] for j in range(l)])
+            assert principal_minors(*tree) == (delta, [y[j][j] for j in range(l)])
+            a, b, leaf = tree
+            before = (a[:], b[:], leaf)
+            pre, _suf, bare = fold_tree(*tree)
+            assert (a, b, leaf) == before and pre[-1] == delta
+            assert bare == (delta if leaf is None else y[l - 1][l - 1])
 
 
 @pytest.mark.parametrize("l", range(2, 10))
-def test_tree_adjugate_random_symmetric(l):
-    """The whole adjugate, on chains and on every fork position, with
-    couplings of either sign: Bareiss makes no row swap, so its (y, delta)
-    is (adj M, det M) exactly."""
+def test_tree_adjugate_random_symmetric(monkeypatch, l):
+    """The whole adjugate of random trees fed through ``tree_adjugate`` in
+    place of a kind's Gram tree, on chains and on every fork position."""
+    import symspace.polytope as polytope
     rng = random.Random(100 + l)
-    for fork in [None, *range(l - 2)]:
+    for fork in _forks(l):
         for _ in range(5):
-            m = _tree_matrix(rng, l, fork, symmetric=True)
+            tree, m = _random_tree(rng, l, fork)
+            monkeypatch.setattr(polytope, "gram_tree", lambda kind: (*tree, None, None))
             y, delta = int_inverse(m)
-            assert tree_adjugate(m) == (delta, y)
+            assert tree_adjugate(RootKind("a", l)) == (delta, y)
 
 
 def test_build_polytope_makes_one_tree_solve(monkeypatch):
+    # One adjugate, and the farthest vertex from reporting's cross-multiplication.
     import symspace.polytope as polytope
     calls = []
-    solve = polytope.tree_adjugate
-    monkeypatch.setattr(polytope, "tree_adjugate", lambda m: calls.append(m) or solve(m))
-    monkeypatch.setattr(polytope, "tree_minors", None)
+    solve, farthest = polytope.tree_adjugate, polytope.farthest_vertex
+    monkeypatch.setattr(polytope, "tree_adjugate", lambda k: calls.append(k) or solve(k))
+    monkeypatch.setattr(polytope, "farthest_vertex",
+                        lambda k: calls.append(("farthest", k)) or farthest(k))
     for kind in ("a1", "g2", "d4", "e8", "bc5"):
         calls.clear()
         p = build_polytope(build(kind))
-        assert calls == [p.system.int_gram[0]]
+        assert calls == [p.system.kind, ("farthest", p.system.kind)]
+        assert (p.d_sq, p.argmax_vertex) == farthest(p.system.kind)
 
 
 # Past the hand-picked kinds: every classical family at ranks 13, 24 and 40.

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from symspace.dynkin import gram_tree
 from symspace.linalg import DimensionMismatch
 from symspace.polytope import build_polytope
 from symspace.roots import (MAX_RANK, InvalidRank, RootKind, RootSystem, build,
@@ -224,6 +225,34 @@ def test_diagram_matches_euclidean_realization(family):
         psi = np.array(rs.highest_root)
         m, g = rs.int_gram
         assert (np.array(m) * (psi @ g4 @ psi) == g * g4).all(), kind
+
+
+@pytest.mark.parametrize("family", sorted(GRAM_KINDS))
+def test_gram_tree_matches_int_gram(family):
+    # The tree holds every nonzero entry of M: the chain's diagonal and
+    # couplings, and for d and e the leaf on its fork node.
+    for kind in GRAM_KINDS[family]:
+        a, b, leaf, psi, g = gram_tree(kind)
+        l = kind.rank
+        entries = {(k, k): x for k, x in enumerate(a)}
+        entries.update({(k, k + 1): x for k, x in enumerate(b)})
+        if leaf:
+            c, f, w = leaf
+            entries.update({(l - 1, l - 1): f, (c, l - 1): w})
+        assert (kind.family in ("d", "e")) == (leaf is not None), kind
+        entries.update({(j, i): x for (i, j), x in list(entries.items())})
+        m, h = build(kind).int_gram
+        assert {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+                if x} == entries, kind
+        assert (psi, g) == (highest_root_coeffs(kind), h), kind
+
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_json_counts_match_enumeration(kind):
+    rs = build(kind)
+    d = to_json_dict(rs)
+    assert d["root_count"] == len(rs.roots)
+    assert d["indivisible_count"] == len(rs.indivisible_roots)
 
 
 def test_build_makes_no_fractions(monkeypatch):

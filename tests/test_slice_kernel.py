@@ -31,7 +31,8 @@ from symspace.polytope import (SliceClass, _pairings, build_polytope, classify_p
                                dominant_representative, reflect_simple)
 from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
 
-from reference import IN_CAP_KINDS, dot, dot_product_conjugate, gram, mul_vec, scaled
+from reference import (IN_CAP_KINDS, dot, dot_product_conjugate, epsilon_simple_roots, gram,
+                       mul_vec, positive_pairings, scaled, signed_sort, to_epsilon)
 
 
 # -- Fraction reference ------------------------------------------------------
@@ -196,6 +197,31 @@ def test_reflection_count_is_inversion_count(kind):
         w = mul_vec(gram(rs), x)
         negative = sum(1 for r in positive if dot(r, w) < 0)
         assert dominant_representative(rs, x)[1] == negative <= len(positive)
+
+
+@pytest.mark.parametrize("kind", [RootKind(fam, l) for l in (40, 128)
+                                  for fam in ("a", "b", "c", "d", "bc")], ids=str)
+def test_dominant_is_signed_sort_past_root_cap(kind):
+    # Past the root cap, in epsilon-coordinates: the dominant representative
+    # is the signed sort, and the reflection count is the inversion count
+    # #{indivisible alpha > 0 : (alpha, x) < 0} (Humphreys 10.3).  Random
+    # points lie on no wall; points with coordinates in {-1, 0, 1} have
+    # repeated and zero epsilon-coordinates, so they lie on many.
+    rs = build(kind)
+    simple = epsilon_simple_roots(kind)
+    rng = random.Random(f"signed sort {kind}")
+    l = rs.rank
+    for on_wall in (False, True) * 4:
+        if on_wall:
+            x = tuple(F(rng.randint(-1, 1)) for _ in range(l))
+        else:
+            x = tuple(F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999)) for _ in range(l))
+        v = to_epsilon(simple, x)
+        pairings = positive_pairings(kind.family, v)
+        assert on_wall == (0 in pairings)
+        y, count = dominant_representative(rs, x)
+        assert to_epsilon(simple, y) == signed_sort(kind.family, v)
+        assert count == sum(p < 0 for p in pairings)
 
 
 @pytest.mark.parametrize("label", ["BDI:p=40,q=40", "GROUP:a40", "DIII:n=80"])

@@ -28,10 +28,11 @@ _EXPORTS = {
     "killing_data": "killing",
     "DimensionMismatch": "linalg", "NegativeFactor": "linalg", "PiSqrtValue": "linalg",
     "Rational": "linalg",
-    "CartanPolytope": "polytope", "SliceClass": "polytope", "build_polytope": "polytope",
+    "CartanPolytope": "polytope", "build_polytope": "polytope",
     "classify_point": "polytope", "dominant_representative": "polytope",
-    "InvalidRank": "roots", "RootKind": "roots", "RootSystem": "roots", "build": "roots",
-    "parse_kind": "roots", "root_count": "roots",
+    "InvalidRank": "dynkin", "RootKind": "dynkin", "parse_kind": "dynkin",
+    "root_count": "dynkin",
+    "RootSystem": "roots", "SliceClass": "roots", "build": "roots",
 }
 
 __all__ = sorted(_EXPORTS)

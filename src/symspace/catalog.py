@@ -28,8 +28,7 @@ from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
 from .linalg import format_rational
-from .dynkin import (_EXCEPTIONAL_RANKS, _MIN_RANK, MAX_RANK, InvalidRank, RootKind,
-                     check_rank, parse_kind)
+from .dynkin import MAX_RANK, InvalidRank, RootKind, check_rank, kinds, parse_kind
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -388,11 +387,8 @@ def enumerate_table(which: str, param_bound: int) -> Iterator[SpaceEntry]:
     if which not in ("4.1", "4.2"):
         raise InvalidParams(f"unknown table {which!r}; use 4.1 or 4.2")
     if which == "4.2":
-        kinds = [RootKind(fam, l) for fam in "abcd"
-                 for l in range(_MIN_RANK[fam], param_bound + 1)]
-        kinds += [RootKind(fam, l) for fam, ranks in _EXCEPTIONAL_RANKS.items()
-                  for l in ranks]
-        return (resolve(SpaceLabel("GROUP", kind=kind)) for kind in kinds)
+        return (resolve(SpaceLabel("GROUP", kind=kind))
+                for kind in kinds(("a", "b", "c", "d"), param_bound))
     return _table_41_rows(param_bound)
 
 

@@ -8,9 +8,11 @@ data (e.g. no canonical metric).
 Each command imports what it runs.  Every command loads the catalog and
 the report path (``catalog``, ``dynkin``, ``killing``, ``linalg`` and
 ``reporting``), which is all ``space``, ``table`` and ``product`` run;
-``cut`` adds ``geometry``, ``polytope`` and ``roots``, ``rootsystem``
-adds ``polytope`` and ``roots``, and ``verify`` its checks and numpy.
-``json`` is loaded for JSON output and by ``cut``.
+``cut`` adds ``geometry`` and ``roots``, ``rootsystem`` adds
+``polytope`` and ``roots``, and ``verify`` its checks and numpy.
+``json`` is loaded for JSON output and by ``cut``.  Every refusal of an
+input (InvalidParams, InvalidRank, DimensionMismatch) is a ValueError,
+and exits 2.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import catalog, reporting
-from .dynkin import InvalidRank
-from .linalg import DimensionMismatch, format_rational
+from .linalg import format_rational
 
 FORMATS = ("text", "markdown", "json", "tsv")
 
@@ -359,8 +360,7 @@ def main(argv=None) -> int:
     except reporting.NoCanonicalMetric as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (catalog.InvalidParams, catalog.MissingSatakeData, InvalidRank,
-            DimensionMismatch, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

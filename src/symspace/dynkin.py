@@ -7,14 +7,18 @@ simple roots and its edges, with (a_i, a_j) = -max(L_i, L_j)/2 on an edge
 and 0 off the edges, and the coefficients of its highest root.
 ``gram_tree`` reads that diagram, once, into the integer Gram matrix M/g
 in the shape of its tree, and every consumer reads the tree: ``roots``
-builds the dense Gram and Cartan matrices from it, the report path folds
-it for the farthest vertex (``reporting.farthest_vertex``), and
-``polytope.tree_adjugate`` reads the inverse off the same fold.
+builds the dense Gram and Cartan matrices from it, and
+``polytope.tree_adjugate`` and ``farthest_vertex`` fold it.  ``kinds``
+lists the kinds of every family up to a rank, in the order of the tables.
 
 A Dynkin diagram is a tree, and elimination on a tree makes no fill-in
 (Parter, SIAM Rev. 3, 1961): ``fold_tree`` reads the determinants of its
 chain blocks as prefix and suffix continuants, in O(l) integer products,
 and ``principal_minors`` det M and every det(M minus node j) from them.
+The polytope's vertices e_j satisfy (e_j, a_i) = delta_ij / d_j for
+psi = sum d_i a_i, so (e_j, e_j) = g det(M minus node j) / (det M d_j^2),
+and ``farthest_vertex``, all the report path reads of the polytope,
+forms no matrix, inverse or vertex.
 
 Node numbering runs along the chain first; for d, e6, e7, e8 the node
 hanging off the chain comes last, attached to the fork node (l-3 for d,
@@ -27,6 +31,7 @@ its fields.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -103,6 +108,13 @@ def check_rank(kind: RootKind) -> RootKind:
     if kind.rank > MAX_RANK:
         raise InvalidRank(f"{kind}: rank {kind.rank} exceeds the limit of {MAX_RANK}")
     return kind
+
+
+def kinds(families, max_rank: int) -> list[RootKind]:
+    """The kinds of each classical family in ``families``, from its least
+    rank up to max_rank, then e6, e7, e8, f4 and g2."""
+    out = [RootKind(fam, l) for fam in families for l in range(_MIN_RANK[fam], max_rank + 1)]
+    return out + [RootKind(fam, l) for fam, ranks in _EXCEPTIONAL_RANKS.items() for l in ranks]
 
 
 def root_count(kind: RootKind) -> int:
@@ -238,3 +250,17 @@ def principal_minors(a: list[int], b: list[int], leaf) -> tuple[int, list[int]]:
         minors[leaf[0]] *= leaf[1]
         minors.append(bare)
     return pre[-1], minors
+
+
+def farthest_vertex(kind: RootKind) -> tuple[Fraction, int]:
+    """(d_sq, argmax_vertex) of the kind's polytope, from the minors of its
+    Gram tree: the first largest norm, found by cross-multiplying the
+    candidates (det M and g are positive), then one Fraction.  InvalidRank
+    past MAX_RANK."""
+    a, b, leaf, d, g = gram_tree(check_rank(kind))
+    det, minors = principal_minors(a, b, leaf)
+    best = 0
+    for j in range(1, kind.rank):
+        if minors[j] * d[best] * d[best] > minors[best] * d[j] * d[j]:
+            best = j
+    return Fraction(g * minors[best], det * d[best] * d[best]), best

@@ -67,20 +67,18 @@ def format_rational(x: Fraction) -> str:
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
-@lru_cache(maxsize=None)
-def _contexts(digits: int) -> tuple[Context, Context]:
-    """The working and the rounding context of ``_pi_sqrt_decimal``; every
-    other setting is ``decimal.DefaultContext``'s."""
-    return Context(prec=digits + 10), Context(prec=digits, rounding=ROUND_HALF_EVEN)
+# The working and the rounding context of ``_pi_sqrt_decimal``, for 12
+# significant figures; every other setting is ``decimal.DefaultContext``'s.
+_WIDE = Context(prec=22)
+_ROUNDING = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 @lru_cache(maxsize=1024)
-def _pi_sqrt_decimal(num: int, den: int, digits: int) -> str:
+def _pi_sqrt_decimal(num: int, den: int) -> str:
     """pi * sqrt(num / den) for num > 0: the quotient, its root and the
-    product at digits + 10 figures, then rounded half even to ``digits``."""
-    wide, rounding = _contexts(digits)
-    val = wide.multiply(_PI, wide.sqrt(wide.divide(Decimal(num), Decimal(den))))
-    return str(rounding.plus(val))
+    product at 22 figures, then rounded half even to 12."""
+    val = _WIDE.multiply(_PI, _WIDE.sqrt(_WIDE.divide(Decimal(num), Decimal(den))))
+    return str(_ROUNDING.plus(val))
 
 
 class _PiSqrtFields(NamedTuple):
@@ -121,10 +119,10 @@ class PiSqrtValue(_PiSqrtFields):
     def exact_str(self) -> str:
         return f"pi*sqrt({format_rational(self.radicand)})"
 
-    def decimal_str(self, digits: int = 12) -> str:
-        """Decimal rendering at ``digits`` significant figures, round half even."""
+    def decimal_str(self) -> str:
+        """Decimal rendering at 12 significant figures, round half even."""
         r = self.radicand
-        return _pi_sqrt_decimal(r.numerator, r.denominator, digits) if r else "0"
+        return _pi_sqrt_decimal(r.numerator, r.denominator) if r else "0"
 
     def to_json(self) -> dict:
         return {

@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynkin import RootKind, kinds
 from .linalg import format_rational
 from .polytope import CartanPolytope, tree_adjugate
-from .roots import RootKind
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -219,6 +219,7 @@ def float_simple_roots(kind: RootKind) -> list[tuple[float, ...]]:
 
 
 _CHUNK_FLOATS = 1 << 18     # 2 MB of float64 per temporary in _chebyshev
+_TOL = 1e-7                 # Chebyshev distance under which two closure vectors are one
 
 
 def _chebyshev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,11 +230,10 @@ def _chebyshev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
-                   cap: int = 600) -> list[np.ndarray]:
+def _float_closure(simples: list[tuple[float, ...]], cap: int = 600) -> list[np.ndarray]:
     """Reflection closure of float vectors with tolerance deduplication.
 
-    A vector is kept unless it lies within ``tol`` (Chebyshev) of a vector
+    A vector is kept unless it lies within ``_TOL`` (Chebyshev) of a vector
     kept before it.  One frontier is handled at a time: all its images are
     formed at once, tested against the vectors of earlier frontiers in
     row chunks, and the survivors are settled against each other, in
@@ -247,7 +247,7 @@ def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
         near = np.empty((len(cands), len(cands)), dtype=bool)
         step = max(1, _CHUNK_FLOATS // max(1, len(cands)))
         for i in range(0, len(cands), step):
-            near[i:i + step] = _chebyshev(cands[i:i + step], cands) < tol
+            near[i:i + step] = _chebyshev(cands[i:i + step], cands) < _TOL
         kept: list[int] = []
         for i in range(len(cands)):
             if not near[i, kept].any():
@@ -262,7 +262,7 @@ def _float_closure(simples: list[tuple[float, ...]], tol: float = 1e-7,
         seen = np.empty(len(cands), dtype=bool)
         step = max(1, _CHUNK_FLOATS // len(found))
         for i in range(0, len(cands), step):
-            seen[i:i + step] = (_chebyshev(cands[i:i + step], found) < tol).any(axis=1)
+            seen[i:i + step] = (_chebyshev(cands[i:i + step], found) < _TOL).any(axis=1)
         new = np.flatnonzero(~seen)
         new = new[settle(cands[new])]
         # The count only grows, so it passes cap after some frontier row
@@ -320,14 +320,9 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
     from .polytope import build_polytope
     from .roots import build
 
-    kinds: list[RootKind] = []
-    for fam, lo in (("a", 1), ("b", 2), ("c", 3), ("d", 4), ("bc", 1)):
-        kinds.extend(RootKind(fam, l) for l in range(lo, max_rank + 1))
-    kinds.extend([RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
-                  RootKind("f", 4), RootKind("g", 2)])
-
     reports: list[OracleReport] = []
-    for _, group in groupby(sorted(kinds, key=lambda kind: kind.rank),
+    for _, group in groupby(sorted(kinds(("a", "b", "c", "d", "bc"), max_rank),
+                                   key=lambda kind: kind.rank),
                             key=lambda kind: kind.rank):
         polytopes = []
         for k in group:

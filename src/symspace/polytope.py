@@ -11,48 +11,29 @@ Dynkin diagram is a tree, and off the diagonal a cofactor on a tree is a
 path product times the prefix and suffix continuants along its chain
 (Usmani, Linear Algebra Appl. 212/213, 1994, for the chain), so both
 come from one fold of the tree (``dynkin.fold_tree``) and no general
-solve.  The farthest vertex and its norm are the report path's
-(``reporting.farthest_vertex``), from the minors of the same fold.
+solve.  The farthest vertex and its norm come from the minors of the
+same fold (``dynkin.farthest_vertex``).
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
 For non-reduced (bc) systems the chamber walls come from the indivisible
 simple roots and the far face from psi = 2 * sum a_i; nothing else changes.
 
-The slice predicates run in integer coordinates, with the same answers
-as rational arithmetic.  Their kernels take a point x = n/D as (n, D)
-and its pairing vector p = nA, A the Cartan matrix (``_pairings``): p_k
-has the sign of (a_k, x).  The reduction to the dominant chamber keeps
-p current as it reflects, and the cut-face level reads it in O(l): with
-the integer Gram matrix M/g of ``RootSystem.int_gram``, (M n)_k =
-M_kk p_k / 2, so (x, psi) = sum_k psi_k M_kk p_k / (2 g D).  ``geometry``
-calls the kernels directly; ``dominant_representative`` and
-``classify_point`` wrap them for Fraction points.
+``classify_point`` and ``dominant_representative`` wrap the integer slice
+kernel of ``roots`` for Fraction points.  ``reflect_simple`` applies one
+reflection by its own rule, from the dense Cartan columns, so that it
+can check the kernel.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
-from .dynkin import RootKind, fold_tree, gram_tree
-from .linalg import DimensionMismatch, Vector, clear_denominators
-from .reporting import farthest_vertex
-from .roots import RootSystem
-
-
-class SliceClass(enum.Enum):
-    """Where a dominant slice point sits relative to the polytope."""
-
-    INTERIOR = "interior"
-    ON_CUT_FACE = "on-cut-face"
-    OUTSIDE = "outside"
-    NOT_DOMINANT = "not-dominant"
-
-    def __str__(self) -> str:
-        return self.value
+from .dynkin import RootKind, farthest_vertex, fold_tree, gram_tree
+from .linalg import Vector, format_rational
+from .roots import (RootSystem, SliceClass, cleared_point, level_class, pairings,
+                    reduce_dominant)
 
 
 class CartanPolytope(NamedTuple):
@@ -111,71 +92,10 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
         system=rs,
         vertices=verts,
         vertex_norms_sq=norms,
-        i_sq=1 / rs.psi_sq,
+        i_sq=Fraction(1),                # gram_tree scales (psi, psi) to 1
         d_sq=d_sq,
         argmax_vertex=argmax,
     )
-
-
-def _cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
-    """(n, D) with x == n / D, for a point in simple-root coordinates of rs."""
-    n, den = clear_denominators(x)
-    if len(n) != rs.rank:
-        raise DimensionMismatch(f"point length {len(n)} != rank {rs.rank}")
-    return n, den
-
-
-def _pairings(rs: RootSystem, n: list[int]) -> list[int]:
-    """p = nA for the numerators n of a point x over any common denominator:
-    p_k = sum_j n_j A[j][k] has the sign of (a_k, x)."""
-    p = [0] * rs.rank
-    for nj, row in zip(n, rs.cartan_rows):
-        if nj:
-            for k, a in row:
-                p[k] += nj * a
-    return p
-
-
-def _classify_cleared(rs: RootSystem, p: list[int], a: int, den: int) -> SliceClass:
-    """classify_point for the point a n / den, given p = nA (a > 0).
-
-    With gram = M/g, (M n)_k = p_k M_kk / 2, so (a_k, x) has the sign of
-    p_k and the level (x, psi) is a sum_k psi_k M_kk p_k / (2 g den).
-    """
-    if min(p) < 0:
-        return SliceClass.NOT_DOMINANT
-    level = a * sum(map(mul, rs.highest_root, map(mul, rs.gram_diagonal, p)))
-    one = 2 * rs.int_gram[1] * den
-    if level > one:
-        return SliceClass.OUTSIDE
-    if level == one:
-        return SliceClass.ON_CUT_FACE
-    return SliceClass.INTERIOR
-
-
-def _reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
-    """dominant_representative on the numerators n of a point over any
-    common denominator, with p = nA: reduces n in place and keeps p its
-    pairing vector, returns the reflection count.
-
-    s_i sends n_i to n_i - p_i; that changes only the p_k with
-    A[i][k] != 0, and no wall below the first such k can have become
-    violated.
-    """
-    rows = rs.cartan_rows
-    count = 0
-    i = 0
-    while i < rs.rank:
-        c = p[i]
-        if c >= 0:
-            i += 1
-            continue
-        n[i] -= c
-        for k, a in rows[i]:
-            p[k] -= c * a
-        count += 1
-        i = rows[i][0][0]
-    return count
 
 
 def classify_point(p: CartanPolytope, x) -> SliceClass:
@@ -184,8 +104,8 @@ def classify_point(p: CartanPolytope, x) -> SliceClass:
     Units: the Gram matrix of the system, under which the cut face is the
     exact level set (x, psi) = 1.
     """
-    n, den = _cleared_point(p.system, x)
-    return _classify_cleared(p.system, _pairings(p.system, n), 1, den)
+    n, den = cleared_point(p.system, x)
+    return level_class(p.system, pairings(p.system, n), 1, den)
 
 
 def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
@@ -195,20 +115,20 @@ def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
     result is the unique dominant point in the Weyl orbit of x.  Returns
     (representative, number of reflections applied).
     """
-    n, den = _cleared_point(rs, x)
-    count = _reduce_dominant(rs, n, _pairings(rs, n))
+    n, den = cleared_point(rs, x)
+    count = reduce_dominant(rs, n, pairings(rs, n))
     return tuple(Fraction(v, den) for v in n), count
 
 
 def reflect_simple(rs: RootSystem, x, i: int) -> Vector:
-    """Apply the simple reflection s_i to a coefficient vector."""
-    n, den = _cleared_point(rs, x)
+    """Apply the simple reflection s_i to a coefficient vector, from the
+    dense Cartan column i rather than the kernel's sparse rows."""
+    n, den = cleared_point(rs, x)
     n[i] -= sum(nj * row[i] for nj, row in zip(n, rs.cartan))
     return tuple(Fraction(v, den) for v in n)
 
 
 def to_json_dict(p: CartanPolytope) -> dict:
-    from .linalg import format_rational
     return {
         "vertices": [[format_rational(c) for c in v] for v in p.vertices],
         "vertex_norms_sq": [format_rational(n) for n in p.vertex_norms_sq],

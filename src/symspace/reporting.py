@@ -11,19 +11,9 @@ With psi the highest restricted root in Killing units:
 where dmax^2 is the squared farthest-vertex norm of the restricted
 system's Cartan polytope under highest-root normalization, so that
 i(M) * sqrt(kappa) = pi exactly.  A report needs one catalog entry,
-which it takes as given when passed one, and dmax^2, which is cached
-per restricted kind.
-
-For an irreducible system with simple roots a_1..a_l and highest root
-psi = sum d_i a_i, the polytope's nonzero vertices e_j satisfy
-(e_j, a_i) = delta_ij / d_j, so (e_j, e_j) = (inv(Gram))_jj / d_j^2.
-With gram = M/g (``dynkin.gram_tree``), (inv(Gram))_jj =
-g det(M minus node j) / det M, and ``dynkin.principal_minors`` reads
-det M and every det(M minus node j) off the tree in O(l) integer
-products.  ``farthest_vertex`` picks d_sq from the minors by
-cross-multiplication and builds one Fraction: no matrix, no inverse and
-no vertex is formed.  ``polytope`` builds the vertices themselves from
-the same fold, and takes d_sq and the farthest vertex from here.
+which it takes as given when passed one, and dmax^2, which
+``dynkin.farthest_vertex`` reads off the Dynkin diagram's Gram tree in
+O(l) integer products and which is cached per restricted kind.
 
 This module holds everything ``space``, ``table`` and ``product`` run
 past the catalog, so a process that only reports compiles neither the
@@ -40,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .catalog import HALF, SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .dynkin import RootKind, check_rank, gram_tree, principal_minors
+from .dynkin import RootKind, farthest_vertex
 from .linalg import PiSqrtValue, format_rational
 
 
@@ -89,20 +79,6 @@ class GeometryReport(NamedTuple):
     diameter: PiSqrtValue
     kappa: Fraction
     ricci: Fraction
-
-
-def farthest_vertex(kind: RootKind) -> tuple[Fraction, int]:
-    """(d_sq, argmax_vertex) of the kind's polytope, from the minors of its
-    Gram tree (``dynkin.gram_tree``): the first largest norm, found by
-    cross-multiplying the candidates (det M and g are positive), then one
-    Fraction.  InvalidRank past MAX_RANK."""
-    a, b, leaf, d, g = gram_tree(check_rank(kind))
-    det, minors = principal_minors(a, b, leaf)
-    best = 0
-    for j in range(1, kind.rank):
-        if minors[j] * d[best] * d[best] > minors[best] * d[j] * d[j]:
-            best = j
-    return Fraction(g * minors[best], det * d[best] * d[best]), best
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Irreducible root systems realized in simple-root coordinates.
+"""Irreducible root systems in simple-root coordinates, and the integer
+slice kernel that runs on their Cartan data.
 
 Each family is described once, by its Dynkin diagram (``dynkin``, whose
 public names this module re-exports).  ``build`` lays out the diagram's
@@ -9,17 +10,32 @@ The roots themselves (integer coefficient vectors over the simple roots)
 are enumerated on first access, and only for systems of at most
 MAX_ROOTS roots.  One pass builds the positive roots level by level in
 height from simple-root strings, and records how each is reached from a
-root one level below: the chain that the conjugacy test in ``geometry``
-walks.  The root counts that ``to_json_dict`` reports are the closed
-forms of ``dynkin.root_count``.
+root one level below: the chain that ``chain_walk`` follows.  The root
+counts that ``to_json_dict`` reports are the closed forms of
+``dynkin.root_count``.
+
+The slice kernel works in integers, with the same answers as rational
+arithmetic.  It takes a point x = n/D as (n, D) (``cleared_point``) and
+its pairing vector p = nA, A the Cartan matrix (``pairings``): p_k has
+the sign of (a_k, x).  ``reduce_dominant`` keeps p current as it
+reflects into the dominant chamber, and ``level_class`` reads the
+cut-face level in O(l): (M n)_k = M_kk p_k / 2, so (x, psi) =
+sum_k psi_k M_kk p_k / (2 g D).  ``chain_walk`` asks whether some
+positive root r has v_r = sum_k r_k M_kk p_k nonzero and divisible by a
+modulus q.  Every positive root past the simple ones is a root one level
+below plus a simple root a_j (Humphreys, Introduction to Lie Algebras
+and Representation Theory, 10.2), so each v_r is v_parent + M_jj p_j:
+one addition per positive root.  ``geometry`` forms q from Killing
+units; ``polytope`` wraps the kernel for Fraction points.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
-chain and the sparse Cartan rows) in an instance dict.
+chain, the sparse Cartan rows and the Gram diagonal) in an instance dict.
 """
 
 from __future__ import annotations
 
+import enum
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
@@ -27,7 +43,7 @@ from typing import NamedTuple
 
 from .dynkin import (MAX_RANK, InvalidRank, RootKind, check_rank,  # re-exported
                      gram_tree, highest_root_coeffs, parse_kind, root_count, split_kind)
-from .linalg import format_rational
+from .linalg import DimensionMismatch, clear_denominators, format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
 
@@ -53,8 +69,8 @@ class RootSystem(_RootSystemFields):
     from it ``roots`` and ``indivisible_roots``, are enumerated on first
     access; they raise InvalidRank for systems of more than MAX_ROOTS
     roots, and RuntimeError on corrupt Cartan data.  ``cartan_rows``, the
-    sparse Cartan rows, and ``gram_diagonal``, which the slice predicates
-    use, are also built once, on first access.  No ``__slots__``: the cached
+    sparse Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
+    built once, on first access.  No ``__slots__``: the cached
     properties store their values in the instance dict, which
     ``cached_property`` writes directly, so refusing attribute assignment
     keeps the system immutable.
@@ -130,13 +146,6 @@ class RootSystem(_RootSystemFields):
     def indivisible_roots(self) -> frozenset[tuple[int, ...]]:
         return self.roots - {tuple(2 * x for x in r) for r in self.roots}
 
-    @property
-    def psi_sq(self) -> Fraction:
-        """(psi, psi) of the highest root, from ``int_gram`` in integers."""
-        m, g = self.int_gram
-        d = self.highest_root
-        return Fraction(sum(di * sum(map(mul, row, d)) for di, row in zip(d, m)), g)
-
     @cached_property
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
@@ -144,7 +153,7 @@ class RootSystem(_RootSystemFields):
 
     @cached_property
     def gram_diagonal(self) -> tuple[int, ...]:
-        """M_kk of ``int_gram``: (M n)_k = M_kk p_k / 2 for p = nA."""
+        """M_kk of ``int_gram``."""
         m, _ = self.int_gram
         return tuple(m[k][k] for k in range(self.rank))
 
@@ -183,5 +192,96 @@ def to_json_dict(rs: RootSystem) -> dict:
         # bc's 2l doubled roots +-2 eps_i are its only divisible ones.
         "indivisible_count": count - (0 if rs.kind.is_reduced else 2 * rs.rank),
         "highest_root": list(rs.highest_root),
-        "psi_sq": format_rational(rs.psi_sq),
+        "psi_sq": "1",                   # gram_tree scales (psi, psi) to 1
     }
+
+
+class SliceClass(enum.Enum):
+    """Where a dominant slice point sits relative to the polytope."""
+
+    INTERIOR = "interior"
+    ON_CUT_FACE = "on-cut-face"
+    OUTSIDE = "outside"
+    NOT_DOMINANT = "not-dominant"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+def cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
+    """(n, D) with x == n / D, for a point in simple-root coordinates of rs."""
+    n, den = clear_denominators(x)
+    if len(n) != rs.rank:
+        raise DimensionMismatch(f"point length {len(n)} != rank {rs.rank}")
+    return n, den
+
+
+def pairings(rs: RootSystem, n: list[int]) -> list[int]:
+    """p = nA for the numerators n of a point x over any common denominator:
+    p_k = sum_j n_j A[j][k] has the sign of (a_k, x)."""
+    p = [0] * rs.rank
+    for nj, row in zip(n, rs.cartan_rows):
+        if nj:
+            for k, a in row:
+                p[k] += nj * a
+    return p
+
+
+def level_class(rs: RootSystem, p: list[int], a: int, den: int) -> SliceClass:
+    """Where the point a n / den sits, given p = nA (a > 0).
+
+    With gram = M/g, (M n)_k = p_k M_kk / 2, so (a_k, x) has the sign of
+    p_k and the level (x, psi) is a sum_k psi_k M_kk p_k / (2 g den).
+    """
+    if min(p) < 0:
+        return SliceClass.NOT_DOMINANT
+    level = a * sum(map(mul, rs.highest_root, map(mul, rs.gram_diagonal, p)))
+    one = 2 * rs.int_gram[1] * den
+    if level > one:
+        return SliceClass.OUTSIDE
+    if level == one:
+        return SliceClass.ON_CUT_FACE
+    return SliceClass.INTERIOR
+
+
+def reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
+    """Reduce the numerators n of a point over any common denominator, with
+    p = nA, in place into the closed dominant chamber, keeping p its
+    pairing vector; returns the reflection count.
+
+    s_i sends n_i to n_i - p_i; that changes only the p_k with
+    A[i][k] != 0, and no wall below the first such k can have become
+    violated.
+    """
+    rows = rs.cartan_rows
+    count = 0
+    i = 0
+    while i < rs.rank:
+        c = p[i]
+        if c >= 0:
+            i += 1
+            continue
+        n[i] -= c
+        for k, a in rows[i]:
+            p[k] -= c * a
+        count += 1
+        i = rows[i][0][0]
+    return count
+
+
+def chain_walk(rs: RootSystem, p: list[int], q: int) -> bool:
+    """True when some positive root r has v_r = sum_k r_k M_kk p_k nonzero
+    and divisible by q, given p = nA; each v_r past the simple roots is the
+    v of its chain parent plus one v of a simple root.  InvalidRank past
+    MAX_ROOTS, where the roots are not enumerated."""
+    _, chain = rs.positive_roots
+    v = list(map(mul, rs.gram_diagonal, p))
+    for x in v:
+        if x and x % q == 0:
+            return True
+    for parent, j in chain:
+        x = v[parent] + v[j]
+        if x and x % q == 0:
+            return True
+        v.append(x)
+    return False

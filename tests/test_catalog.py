@@ -8,6 +8,7 @@ import pytest
 from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData,
                               NodeSet, SpaceLabel, enumerate_table, parse_label,
                               resolve, restriction_factor_crosscheck, to_json_dict)
+from symspace.dynkin import kinds
 from symspace.killing import perp_simple_indices
 from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
 
@@ -337,6 +338,18 @@ def test_enumerate_table_42_counts(b):
     assert Counter(e.label.kind.family for e in entries) == \
         {f: n for f, n in want.items() if n > 0}
     assert len({e.label for e in entries}) == len(entries)
+
+
+def test_kinds_are_table_42_groups():
+    # dynkin.kinds is the one list of kinds: table 4.2's GROUP rows, in
+    # order, at every bound, and each family from its least rank.
+    exceptional = [RootKind("e", 6), RootKind("e", 7), RootKind("e", 8),
+                   RootKind("f", 4), RootKind("g", 2)]
+    for b in range(1, MAX_RANK + 1):
+        got = kinds(("a", "b", "c", "d"), b)
+        assert got == [e.label.kind for e in enumerate_table("4.2", b)], b
+        assert got == [RootKind(fam, l) for fam, lo in (("a", 1), ("b", 2), ("c", 3), ("d", 4))
+                       for l in range(lo, b + 1)] + exceptional, b
 
 
 def test_table_command_resolves_each_label_once(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -366,16 +367,43 @@ print(code, slice_path, "json" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("argv", [("space", "AI:n=4"),
-                                  ("product", "AI:n=4", "CI:n=3"),
-                                  ("table", "4.1", "--format", "tsv")],
-                         ids=lambda argv: argv[0])
-def test_report_commands_load_only_the_report_path(argv):
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(("space", "AI:n=4"), "0 [] False", id="space"),
+    pytest.param(("product", "AI:n=4", "CI:n=3"), "0 [] False", id="product"),
+    pytest.param(("table", "4.1", "--format", "tsv"), "0 [] False", id="table"),
+    pytest.param(("cut", "AI:n=3", "--point", "1/3,1/3"), "0 ['symspace.geometry'] True",
+                 id="cut"),
+])
+def test_report_commands_load_only_the_report_path(argv, loaded):
     # space, product and table compile the catalog and the report path:
-    # neither the slice predicates nor the polytope, and no json.
+    # neither the slice predicates nor the polytope, and no json.  cut adds
+    # the slice predicates, whose kernel lives in roots, but no polytope.
     proc = run_python("-c", _MODULES_OF_COMMAND, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 [] False"
+    assert proc.stdout.strip() == loaded
+
+
+def test_polytope_loads_no_report_path():
+    # The polytope reads the Dynkin tree, the linear algebra and the root
+    # system only: neither reporting nor the catalog.
+    proc = run_python("-c", "import sys, symspace.polytope; "
+                            "print(sorted(m for m in sys.modules if m.startswith('symspace.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "['symspace.dynkin', 'symspace.linalg', 'symspace.polytope', 'symspace.roots']"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # Each decision has one home: no module of the package imports a
+    # _-prefixed name from another of its modules.
+    found = []
+    for path in sorted((Path(SRC) / "symspace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "symspace"):
+                found += [(path.name, node.module, a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
 
 
 def test_cli_import_skips_dataclasses():

@@ -10,8 +10,8 @@ from symspace.geometry import (CutDetails, EmptyProduct, MetricSpec,
                                is_conjugate, kappa_relation_check, product,
                                report, report_json_dict)
 from symspace.linalg import DimensionMismatch, PiSqrtValue
-from symspace.polytope import SliceClass, build_polytope, reflect_simple
-from symspace.roots import InvalidRank, build
+from symspace.polytope import build_polytope, reflect_simple
+from symspace.roots import InvalidRank, SliceClass, build
 
 
 def test_report_ai4():
@@ -159,15 +159,15 @@ def test_cut_details_refuses_before_reflecting(monkeypatch):
     import symspace.geometry as geometry
 
     def unreachable(*_args):
-        raise AssertionError("_reduce_dominant ran before the refusal")
+        raise AssertionError("reduce_dominant ran before the refusal")
 
-    monkeypatch.setattr(geometry, "_reduce_dominant", unreachable)
+    monkeypatch.setattr(geometry, "reduce_dominant", unreachable)
     point = tuple(F(i % 7 - 3, 5) for i in range(40))
     with pytest.raises(InvalidRank):
         cut_details("BDI:p=40,q=40", point)
     # Within the limit the patched kernel is reached, so the refusal
     # above is not vacuous.
-    with pytest.raises(AssertionError, match="_reduce_dominant"):
+    with pytest.raises(AssertionError, match="reduce_dominant"):
         cut_details("BDI:p=6,q=9", point[:6])
 
 

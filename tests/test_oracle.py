@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from symspace.dynkin import kinds
 from symspace.linalg import format_rational
 from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
                              _float_closure, _row_sums, _weight_blocks,
@@ -236,6 +237,10 @@ def test_suite_deterministic():
 def test_suite_all_pass_small():
     for rep in standard_suite(seed=123, samples=2000, max_rank=4):
         assert rep.passed, rep.tsv_row()
+
+
+def test_kinds_are_the_suite_kinds():
+    assert kinds(("a", "b", "c", "d", "bc"), 8) == SUITE_KINDS
 
 
 def test_suite_kinds_are_the_suite():

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.closedform import d_sq_closed_form
-from symspace.dynkin import fold_tree, principal_minors
+from symspace.dynkin import farthest_vertex, fold_tree, principal_minors
 from symspace.linalg import DimensionMismatch
-from symspace.polytope import (SliceClass, build_polytope, classify_point,
-                               dominant_representative, reflect_simple,
-                               to_json_dict, tree_adjugate)
-from symspace.reporting import farthest_vertex
-from symspace.roots import RootKind, build
+from symspace.polytope import (build_polytope, classify_point, dominant_representative,
+                               reflect_simple, to_json_dict, tree_adjugate)
+from symspace.roots import RootKind, SliceClass, build
 
 from reference import dot_gram, gram, int_inverse, mul_vec
 from test_roots import ALL_KINDS, GRAM_KINDS
@@ -144,7 +142,7 @@ def test_tree_adjugate_random_symmetric(monkeypatch, l):
 
 
 def test_build_polytope_makes_one_tree_solve(monkeypatch):
-    # One adjugate, and the farthest vertex from reporting's cross-multiplication.
+    # One adjugate, and the farthest vertex from dynkin's cross-multiplication.
     import symspace.polytope as polytope
     calls = []
     solve, farthest = polytope.tree_adjugate, polytope.farthest_vertex

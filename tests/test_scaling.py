@@ -24,8 +24,8 @@ from symspace.catalog import enumerate_table, resolve
 from symspace.closedform import expected
 from symspace.geometry import cut_classify, cut_details, is_conjugate, report
 from symspace.linalg import PiSqrtValue
-from symspace.polytope import SliceClass, build_polytope
-from symspace.roots import MAX_RANK, build
+from symspace.polytope import build_polytope
+from symspace.roots import MAX_RANK, SliceClass, build
 
 from reference import dot_gram, gram
 from test_slice_kernel import IN_CAP_KINDS

@@ -27,9 +27,9 @@ from symspace import geometry
 from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
 from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
 from symspace.linalg import DimensionMismatch, clear_denominators
-from symspace.polytope import (SliceClass, _pairings, build_polytope, classify_point,
-                               dominant_representative, reflect_simple)
-from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, build, root_count
+from symspace.polytope import (build_polytope, classify_point, dominant_representative,
+                               reflect_simple)
+from symspace.roots import MAX_ROOTS, InvalidRank, RootKind, SliceClass, build, pairings, root_count
 
 from reference import (IN_CAP_KINDS, dot, dot_product_conjugate, epsilon_simple_roots, gram,
                        mul_vec, positive_pairings, scaled, signed_sort, to_epsilon)
@@ -305,7 +305,7 @@ def test_root_chain_matches_dot_product_route(kind):
     for h in killing:
         n, d = clear_denominators(h)
         want = dot_product_conjugate(rs, psi_sq, n, d)
-        assert geometry._conjugate(rs, psi_sq, _pairings(rs, n), d) is want, h
+        assert geometry._conjugate(rs, psi_sq, pairings(rs, n), d) is want, h
         assert is_conjugate(label, h) is want
         answers.add(want)
     assert answers == {True, False}
@@ -316,7 +316,7 @@ def test_root_chain_matches_dot_product_route(kind):
         for x in points:
             n, d = clear_denominators(tuple(c / stand_in for c in x))
             want = dot_product_conjugate(rs, stand_in, n, d)
-            assert geometry._conjugate(rs, stand_in, _pairings(rs, n), d) is want, x
+            assert geometry._conjugate(rs, stand_in, pairings(rs, n), d) is want, x
             answers.add(want)
         assert True in answers
 

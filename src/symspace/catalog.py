@@ -42,8 +42,9 @@ class MissingSatakeData(LookupError):
 
 
 class NodeSet:
-    """A set of 1-based simple-root indices held as disjoint ranges (at most
-    two here), so it costs the same however many nodes it holds."""
+    """A set of 1-based simple-root indices held as disjoint ranges in
+    increasing order (at most two here), so it costs the same however many
+    nodes it holds, and iterates its nodes sorted."""
 
     __slots__ = ("ranges",)
 
@@ -76,6 +77,31 @@ class NodeSet:
 
 # The most black nodes a JSON entry lists; one node is a line of output.
 MAX_LISTED_NODES = 10 ** 6
+
+
+class _NodeList(list):
+    """A NodeSet's nodes as a JSON array.  ``json`` encodes a list by
+    iterating it (the unindented encoder through a copy), so the nodes are
+    made one at a time while they are written, not held: a million of them
+    as a list of ints took 38 MB.  Its length and equality are those of the
+    sorted node list; its own list storage stays empty."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: NodeSet):
+        self.nodes = nodes
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return self.nodes.size
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __ne__(self, other) -> bool:
+        return list(self) != other
 
 
 class SpaceLabel(NamedTuple):
@@ -420,7 +446,7 @@ def to_json_dict(entry: SpaceEntry) -> dict:
         "restricted_built": str(entry.restricted),
         "restriction_factor": format_rational(entry.restriction_factor),
         "psi_sq_killing": format_rational(entry.psi_sq_killing),
-        "satake_black_nodes": sorted(black) if black is not None else None,
+        "satake_black_nodes": _NodeList(black) if black is not None else None,
         "canonical_epsilon": (format_rational(entry.canonical_epsilon)
                               if entry.canonical_epsilon is not None else None),
     }

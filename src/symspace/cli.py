@@ -5,25 +5,38 @@ values are always printed alongside 12-digit decimals.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 missing
 data (e.g. no canonical metric).
 
-Each command imports what it runs.  Every command loads the catalog and
-the report path (``catalog``, ``dynkin``, ``killing``, ``linalg`` and
-``reporting``), which is all ``space``, ``table`` and ``product`` run;
-``cut`` adds ``geometry`` and ``roots``, ``rootsystem`` adds
-``polytope`` and ``roots``, and ``verify`` its checks and numpy.
-``json`` is loaded for JSON output and by ``cut``.  Every refusal of an
-input (InvalidParams, InvalidRank, DimensionMismatch) is a ValueError,
-and exits 2.
+Each command imports what it runs.  ``space``, ``table`` and ``product``
+load the catalog and the report path (``catalog``, ``dynkin``,
+``killing``, ``linalg`` and ``reporting``) and nothing more; ``cut`` adds
+``geometry`` and ``roots``; ``rootsystem`` loads ``dynkin``, ``killing``,
+``linalg``, ``polytope`` and ``roots``, and no catalog; ``verify`` loads
+the report path, the polytope, its checks and numpy.  ``json`` is loaded
+for JSON output and by ``cut``.  Every refusal of an input
+(InvalidParams, InvalidRank, DimensionMismatch) is a ValueError, and
+exits 2.
+
+Besides its command, a fresh ``symspace`` process pays for the
+interpreter's start (about 65 ms, as for ``python -c pass``); for
+compiling what it imports, about 1,600 source lines for a report command,
+since no bytecode is written when ``PYTHONDONTWRITEBYTECODE=1`` is set
+(about 11 ms under ``python -X importtime``); and for shutdown.  ``run``,
+the process entry of ``python -m symspace.cli`` and of the ``symspace``
+script, freezes the heap once the command has returned, so that the
+collections at shutdown skip it: from the last atexit hook to exit took
+4-5 ms in place of 15-16 ms for ``space`` and ``table``, and 12 ms in
+place of 44 ms for ``verify`` (Python 3.11.7, 2-CPU Intel Xeon).
+``main``, the in-process API, never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from fractions import Fraction
 from itertools import chain
 
-from . import catalog, reporting
 from .linalg import format_rational
 
 FORMATS = ("text", "markdown", "json", "tsv")
@@ -40,6 +53,7 @@ def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
     """``Fraction(text)``.  With ``max_digits`` > 0, a value whose numerator
     or denominator has more digits is refused, and a decimal exponent is
     read before 10**exponent is formed, so "1e10000000" costs nothing."""
+    from .catalog import InvalidParams
     try:
         m = re.fullmatch(_EXPONENT, text) if max_digits else None
         if m is None:
@@ -54,9 +68,9 @@ def _parse_fraction(text: str, max_digits: int = 0) -> Fraction:
                          + value.denominator.bit_length())
                 value *= Fraction(10) ** max(-bound, min(exp, bound))
     except (ValueError, ZeroDivisionError) as e:
-        raise catalog.InvalidParams(f"bad rational {text!r}") from e
+        raise InvalidParams(f"bad rational {text!r}") from e
     if max_digits and max(abs(value.numerator), value.denominator) >= 10 ** max_digits:
-        raise catalog.InvalidParams(f"bad rational {text!r}: more than {max_digits} digits")
+        raise InvalidParams(f"bad rational {text!r}: more than {max_digits} digits")
     return value
 
 
@@ -129,7 +143,9 @@ def cmd_rootsystem(args) -> int:
     return 0
 
 
-def _metric_from_args(args) -> reporting.MetricSpec:
+def _metric_from_args(args):
+    """The ``reporting.MetricSpec`` the metric flags name."""
+    from . import catalog, reporting
     chosen = [x for x in (args.epsilon, args.ric, "c" if args.canonical else None)
               if x is not None]
     if len(chosen) > 1:
@@ -159,6 +175,7 @@ def _refuse_long_labels(reps) -> None:
     naming the label when the label alone gives such a value, as it does
     at eps = 1, where the values are psi_sq, its reciprocal (as many
     digits) and d_sq / psi_sq; otherwise the metric value is the cause."""
+    from . import catalog
     for rep in reps:
         try:
             str(rep.psi_sq), str(rep.d_sq_sigma / rep.psi_sq)
@@ -185,6 +202,7 @@ def _report_rows(rep) -> list[list[str]]:
 
 
 def cmd_space(args) -> int:
+    from . import reporting
     rep = reporting.report(args.label, _metric_from_args(args))
     try:
         data = (reporting.report_json_dict(rep) if args.format == "json"
@@ -209,6 +227,7 @@ def _table_cells(rep) -> list[str]:
 
 
 def cmd_table(args) -> int:
+    from . import catalog, reporting
     metric = _metric_from_args(args)
     # The entries come one at a time and each row is rendered from its
     # report as it comes, so no entry (with its black-node set) or report
@@ -231,7 +250,7 @@ def cmd_table(args) -> int:
 
 def cmd_cut(args) -> int:
     import json
-    from . import geometry
+    from . import catalog, geometry
     entry = catalog.resolve(args.label)
     # The point is echoed, and str() of an int is capped at this many digits.
     max_digits = sys.get_int_max_str_digits()
@@ -255,6 +274,7 @@ def cmd_cut(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from . import reporting
     metric = _metric_from_args(args)
     reps = [reporting.report(label, metric) for label in args.labels]
     inj, diam = reporting.product(reps)
@@ -357,13 +377,31 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except reporting.NoCanonicalMetric as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except LookupError as e:
+        # Only reporting raises NoCanonicalMetric, so it is loaded by then.
+        from .reporting import NoCanonicalMetric
+        if not isinstance(e, NoCanonicalMetric):
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+
+
+def run() -> int:
+    """The process entry: ``main``, then the heap frozen.  A frozen object
+    is in no generation that a collection walks, the interpreter's own at
+    shutdown included, so the process exits without walking the heap it
+    built; atexit, the flush of stdout and stderr and the exit code are
+    unchanged.  The freeze comes after the command, whose own collections
+    still run, and ``main`` never freezes, so a caller that runs it in
+    process keeps a heap that can be collected."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 from collections import Counter
@@ -313,6 +314,18 @@ def test_entry_json():
     assert d["restriction_factor"] == "1"
     assert d["psi_sq_killing"] == "1/4"
     assert d["canonical_epsilon"] == "1/8"
+
+
+@pytest.mark.parametrize("label", ["CII:p=2,q=5", "EIV", "BDI:p=2,q=4"])
+def test_entry_json_nodes_encode_as_their_list(label):
+    # The black nodes are drawn from their ranges as they are encoded, with
+    # or without an indent, and read as the sorted list of the nodes.
+    d = to_json_dict(resolve(label))
+    nodes = sorted(resolve(label).satake_black_nodes)
+    assert d["satake_black_nodes"] == nodes and len(d["satake_black_nodes"]) == len(nodes)
+    for indent in (None, 2):
+        assert json.dumps(d, indent=indent) == json.dumps({**d, "satake_black_nodes": nodes},
+                                                          indent=indent)
 
 
 BOUNDS = [1, 2, 3, 4, 5, 12, 40, 128]

@@ -201,23 +201,18 @@ _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1}
                 "e": lambda l: f"E{l}", "f": lambda l: "F4", "g": lambda l: "G2"}
 
 
-def _nominal_to_kind(family: str, rank: int) -> RootKind:
-    """The buildable kind of a nominal pair like ("c", 2): collapse rank coincidences."""
-    if (family, rank) == ("d", 2):
-        # so(4) splits into two a1 ideals swapped by the involution; the
-        # halving factor carries the whole reduction, so the buildable
-        # ambient is a single a1 factor, and the black-node criterion
-        # (which presumes a simple ambient) does not apply.
-        return RootKind("a", 1)
-    return canonical_kind(family, rank)
-
-
 # A table visits a few dozen nominal pairs and ambient kinds; a label of
 # any rank passes through these caches, which stay bounded.
 @lru_cache(maxsize=1024)
 def _nominal(family: str, rank: int) -> tuple[RootKind, str]:
-    """(buildable kind, nominal label) of a nominal pair, e.g. (b2, "c2")."""
-    return _nominal_to_kind(family, rank), f"{family}{rank}"
+    """(buildable kind, nominal label) of a nominal pair, e.g. (b2, "c2"):
+    rank coincidences collapse."""
+    # so(4) splits into two a1 ideals swapped by the involution; the halving
+    # factor carries the whole reduction, so the buildable ambient is a
+    # single a1 factor, and the black-node criterion (which presumes a
+    # simple ambient) does not apply.
+    kind = RootKind("a", 1) if (family, rank) == ("d", 2) else canonical_kind(family, rank)
+    return kind, f"{family}{rank}"
 
 
 @lru_cache(maxsize=1024)

@@ -3,7 +3,9 @@
 Subcommands: rootsystem, space, table, cut, product, verify.  Exact
 values are always printed alongside 12-digit decimals.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 missing
-data (e.g. no canonical metric).
+data (e.g. no canonical metric), and, from the ``symspace`` process,
+141 when its reader closed stdout early (``| head``), as a shell shows
+a process ended by SIGPIPE.
 
 Each command imports what it runs.  ``space``, ``table`` and ``product``
 load the catalog and the report path (``catalog``, ``dynkin``,
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 from fractions import Fraction
@@ -393,14 +396,23 @@ def run() -> int:
     """The process entry: ``main``, then the heap frozen.  A frozen object
     is in no generation that a collection walks, the interpreter's own at
     shutdown included, so the process exits without walking the heap it
-    built; atexit, the flush of stdout and stderr and the exit code are
-    unchanged.  The freeze comes after the command, whose own collections
+    built.  The freeze comes after the command, whose own collections
     still run, and ``main`` never freezes, so a caller that runs it in
-    process keeps a heap that can be collected."""
+    process keeps a heap that can be collected.  stdout is flushed here:
+    when its reader has closed it (``| head``), fd 1 is pointed at the null
+    device, so the flush at exit cannot fail, and the process ends with
+    141 and nothing on stderr; ``main`` raises the BrokenPipeError."""
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        code = 141
     finally:
         gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

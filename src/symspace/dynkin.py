@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -252,11 +253,12 @@ def principal_minors(a: list[int], b: list[int], leaf) -> tuple[int, list[int]]:
     return pre[-1], minors
 
 
+@lru_cache(maxsize=None)
 def farthest_vertex(kind: RootKind) -> tuple[Fraction, int]:
     """(d_sq, argmax_vertex) of the kind's polytope, from the minors of its
     Gram tree: the first largest norm, found by cross-multiplying the
-    candidates (det M and g are positive), then one Fraction.  InvalidRank
-    past MAX_RANK."""
+    candidates (det M and g are positive), then one Fraction.  Cached per
+    kind; InvalidRank past MAX_RANK, so the cache holds at most those kinds."""
     a, b, leaf, d, g = gram_tree(check_rank(kind))
     det, minors = principal_minors(a, b, leaf)
     best = 0

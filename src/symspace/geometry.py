@@ -14,14 +14,13 @@ Mapping a general tangent vector to its slice representative is outside
 this module; callers supply slice coordinates.
 
 A point's denominators are cleared once, h = n/D, and the predicates
-then run on the integer slice kernel of ``roots`` from one pairing
-vector p = nA (A the Cartan matrix).  What this module adds is the
-Killing-unit glue: a label gives the restricted system and
-psi_sq_killing = a/b, which folds into the kernel's level and modulus.
-With the Gram matrix M/g, the Killing pairing of h with a root r is
-a v_r / (2 b g D) for v_r = sum_k r_k M_kk p_k, so h is conjugate iff
-some positive root has v_r != 0 and a v_r = 0 (mod 2 b g D); a root and
-its negative pair to opposite values, so the positive roots decide
+then call the integer slice kernel of ``roots`` on one pairing vector
+p = nA (A the Cartan matrix): ``reduce_dominant``, then ``level_class``
+for the cut face and ``chain_walk`` for conjugacy.  What this module
+adds is the Killing-unit glue: a label gives the restricted system and
+psi_sq_killing = a/b, and h in Killing units is the point a n / (b D)
+in the kernel's Gram units, which the kernel reads as (a, b D).  A root
+and its negative pair to opposite values, so the positive roots decide
 conjugacy alone.  Conjugacy is refused past MAX_ROOTS, where the roots
 are not enumerated; the cut face needs only p.  Fractions are built
 only for the dominant representative ``cut_details`` returns.  The
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple
 
 from .catalog import SpaceEntry, SpaceLabel, resolve
@@ -80,25 +78,6 @@ def _slice_point(label: SpaceEntry | SpaceLabel | str,
     return (rs, psi_sq, *cleared_point(rs, h))
 
 
-def _conjugate(rs: RootSystem, psi_sq: Fraction, p: list[int], d: int) -> bool:
-    """is_conjugate for h = n / d, given p = nA.
-
-    With gram = M/g and psi_sq = a/b, the Killing pairing of h with a
-    root r is a v_r / (2 b g d), and a v_r = 0 (mod 2bgd) iff v_r = 0
-    (mod q) for q = 2bgd / gcd(a, 2bgd)."""
-    q = 2 * psi_sq.denominator * rs.int_gram[1] * d
-    return chain_walk(rs, p, q // gcd(psi_sq.numerator, q))
-
-
-def _classify(rs: RootSystem, psi_sq: Fraction, n: list[int], d: int,
-              p: list[int]) -> tuple[SliceClass, int]:
-    """Reduce n and its pairing vector p in place to the dominant
-    representative and classify it in Gram units, where it is
-    psi_sq * n / d = (a n) / (b d) for psi_sq = a/b."""
-    nrefl = reduce_dominant(rs, n, p)
-    return level_class(rs, p, psi_sq.numerator, psi_sq.denominator * d), nrefl
-
-
 def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
     """True when some restricted root pairs to a nonzero integer with h.
 
@@ -106,7 +85,7 @@ def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
     system, Killing units, divided by pi.
     """
     rs, psi_sq, n, d = _slice_point(label, h)
-    return _conjugate(rs, psi_sq, pairings(rs, n), d)
+    return chain_walk(rs, pairings(rs, n), psi_sq.numerator, psi_sq.denominator * d)
 
 
 def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
@@ -118,18 +97,21 @@ def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
     points, Outside lies beyond them.
     """
     rs, psi_sq, n, d = _slice_point(label, h)
-    return _classify(rs, psi_sq, n, d, pairings(rs, n))[0]
+    p = pairings(rs, n)
+    reduce_dominant(rs, n, p)
+    return level_class(rs, p, psi_sq.numerator, psi_sq.denominator * d)
 
 
 def cut_details(label: SpaceEntry | SpaceLabel | str, h) -> CutDetails:
     """cut_classify's answer with the dominant representative, the number
     of reflections that reached it, and is_conjugate's answer."""
     rs, psi_sq, n, d = _slice_point(label, h)
+    a, den = psi_sq.numerator, psi_sq.denominator * d
     p = pairings(rs, n)
     # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
     # refused before any work on the point, whatever the point is.
-    conjugate = _conjugate(rs, psi_sq, p, d)
-    cls, nrefl = _classify(rs, psi_sq, n, d, p)
-    return CutDetails(classification=cls,
+    conjugate = chain_walk(rs, p, a, den)
+    nrefl = reduce_dominant(rs, n, p)
+    return CutDetails(classification=level_class(rs, p, a, den),
                       dominant_representative=tuple(Fraction(v, d) for v in n),
                       reflections=nrefl, conjugate=conjugate)

@@ -12,8 +12,8 @@ where dmax^2 is the squared farthest-vertex norm of the restricted
 system's Cartan polytope under highest-root normalization, so that
 i(M) * sqrt(kappa) = pi exactly.  A report needs one catalog entry,
 which it takes as given when passed one, and dmax^2, which
-``dynkin.farthest_vertex`` reads off the Dynkin diagram's Gram tree in
-O(l) integer products and which is cached per restricted kind.
+``dynkin.farthest_vertex`` reads (once per restricted kind) off the
+Dynkin diagram's Gram tree in O(l) integer products.
 
 This module holds everything ``space``, ``table`` and ``product`` run
 past the catalog, so a process that only reports compiles neither the
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .catalog import HALF, SpaceEntry, SpaceLabel, resolve, to_json_dict as entry_json
-from .dynkin import RootKind, farthest_vertex
+from .dynkin import farthest_vertex
 from .linalg import PiSqrtValue, format_rational
 
 
@@ -81,12 +81,6 @@ class GeometryReport(NamedTuple):
     ricci: Fraction
 
 
-@lru_cache(maxsize=None)
-def _d_sq(kind: RootKind) -> Fraction:
-    """d_sq of a kind's polytope, all a report reads of it."""
-    return farthest_vertex(kind)[0]
-
-
 def _epsilon_for(entry: SpaceEntry, metric: MetricSpec) -> Fraction:
     if metric.mode == "epsilon":
         return metric.value
@@ -106,7 +100,7 @@ def report(label: SpaceEntry | SpaceLabel | str,
     entry = label if isinstance(label, SpaceEntry) else resolve(label)
     eps = _epsilon_for(entry, metric)
     psi_sq = entry.psi_sq_killing
-    d_sq = _d_sq(entry.restricted)
+    d_sq = farthest_vertex(entry.restricted)[0]
     e, f = eps.numerator, eps.denominator
     a, b = psi_sq.numerator, psi_sq.denominator
     inj, kappa, ricci = _scaled(e, f, a, b)

@@ -15,18 +15,20 @@ counts that ``to_json_dict`` reports are the closed forms of
 ``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
-arithmetic.  It takes a point x = n/D as (n, D) (``cleared_point``) and
-its pairing vector p = nA, A the Cartan matrix (``pairings``): p_k has
-the sign of (a_k, x).  ``reduce_dominant`` keeps p current as it
-reflects into the dominant chamber, and ``level_class`` reads the
-cut-face level in O(l): (M n)_k = M_kk p_k / 2, so (x, psi) =
-sum_k psi_k M_kk p_k / (2 g D).  ``chain_walk`` asks whether some
-positive root r has v_r = sum_k r_k M_kk p_k nonzero and divisible by a
-modulus q.  Every positive root past the simple ones is a root one level
-below plus a simple root a_j (Humphreys, Introduction to Lie Algebras
-and Representation Theory, 10.2), so each v_r is v_parent + M_jj p_j:
-one addition per positive root.  ``geometry`` forms q from Killing
-units; ``polytope`` wraps the kernel for Fraction points.
+arithmetic.  It takes a point as (n, D) (``cleared_point``) and its
+pairing vector p = nA, A the Cartan matrix (``pairings``).
+``reduce_dominant`` keeps p current as it reflects into the dominant
+chamber.  ``level_class`` and ``chain_walk`` read the point as
+x = a n / den in Gram units (``geometry`` passes psi_sq_killing = a/b as
+a and b D), and only they read g: as (M n)_k = M_kk p_k / 2, a root r
+pairs with x to a v_r / (2 g den), v_r = sum_k r_k M_kk p_k.
+``level_class`` reads the cut-face level (x, psi) in O(l); ``chain_walk``
+asks whether some positive root pairs to a nonzero integer.  Every
+positive root past the simple ones is a root one level below plus a
+simple root a_j (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 10.2), so each v_r is v_parent + M_jj p_j: one
+addition per positive root.  ``polytope`` wraps the kernel for Fraction
+points.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
@@ -38,6 +40,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
@@ -269,12 +272,15 @@ def reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
     return count
 
 
-def chain_walk(rs: RootSystem, p: list[int], q: int) -> bool:
-    """True when some positive root r has v_r = sum_k r_k M_kk p_k nonzero
-    and divisible by q, given p = nA; each v_r past the simple roots is the
-    v of its chain parent plus one v of a simple root.  InvalidRank past
-    MAX_ROOTS, where the roots are not enumerated."""
+def chain_walk(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
+    """True when some positive root pairs to a nonzero integer with the
+    point a n / den, given p = nA: when some v_r is nonzero and divisible
+    by q = 2 g den / gcd(a, 2 g den).  Each v_r past the simple roots is
+    the v of its chain parent plus one v of a simple root.  InvalidRank
+    past MAX_ROOTS, where the roots are not enumerated."""
     _, chain = rs.positive_roots
+    q = 2 * rs.int_gram[1] * den
+    q //= gcd(a, q)
     v = list(map(mul, rs.gram_diagonal, p))
     for x in v:
         if x and x % q == 0:

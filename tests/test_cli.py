@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -341,6 +342,37 @@ def test_fresh_process_refusal_matches_main(capsys, argv, code):
     proc = run_python("-m", "symspace.cli", *argv)
     assert (proc.returncode, proc.stdout) == (code, "")
     assert run(capsys, *argv) == (code, "", proc.stderr)
+
+
+@pytest.mark.parametrize("argv", ["table 4.1 --max-param 128",
+                                  "space AIII:p=1,q=1000000 --format json"])
+def test_closed_stdout_ends_quietly(argv):
+    # As `| head -n 1` does: read one line, then close the pipe.  The process
+    # ends as a shell shows one killed by SIGPIPE, with nothing on stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "symspace.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_main_raises_on_a_closed_stdout(monkeypatch):
+    # Only the process entry ends quietly; an in-process caller sees the error.
+    class Closed(io.StringIO):
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        main(["space", "AI:n=4"])
 
 
 def test_main_leaves_the_heap_unfrozen(capsys):

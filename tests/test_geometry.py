@@ -33,20 +33,19 @@ def test_report_is_linear_and_makes_no_adjugate(monkeypatch):
     # never reaches the adjugate that build_polytope makes, and its
     # continuants run over at most 3 rank nodes in all (prefix, suffix and,
     # for d, the bare chain): the cost is linear in the rank.
+    import symspace.dynkin as dynkin
     import symspace.polytope as polytope
-    import symspace.reporting as reporting
 
     def no_adjugate(*_args):
         raise AssertionError("tree_adjugate on the report path")
 
     monkeypatch.setattr(polytope, "tree_adjugate", no_adjugate)
-    reporting._d_sq.cache_clear()
+    dynkin.farthest_vertex.cache_clear()
     assert report("GROUP:a128").d_sq_sigma == d_sq_closed_form("a", 128)
     assert report("BDI:p=100,q=120").d_sq_sigma == d_sq_closed_form("b", 100)
     with pytest.raises(AssertionError, match="tree_adjugate"):
         build_polytope(build("a3"))           # the patch is in force
 
-    import symspace.dynkin as dynkin
     nodes = []
     continuants = dynkin._continuants
     monkeypatch.setattr(dynkin, "_continuants",
@@ -54,10 +53,33 @@ def test_report_is_linear_and_makes_no_adjugate(monkeypatch):
     for rank in (32, 64, 128):
         for label in (f"GROUP:a{rank}", f"GROUP:d{rank}", f"BDI:p={rank},q={rank + 20}",
                       f"CII:p={rank},q={rank + 3}"):
-            reporting._d_sq.cache_clear()
+            dynkin.farthest_vertex.cache_clear()
             nodes.clear()
             report(label)
             assert 0 < sum(nodes) <= 3 * rank, (label, nodes)
+
+
+# Labels that name one space: each group is one ambient Lie algebra up to
+# isomorphism (su(2) = so(3) = sp(1), so(4) = su(2)+su(2), so(5) = sp(2),
+# so(6) = su(4), so(8) = its triality images), so the Killing metrics, and
+# with them every value a report prints at eps = 1, agree.  The printed
+# restricted labels (bc1, c1 or a1; c2 or b2) still differ.
+SAME_SPACE = [
+    ("AI:n=2", "AIII:p=1,q=1", "CI:n=1", "BDI:p=1,q=2"),
+    ("GROUP:a1", "BDI:p=1,q=3"),
+    ("CII:p=1,q=1", "BDI:p=1,q=4"),
+    ("AII:n=2", "BDI:p=1,q=5"),
+    ("CI:n=2", "BDI:p=2,q=3"),
+    ("AIII:p=2,q=2", "BDI:p=2,q=4"),
+    ("DIII:n=4", "BDI:p=2,q=6"),
+]
+
+
+@pytest.mark.parametrize("labels", SAME_SPACE, ids=lambda g: "=".join(g))
+def test_labels_of_one_space_report_the_same_geometry(labels):
+    values = {(r.psi_sq, r.injectivity_radius.radicand, r.diameter.radicand)
+              for r in map(report, labels)}
+    assert len(values) == 1, values
 
 
 def test_report_canonical_grassmannian():

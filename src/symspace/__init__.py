@@ -24,12 +24,9 @@ _EXPORTS = {
     "EmptyProduct": "reporting", "GeometryReport": "reporting", "MetricSpec": "reporting",
     "NoCanonicalMetric": "reporting", "kappa_relation_check": "reporting",
     "product": "reporting", "report": "reporting",
-    "KillingData": "killing", "NonReducedInput": "killing", "delta_sq_formula": "killing",
-    "killing_data": "killing",
+    "KillingData": "killing", "NonReducedInput": "killing", "killing_data": "killing",
     "DimensionMismatch": "linalg", "NegativeFactor": "linalg", "PiSqrtValue": "linalg",
-    "Rational": "linalg",
     "CartanPolytope": "polytope", "build_polytope": "polytope",
-    "classify_point": "polytope", "dominant_representative": "polytope",
     "InvalidRank": "dynkin", "RootKind": "dynkin", "parse_kind": "dynkin",
     "root_count": "dynkin",
     "RootSystem": "roots", "SliceClass": "roots", "build": "roots",

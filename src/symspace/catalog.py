@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .killing import canonical_kind, delta_sq_formula, perp_simple_indices
+from .killing import canonical_kind, killing_data, perp_simple_indices
 from .linalg import format_rational
 from .dynkin import MAX_RANK, InvalidRank, RootKind, check_rank, kinds, parse_kind
 
@@ -218,7 +218,7 @@ def _nominal(family: str, rank: int) -> tuple[RootKind, str]:
 @lru_cache(maxsize=1024)
 def _psi_sq(ambient: RootKind, halving: int) -> Fraction:
     """psi_sq_killing for the restriction factor 1/halving (1 or 2)."""
-    return delta_sq_formula(ambient) / halving
+    return killing_data(ambient).delta_sq / halving
 
 
 def _restricted(family: str, rank: int) -> Nominal:

@@ -122,7 +122,7 @@ def cmd_rootsystem(args) -> int:
     poly = polytope.build_polytope(rs)
     data["polytope"] = polytope.to_json_dict(poly)
     if kind.is_reduced:
-        kd = killing.killing_data(rs)
+        kd = killing.killing_data(kind)
         data["killing"] = killing.to_json_dict(kd)
     if args.format == "json":
         _write_json(data)

@@ -9,7 +9,8 @@ and 0 off the edges, and the coefficients of its highest root.
 in the shape of its tree, and every consumer reads the tree: ``roots``
 builds the dense Gram and Cartan matrices from it, and
 ``polytope.tree_adjugate`` and ``farthest_vertex`` fold it.  ``kinds``
-lists the kinds of every family up to a rank, in the order of the tables.
+lists the kinds of every family up to a rank, in the order of the tables,
+and ``parse_kind`` reads one kind from its name.
 
 A Dynkin diagram is a tree, and elimination on a tree makes no fill-in
 (Parter, SIAM Rev. 3, 1961): ``fold_tree`` reads the determinants of its
@@ -82,10 +83,10 @@ class RootKind(_RootKindFields):
         return f"{self.family}{self.rank}"
 
 
-def split_kind(text: str) -> tuple[str, int]:
-    """Split "a3", "bc2", " E8 " (case-insensitive) into (family, rank).
-    A rank of more digits than int() reads (``sys.get_int_max_str_digits()``)
-    is refused as InvalidRank."""
+def parse_kind(text: str) -> RootKind:
+    """Parse "a3", "bc2", " E8 " (case-insensitive) into a RootKind.  A rank
+    of more digits than int() reads (``sys.get_int_max_str_digits()``) is
+    refused as InvalidRank."""
     s = text.strip().lower()
     i = 0
     while i < len(s) and s[i].isalpha():
@@ -96,12 +97,7 @@ def split_kind(text: str) -> tuple[str, int]:
     limit = sys.get_int_max_str_digits()
     if limit and len(digits) > limit:
         raise InvalidRank(f"the rank of a root-system kind has more than {limit} digits")
-    return fam, int(digits)
-
-
-def parse_kind(text: str) -> RootKind:
-    """Parse "a3", "bc2", "E8" (case-insensitive) into a RootKind."""
-    return RootKind(*split_kind(text))
+    return RootKind(fam, int(digits))
 
 
 def check_rank(kind: RootKind) -> RootKind:

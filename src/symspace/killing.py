@@ -7,8 +7,11 @@ Killing form is the trace form of the adjoint action and every root space
 is one-dimensional.  Both counts come from closed formulas: the classical
 root count of each family and the type of the subsystem orthogonal to
 delta (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX), so
-nothing here enumerates roots and every rank is answered alike.  The
-simple roots orthogonal to delta are read off the integer Gram matrix.
+nothing here enumerates roots and every rank is answered alike.
+``killing_data`` reads only the kind, and is the one place that formula
+is written: ``catalog`` takes each ambient delta_sq from it.  The simple
+roots orthogonal to delta, which the catalog's Satake cross-check reads,
+come off the integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -47,26 +50,12 @@ def canonical_kind(family: str, rank: int) -> RootKind:
     return RootKind(family, rank)
 
 
-def _delta_pairings(rs: RootSystem) -> list[int]:
-    """g * (a_i, delta) for each simple root, with gram = M/g of ``int_gram``."""
-    m, _ = rs.int_gram
-    return [sum(map(mul, row, rs.highest_root)) for row in m]
-
-
 def perp_simple_indices(rs: RootSystem) -> tuple[int, ...]:
     """0-based indices i with (a_i, delta) = 0 (equivalently, delta - a_i
-    is not a root); needs no root list, so it holds at any rank."""
-    return tuple(i for i, w in enumerate(_delta_pairings(rs)) if w == 0)
-
-
-def _delta_sq(total: int, perp: int) -> Fraction:
-    """(delta, delta) from the root count and the count orthogonal to delta."""
-    return Fraction(4, total - perp + 6)
-
-
-def _require_reduced(kind: RootKind) -> None:
-    if not kind.is_reduced:
-        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
+    is not a root), from g (a_i, delta) = (M psi)_i with gram = M/g of
+    ``int_gram``; needs no root list, so it holds at any rank."""
+    m, _ = rs.int_gram
+    return tuple(i for i, row in enumerate(m) if sum(map(mul, row, rs.highest_root)) == 0)
 
 
 # Orthogonal-subsystem types per ambient family, including low-rank cases;
@@ -101,21 +90,16 @@ def perp_kinds_formula(kind: RootKind) -> tuple[RootKind, ...]:
     raise NonReducedInput(f"no orthogonal-subsystem data for {kind}")
 
 
-def delta_sq_formula(kind: RootKind) -> Fraction:
-    """(delta, delta) from classical root counts, valid at any rank."""
-    _require_reduced(kind)
-    return _delta_sq(root_count(kind),
-                     sum(root_count(k) for k in perp_kinds_formula(kind)))
-
-
-def killing_data(rs: RootSystem) -> KillingData:
-    """The Killing data of ``rs`` from the per-family formulas; reads no root list."""
-    kind = rs.kind
-    _require_reduced(kind)
+def killing_data(kind: RootKind) -> KillingData:
+    """The Killing data of a reduced kind from the per-family formulas,
+    at any rank: the root counts, the orthogonal subsystem and
+    (delta, delta) = 4 / (|roots| - |roots orthogonal to delta| + 6)."""
+    if not kind.is_reduced:
+        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
     perp = perp_kinds_formula(kind)
     total, perp_roots = root_count(kind), sum(map(root_count, perp))
     return KillingData(system=kind, total_roots=total, perp_roots=perp_roots,
-                       delta_sq=_delta_sq(total, perp_roots), perp_subsystem=perp)
+                       delta_sq=Fraction(4, total - perp_roots + 6), perp_subsystem=perp)
 
 
 def to_json_dict(data: KillingData) -> dict:

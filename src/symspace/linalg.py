@@ -26,7 +26,6 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -35,7 +34,7 @@ class DimensionMismatch(ValueError):
 
 
 class NegativeFactor(ValueError):
-    """Raised when a nonnegative scale factor is required but not given."""
+    """Raised when a nonnegative radicand is required but not given."""
 
 
 def clear_denominators(xs) -> tuple[list[int], int]:
@@ -105,16 +104,6 @@ class PiSqrtValue(_PiSqrtFields):
     @classmethod
     def _make(cls, iterable) -> "PiSqrtValue":
         return cls(*iterable)         # so that _replace validates too
-
-    def scaled(self, factor) -> "PiSqrtValue":
-        """Multiply the radicand by ``factor`` (i.e. scale the value by sqrt(factor))."""
-        factor = Fraction(factor)
-        if factor < 0:
-            raise NegativeFactor(f"scale factor must be >= 0, got {factor}")
-        return PiSqrtValue(self.radicand * factor)
-
-    def __float__(self) -> float:
-        return float(_PI) * float(self.radicand) ** 0.5
 
     def exact_str(self) -> str:
         return f"pi*sqrt({format_rational(self.radicand)})"

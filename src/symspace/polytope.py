@@ -19,10 +19,11 @@ at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 For non-reduced (bc) systems the chamber walls come from the indivisible
 simple roots and the far face from psi = 2 * sum a_i; nothing else changes.
 
-``classify_point`` and ``dominant_representative`` wrap the integer slice
-kernel of ``roots`` for Fraction points.  ``reflect_simple`` applies one
-reflection by its own rule, from the dense Cartan columns, so that it
-can check the kernel.
+The slice predicates do not pass through this module: ``geometry``
+calls the integer kernel of ``roots`` directly.  ``reflect_simple``
+applies one reflection by its own rule, from the dense Cartan columns,
+so that the benchmark's Weyl-invariance check does not lean on the
+kernel it checks.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import NamedTuple
 
 from .dynkin import RootKind, farthest_vertex, fold_tree, gram_tree
 from .linalg import Vector, format_rational
-from .roots import (RootSystem, SliceClass, cleared_point, level_class, pairings,
-                    reduce_dominant)
+from .roots import RootSystem, cleared_point
 
 
 class CartanPolytope(NamedTuple):
@@ -96,28 +96,6 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
         d_sq=d_sq,
         argmax_vertex=argmax,
     )
-
-
-def classify_point(p: CartanPolytope, x) -> SliceClass:
-    """Classify a point given in simple-root coordinates of the stored system.
-
-    Units: the Gram matrix of the system, under which the cut face is the
-    exact level set (x, psi) = 1.
-    """
-    n, den = cleared_point(p.system, x)
-    return level_class(p.system, pairings(p.system, n), 1, den)
-
-
-def dominant_representative(rs: RootSystem, x) -> tuple[Vector, int]:
-    """Reduce x into the closed dominant chamber by simple reflections.
-
-    Reflects at the lowest-index violated wall until none remains; the
-    result is the unique dominant point in the Weyl orbit of x.  Returns
-    (representative, number of reflections applied).
-    """
-    n, den = cleared_point(rs, x)
-    count = reduce_dominant(rs, n, pairings(rs, n))
-    return tuple(Fraction(v, den) for v in n), count
 
 
 def reflect_simple(rs: RootSystem, x, i: int) -> Vector:

@@ -27,8 +27,9 @@ asks whether some positive root pairs to a nonzero integer.  Every
 positive root past the simple ones is a root one level below plus a
 simple root a_j (Humphreys, Introduction to Lie Algebras and
 Representation Theory, 10.2), so each v_r is v_parent + M_jj p_j: one
-addition per positive root.  ``polytope`` wraps the kernel for Fraction
-points.
+addition per positive root.  ``level_class`` takes the pairing vector of
+a dominant point, so ``reduce_dominant`` runs first; the predicates of
+``geometry`` are the kernel's callers.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
@@ -45,7 +46,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .dynkin import (MAX_RANK, InvalidRank, RootKind, check_rank,  # re-exported
-                     gram_tree, highest_root_coeffs, parse_kind, root_count, split_kind)
+                     gram_tree, highest_root_coeffs, parse_kind, root_count)
 from .linalg import DimensionMismatch, clear_denominators, format_rational
 
 MAX_ROOTS = 500     # largest root system whose roots are enumerated
@@ -69,10 +70,10 @@ class RootSystem(_RootSystemFields):
 
     ``int_gram`` is the pair (M, g) with gram = M/g: integer rows over
     one positive denominator, in lowest terms.  ``positive_roots``, and
-    from it ``roots`` and ``indivisible_roots``, are enumerated on first
-    access; they raise InvalidRank for systems of more than MAX_ROOTS
-    roots, and RuntimeError on corrupt Cartan data.  ``cartan_rows``, the
-    sparse Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
+    from it ``roots``, are enumerated on first access; they raise
+    InvalidRank for systems of more than MAX_ROOTS roots, and
+    RuntimeError on corrupt Cartan data.  ``cartan_rows``, the sparse
+    Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
     built once, on first access.  No ``__slots__``: the cached
     properties store their values in the instance dict, which
     ``cached_property`` writes directly, so refusing attribute assignment
@@ -146,10 +147,6 @@ class RootSystem(_RootSystemFields):
         return frozenset(positive).union(tuple(-x for x in r) for r in positive)
 
     @cached_property
-    def indivisible_roots(self) -> frozenset[tuple[int, ...]]:
-        return self.roots - {tuple(2 * x for x in r) for r in self.roots}
-
-    @cached_property
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
         return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan)
@@ -205,7 +202,6 @@ class SliceClass(enum.Enum):
     INTERIOR = "interior"
     ON_CUT_FACE = "on-cut-face"
     OUTSIDE = "outside"
-    NOT_DOMINANT = "not-dominant"
 
     def __str__(self) -> str:
         return self.value
@@ -231,13 +227,12 @@ def pairings(rs: RootSystem, n: list[int]) -> list[int]:
 
 
 def level_class(rs: RootSystem, p: list[int], a: int, den: int) -> SliceClass:
-    """Where the point a n / den sits, given p = nA (a > 0).
+    """Where the point a n / den sits, given p = nA (a > 0) for a dominant
+    point: no p_k is negative, as after ``reduce_dominant``.
 
     With gram = M/g, (M n)_k = p_k M_kk / 2, so (a_k, x) has the sign of
     p_k and the level (x, psi) is a sum_k psi_k M_kk p_k / (2 g den).
     """
-    if min(p) < 0:
-        return SliceClass.NOT_DOMINANT
     level = a * sum(map(mul, rs.highest_root, map(mul, rs.gram_diagonal, p)))
     one = 2 * rs.int_gram[1] * den
     if level > one:

@@ -11,7 +11,8 @@ replaced it, and for the vertex norms until the minors of the Gram tree
 (``dynkin.principal_minors``) did; it is kept verbatim as the exact
 reference for both.
 ``reflection_closure`` is the root enumeration
-that the height-ordered one of ``RootSystem.positive_roots`` replaced, and
+that the height-ordered one of ``RootSystem.positive_roots`` replaced;
+``indivisible_roots`` drops the doubled roots from the enumerated ones; and
 ``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
@@ -19,6 +20,10 @@ the point with a Killing-Gram row per positive root.
 ``positive_pairings`` are the classical families in epsilon-coordinates,
 where the Weyl group permutes the coordinates and changes their signs:
 the slice reference past the root-enumeration cap.
+``dominant_reference`` and ``level_reference`` are the Fraction versions
+of the integer slice kernel of ``roots`` (``reduce_dominant`` and
+``level_class``): Gram products recomputed after every reflection, and the
+level (x, psi) of a point in Gram units.
 ``three_pass_clear_denominators`` is the definition that the
 one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
@@ -27,9 +32,10 @@ diagram that ``roots`` derives its Cartan matrix and Gram pair from.
 ``perp_subsystem`` and the functions after it are the enumeration half
 of ``killing`` that the per-family formulas replaced in
 ``killing.killing_data``: they list the roots orthogonal to the highest
-root and type their components by root count, and
-``killing_self_consistency`` recomputes (delta, delta) as a trace sum over
-the enumerated roots.
+root through Fraction Gram products and type their components by root
+count, and ``killing_self_consistency`` recomputes (delta, delta) as a
+trace sum over the enumerated roots.  They share no helper with
+``killing``.
 """
 
 from fractions import Fraction
@@ -39,11 +45,10 @@ from operator import mul
 
 import numpy as np
 
-from symspace.killing import (KillingData, NonReducedInput, _delta_pairings, _delta_sq,
-                              _require_reduced, canonical_kind, perp_simple_indices)
+from symspace.killing import KillingData, NonReducedInput, canonical_kind, perp_simple_indices
 from symspace.linalg import DimensionMismatch
 from symspace.oracle import float_simple_roots
-from symspace.roots import RootKind, RootSystem
+from symspace.roots import RootKind, RootSystem, SliceClass
 
 # Every kind whose roots are enumerated: at most MAX_ROOTS roots.
 IN_CAP_KINDS = (
@@ -245,6 +250,36 @@ def dot_product_conjugate(rs, psi_sq, n, d) -> bool:
     return False
 
 
+def dominant_reference(rs, x) -> tuple[tuple[Fraction, ...], int]:
+    """(the dominant point of the Weyl orbit of x, the reflection count):
+    reflect at the lowest-index wall with (a_i, x) < 0 until none is left,
+    recomputing every pairing through the Fraction Gram matrix."""
+    cur = [Fraction(c) for c in x]
+    g = gram(rs)
+    count = 0
+    while True:
+        w = mul_vec(g, tuple(cur))
+        i = next((i for i, wi in enumerate(w) if wi < 0), None)
+        if i is None:
+            return tuple(cur), count
+        cur[i] -= 2 * w[i] / g[i][i]
+        count += 1
+
+
+def level_reference(rs, x) -> SliceClass | None:
+    """The class of x in Gram units by its level (x, psi) against 1, or
+    None when x is not dominant."""
+    w = mul_vec(gram(rs), tuple(Fraction(c) for c in x))
+    if min(w) < 0:
+        return None
+    level = sum((d * wi for d, wi in zip(rs.highest_root, w)), Fraction(0))
+    if level > 1:
+        return SliceClass.OUTSIDE
+    if level == 1:
+        return SliceClass.ON_CUT_FACE
+    return SliceClass.INTERIOR
+
+
 def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
     """All roots, by closing the simple roots under the simple reflections.
 
@@ -335,6 +370,11 @@ def positive_pairings(family: str, v) -> list[Fraction]:
     return out
 
 
+def indivisible_roots(rs) -> frozenset[tuple[int, ...]]:
+    """The enumerated roots less the doubles 2r of roots r (bc's only)."""
+    return rs.roots - {tuple(2 * x for x in r) for r in rs.roots}
+
+
 def three_pass_clear_denominators(xs) -> tuple[list[int], int]:
     """(D*x as integers, D) for D the lcm of the denominators of xs: convert,
     take the lcm, then scale, reading each denominator twice."""
@@ -343,10 +383,25 @@ def three_pass_clear_denominators(xs) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
+def _delta_pairings(rs: RootSystem) -> tuple[Fraction, ...]:
+    """(a_i, delta) for each simple root, through the Fraction Gram matrix."""
+    return mul_vec(gram(rs), rs.highest_root)
+
+
+def _require_reduced(kind: RootKind) -> None:
+    if not kind.is_reduced:
+        raise NonReducedInput("Killing normalization applies to reduced ambient systems")
+
+
+def _delta_sq(rs: RootSystem, perp: frozenset) -> Fraction:
+    """(delta, delta) = 4 / (|roots| - |perp| + 6) from the enumerated roots."""
+    return Fraction(4, len(rs.roots) - len(perp) + 6)
+
+
 def perp_subsystem(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     """All roots with exact inner product 0 against the highest root."""
     w = _delta_pairings(rs)
-    return frozenset(r for r in rs.roots if sum(map(mul, r, w)) == 0)
+    return frozenset(r for r in rs.roots if dot(r, w) == 0)
 
 
 def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
@@ -417,7 +472,7 @@ def _identify_component(rs: RootSystem, comp: tuple[int, ...],
 def killing_delta_sq(rs: RootSystem) -> Fraction:
     """Killing-normalized (delta, delta), computed from enumerated root counts."""
     _require_reduced(rs.kind)
-    return _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
+    return _delta_sq(rs, perp_subsystem(rs))
 
 
 def killing_self_consistency(rs: RootSystem) -> Fraction:
@@ -428,11 +483,10 @@ def killing_self_consistency(rs: RootSystem) -> Fraction:
     independently.  Works for the non-reduced family too, where the count
     formula extends verbatim.
     """
-    c = _delta_sq(len(rs.roots), len(perp_subsystem(rs)))
-    _, g = rs.int_gram
-    w = _delta_pairings(rs)           # (alpha, delta) = c * (alpha . w) / g
-    total = sum(sum(map(mul, r, w)) ** 2 for r in rs.roots)
-    return c * c * Fraction(total, g * g) - c
+    c = _delta_sq(rs, perp_subsystem(rs))
+    w = _delta_pairings(rs)           # (alpha, delta) = c * (alpha . w)
+    total = sum(dot(r, w) ** 2 for r in rs.roots)
+    return c * c * total - c
 
 
 def killing_data_by_roots(rs: RootSystem) -> KillingData:
@@ -443,6 +497,6 @@ def killing_data_by_roots(rs: RootSystem) -> KillingData:
         system=rs.kind,
         total_roots=len(rs.roots),
         perp_roots=len(perp),
-        delta_sq=_delta_sq(len(rs.roots), len(perp)),
+        delta_sq=_delta_sq(rs, perp),
         perp_subsystem=_decompose(rs, perp),
     )

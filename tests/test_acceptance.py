@@ -21,12 +21,12 @@ from symspace.geometry import (MetricSpec, cut_classify, is_conjugate,
 from symspace.killing import canonical_kind, perp_kinds_formula
 from symspace.linalg import PiSqrtValue
 from symspace.oracle import standard_suite
-from symspace.polytope import dominant_representative, reflect_simple
+from symspace.polytope import reflect_simple
 from symspace.roots import MAX_RANK, RootKind, build, root_count
 from symspace.verify import table_reports
 
-from reference import (gram, killing_delta_sq, killing_self_consistency, mul_vec,
-                       perp_decomposition, perp_subsystem)
+from reference import (dominant_reference, gram, killing_delta_sq, killing_self_consistency,
+                       mul_vec, perp_decomposition, perp_subsystem)
 
 ALL_KINDS = (
     [RootKind("a", l) for l in range(1, 13)]
@@ -208,7 +208,7 @@ def test_criterion_10_predicate_coherence():
                     # highest-root pairing to the unit level
                     raw = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
                                 for _ in range(rs.rank))
-                    dom, _ = dominant_representative(rs, raw)
+                    dom, _ = dominant_reference(rs, raw)
                     w = mul_vec(gram(rs), dom)
                     level = entry.psi_sq_killing * sum(
                         F(d) * wi for d, wi in zip(rs.highest_root, w))

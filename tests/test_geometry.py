@@ -107,8 +107,8 @@ def test_metric_covariance():
     base = report("EVII")
     for eps in (F(1, 7), F(3), F(5, 2)):
         r = report("EVII", MetricSpec.epsilon(eps))
-        assert r.injectivity_radius == base.injectivity_radius.scaled(eps)
-        assert r.diameter == base.diameter.scaled(eps)
+        assert r.injectivity_radius == PiSqrtValue(base.injectivity_radius.radicand * eps)
+        assert r.diameter == PiSqrtValue(base.diameter.radicand * eps)
         assert r.kappa == base.kappa / eps
 
 

@@ -3,8 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from symspace.closedform import delta_sq_closed_form
-from symspace.killing import (NonReducedInput, delta_sq_formula, killing_data,
-                              perp_simple_indices, to_json_dict)
+from symspace.killing import NonReducedInput, killing_data, perp_simple_indices, to_json_dict
 from symspace.roots import RootKind, build, root_count
 
 from reference import (gram, killing_data_by_roots, killing_delta_sq,
@@ -56,7 +55,7 @@ def test_killing_delta_sq_rejects_bc():
     with pytest.raises(NonReducedInput):
         killing_delta_sq(build("bc2"))
     with pytest.raises(NonReducedInput):
-        killing_data(build("bc2"))
+        killing_data(RootKind("bc", 2))
 
 
 @pytest.mark.parametrize("kind", REDUCED_KINDS, ids=str)
@@ -64,7 +63,7 @@ def test_delta_sq_matches_closed_form(kind):
     rs = build(kind)
     want = delta_sq_closed_form(kind.family, kind.rank)
     assert killing_delta_sq(rs) == want
-    assert delta_sq_formula(kind) == want
+    assert killing_data(kind).delta_sq == want
 
 
 @pytest.mark.parametrize("kind", REDUCED_KINDS, ids=str)
@@ -115,7 +114,7 @@ def test_cartan_pairing_with_highest_root(kind):
 
 
 def test_killing_data_json():
-    kd = killing_data(build("f4"))
+    kd = killing_data(RootKind("f", 4))
     assert kd.total_roots == 48
     assert kd.perp_roots == 18
     assert kd.delta_sq == F(1, 9)
@@ -129,13 +128,13 @@ def test_killing_data_json():
 @pytest.mark.parametrize("kind", [k for k in IN_CAP_KINDS if k.is_reduced], ids=str)
 def test_killing_data_matches_enumeration(kind):
     rs = build(kind)
-    assert killing_data(rs) == killing_data_by_roots(rs)
+    assert killing_data(kind) == killing_data_by_roots(rs)
 
 
 @pytest.mark.parametrize("kind", ["a128", "b128", "c128", "d128"])
 def test_killing_data_lists_no_roots(kind):
     rs = build(kind)
-    kd = killing_data(rs)
+    kd = killing_data(rs.kind)
     assert "positive_roots" not in vars(rs)
     assert kd.delta_sq == delta_sq_closed_form(rs.kind.family, rs.kind.rank)
     assert kd.delta_sq == F(4, kd.total_roots - kd.perp_roots + 6)

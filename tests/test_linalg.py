@@ -172,18 +172,9 @@ def test_invert_gram_at_max_rank(kind):
         [[da * db if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def test_pi_sqrt_identity_and_arith():
-    assert PiSqrtValue(3).scaled(1) == PiSqrtValue(3)
-    assert PiSqrtValue(F(1, 2)).scaled(4) == PiSqrtValue(2)
-    # scaling the unit radicand by n gives the AI-row injectivity radius
-    assert PiSqrtValue(1).scaled(7) == PiSqrtValue(7)
-
-
 def test_pi_sqrt_errors():
     with pytest.raises(NegativeFactor):
         PiSqrtValue(F(-1))
-    with pytest.raises(NegativeFactor):
-        PiSqrtValue(1).scaled(-2)
 
 
 def test_pi_sqrt_order_total():

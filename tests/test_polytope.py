@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from symspace.closedform import d_sq_closed_form
 from symspace.dynkin import farthest_vertex, fold_tree, principal_minors
 from symspace.linalg import DimensionMismatch
-from symspace.polytope import (build_polytope, classify_point, dominant_representative,
-                               reflect_simple, to_json_dict, tree_adjugate)
+from symspace.polytope import build_polytope, reflect_simple, to_json_dict, tree_adjugate
 from symspace.roots import RootKind, SliceClass, build
 
-from reference import dot_gram, gram, int_inverse, mul_vec
+from reference import dot_gram, gram, int_inverse, level_reference, mul_vec
 from test_roots import ALL_KINDS, GRAM_KINDS
+from test_slice_kernel import kernel
 
 
 def _poly(kind):
@@ -190,42 +190,45 @@ def test_i_sq_matches_dot_gram(kind):
     assert build_polytope(rs).i_sq == 1 / dot_gram(gram(rs), d, d) == 1
 
 
+# The classify and dominant tests run the slice kernel of ``roots`` on
+# points of the polytope, in Gram units, through ``kernel``.
+
 def test_classify_origin_interior():
-    p = _poly("b3")
-    assert classify_point(p, (0, 0, 0)) is SliceClass.INTERIOR
+    assert kernel(build("b3"), (0, 0, 0))[2] is SliceClass.INTERIOR
 
 
 @pytest.mark.parametrize("kind", ["a2", "b3", "g2", "bc2", "e6"], ids=str)
 def test_classify_face_minimizer(kind):
     rs = build(kind)
-    p = build_polytope(rs)
     # psi/(psi,psi) = psi under unit normalization
     psi = tuple(F(c) for c in rs.highest_root)
-    assert classify_point(p, psi) is SliceClass.ON_CUT_FACE
-    assert classify_point(p, tuple(2 * c for c in psi)) is SliceClass.OUTSIDE
-    assert classify_point(p, tuple(c / 2 for c in psi)) is SliceClass.INTERIOR
+    assert kernel(rs, psi)[2] is SliceClass.ON_CUT_FACE
+    assert kernel(rs, tuple(2 * c for c in psi))[2] is SliceClass.OUTSIDE
+    assert kernel(rs, tuple(c / 2 for c in psi))[2] is SliceClass.INTERIOR
 
 
 def test_classify_not_dominant():
-    p = _poly("a2")
-    e1 = p.vertices[0]
-    assert classify_point(p, tuple(-c for c in e1)) is SliceClass.NOT_DOMINANT
+    # A point off the dominant chamber is reflected before it is classified.
+    rs = build("a2")
+    x = tuple(-c for c in build_polytope(rs).vertices[0])
+    assert level_reference(rs, x) is None
+    assert kernel(rs, x)[1] > 0
     with pytest.raises(DimensionMismatch):
-        classify_point(p, (1, 2, 3))
+        kernel(rs, (1, 2, 3))
 
 
 def test_classify_vertices_on_face():
     for kind in ("a3", "c3", "f4"):
-        p = _poly(kind)
-        for v in p.vertices:
-            assert classify_point(p, v) is SliceClass.ON_CUT_FACE
+        rs = build(kind)
+        for v in build_polytope(rs).vertices:
+            assert kernel(rs, v)[2] is SliceClass.ON_CUT_FACE
 
 
 def test_dominant_representative_fixed_point():
     rs = build("b3")
     x = (F(2), F(3), F(3))
     assert all(w >= 0 for w in mul_vec(gram(rs), x))
-    y, n = dominant_representative(rs, x)
+    y, n, _ = kernel(rs, x)
     assert n == 0 and y == x
 
 
@@ -234,7 +237,7 @@ def test_dominant_single_reflection_undone():
     p = build_polytope(rs)
     e1 = p.vertices[0]
     flipped = reflect_simple(rs, e1, 0)
-    y, n = dominant_representative(rs, flipped)
+    y, n, _ = kernel(rs, flipped)
     assert y == e1
     assert n >= 1
 
@@ -245,11 +248,11 @@ def test_dominant_properties_random(kind):
     rng = random.Random(hash(kind) & 0xFFFF)
     for _ in range(60):
         x = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rs.rank))
-        y, _ = dominant_representative(rs, x)
+        y, _, _ = kernel(rs, x)
         w = mul_vec(gram(rs), y)
         assert all(wi >= 0 for wi in w)
         assert dot_gram(gram(rs), y, y) == dot_gram(gram(rs), x, x)
-        again, n2 = dominant_representative(rs, y)
+        again, n2, _ = kernel(rs, y)
         assert again == y and n2 == 0
 
 
@@ -259,7 +262,7 @@ def test_dominant_properties_random(kind):
 def test_dominant_norm_preserved(kind, coeffs):
     rs = build(kind)
     x = tuple(coeffs[: rs.rank]) + (F(0),) * max(0, rs.rank - 4)
-    y, _ = dominant_representative(rs, x)
+    y, _, _ = kernel(rs, x)
     assert dot_gram(gram(rs), y, y) == dot_gram(gram(rs), x, x)
 
 

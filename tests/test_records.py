@@ -1,6 +1,7 @@
 """The value types are immutable named tuples with value equality."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ RECORDS = {
     "MetricSpec": lambda: MetricSpec.ricci(F(3, 7)),
     "GeometryReport": lambda: report("AIII:p=2,q=5"),
     "CutDetails": lambda: cut_details("AI:n=3", (0, 3)),
-    "KillingData": lambda: killing_data(build("d5")),
+    "KillingData": lambda: killing_data(RootKind("d", 5)),
     "PiSqrtValue": lambda: PiSqrtValue(F(4, 6)),
     "OracleReport": lambda: OracleReport("check", "1/2", 0.5, 0.0, True),
     "CartanPolytope": lambda: build_polytope(build("bc3")),
@@ -56,6 +57,14 @@ def test_public_names_resolve():
     missing = [name for name in symspace.__all__ if not hasattr(symspace, name)]
     assert missing == []
     assert len(set(symspace.__all__)) == len(symspace.__all__)
+
+
+def test_readme_library_example_runs():
+    # The python block under README's "## Library" runs as written.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md, Library", "exec"), {})
 
 
 def test_replace_validates():

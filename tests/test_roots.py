@@ -13,7 +13,7 @@ from symspace.roots import (MAX_RANK, InvalidRank, RootKind, RootSystem, build,
                             cartan_matrix, highest_root_coeffs, parse_kind,
                             root_count, to_json_dict)
 
-from reference import (IN_CAP_KINDS, cleared, gram, inner, realized_cartan,
+from reference import (IN_CAP_KINDS, cleared, gram, indivisible_roots, inner, realized_cartan,
                        realized_gram, reflection_closure, root_norm_sq)
 
 ALL_KINDS = (
@@ -66,7 +66,7 @@ def test_g2_data():
 def test_bc1():
     rs = build("bc1")
     assert rs.roots == frozenset({(1,), (-1,), (2,), (-2,)})
-    assert rs.indivisible_roots == frozenset({(1,), (-1,)})
+    assert indivisible_roots(rs) == frozenset({(1,), (-1,)})
     assert rs.highest_root == (2,)
 
 
@@ -79,7 +79,7 @@ def test_generate_roots_examples():
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_height_enumeration_matches_reflection_closure(kind):
     rs = build(kind)
-    assert rs.indivisible_roots == reflection_closure(rs.cartan)
+    assert indivisible_roots(rs) == reflection_closure(rs.cartan)
 
 
 @pytest.mark.parametrize("name, a", [("e8", -3), ("a3", -2)])
@@ -137,7 +137,8 @@ def test_cartan_recovered_from_gram(kind):
 def test_proportional_roots(kind):
     rs = build(kind)
     if not kind.is_reduced:
-        short_sq = min(root_norm_sq(rs, s) for s in rs.indivisible_roots)
+        indivisible = indivisible_roots(rs)
+        short_sq = min(root_norm_sq(rs, s) for s in indivisible)
     for r in rs.roots:
         doubles = tuple(2 * c for c in r)
         halves = tuple(F(c, 2) for c in r)
@@ -145,10 +146,9 @@ def test_proportional_roots(kind):
             assert doubles not in rs.roots
         else:
             # exactly the short indivisible roots double
-            is_short = (r in rs.indivisible_roots
-                        and root_norm_sq(rs, r) == short_sq)
+            is_short = r in indivisible and root_norm_sq(rs, r) == short_sq
             assert (doubles in rs.roots) == is_short
-            assert (r in rs.indivisible_roots) == (halves not in rs.roots)
+            assert (r in indivisible) == (halves not in rs.roots)
 
 
 def test_int_gram_matches_gram():
@@ -252,7 +252,7 @@ def test_json_counts_match_enumeration(kind):
     rs = build(kind)
     d = to_json_dict(rs)
     assert d["root_count"] == len(rs.roots)
-    assert d["indivisible_count"] == len(rs.indivisible_roots)
+    assert d["indivisible_count"] == len(indivisible_roots(rs))
 
 
 def test_build_makes_no_fractions(monkeypatch):
@@ -278,7 +278,7 @@ def test_build_makes_no_fractions(monkeypatch):
 def test_roots_enumerated_on_first_access():
     rs = build("e8")
     build_polytope(rs)
-    assert "roots" not in vars(rs) and "indivisible_roots" not in vars(rs)
+    assert "roots" not in vars(rs)
     assert "positive_roots" not in vars(rs)
     assert len(rs.roots) == 240
     assert rs.roots is rs.roots
@@ -298,7 +298,7 @@ def test_enumeration_refused_past_max_roots(name):
     with pytest.raises(InvalidRank):
         rs.roots
     with pytest.raises(InvalidRank):
-        rs.indivisible_roots
+        indivisible_roots(rs)
 
 
 def test_build_refuses_rank_past_limit():

@@ -1,18 +1,23 @@
 """The integer slice kernel against the Fraction formulas it replaced.
 
-The reference functions below are the rational-arithmetic versions of
-``dominant_representative``, ``reflect_simple``, ``classify_point`` and the
-conjugacy test: Gram products in ``fractions.Fraction``, recomputed after
-every reflection.  The kernel must agree with them exactly, on every kind
-whose roots can be enumerated.
+The dominant reduction and the cut-face level of the kernel of ``roots``
+(``cleared_point``, ``pairings``, ``reduce_dominant``, ``level_class``)
+are called here through one helper, ``kernel``, on points in Gram units;
+the tests of ``test_polytope`` call them through the same helper.  Their
+references are rational-arithmetic versions,
+``reference.dominant_reference`` and ``reference.level_reference``, and
+``ref_reflect`` below is one for ``polytope.reflect_simple``: Gram
+products in ``fractions.Fraction``, recomputed after every reflection.
+The kernel must agree with them exactly, on every kind whose roots can
+be enumerated.
 
 The geometry predicates clear a point's denominators once and stay in
 integers; the Fraction pipeline they replaced (convert every coordinate,
 reduce, multiply by psi_sq_killing, classify) is kept below as the
-reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.
-Conjugacy runs along a height-ordered chain of the positive roots from
-one pairing vector; the integer dot-product route it replaced is
-``reference.dot_product_conjugate``.
+reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.  It
+calls no kernel function.  Conjugacy runs along a height-ordered chain of
+the positive roots from one pairing vector; the integer dot-product route
+it replaced is ``reference.dot_product_conjugate``.
 """
 
 import fractions
@@ -27,51 +32,32 @@ from symspace import geometry
 from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
 from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
 from symspace.linalg import DimensionMismatch, clear_denominators
-from symspace.polytope import (build_polytope, classify_point, dominant_representative,
-                               reflect_simple)
+from symspace.polytope import build_polytope, reflect_simple
 from symspace.roots import (MAX_ROOTS, InvalidRank, RootKind, SliceClass, build, chain_walk,
-                            pairings, root_count)
+                            cleared_point, level_class, pairings, reduce_dominant, root_count)
 
-from reference import (IN_CAP_KINDS, dot, dot_product_conjugate, epsilon_simple_roots, gram,
-                       mul_vec, positive_pairings, scaled, signed_sort, to_epsilon)
+from reference import (IN_CAP_KINDS, dominant_reference, dot, dot_product_conjugate,
+                       epsilon_simple_roots, gram, indivisible_roots, level_reference, mul_vec,
+                       positive_pairings, scaled, signed_sort, to_epsilon)
+
+
+def kernel(rs, x):
+    """The slice kernel on a point x in Gram units, run as ``cut_details``
+    runs it at scale 1: (the dominant representative, the reflection count
+    that reached it, the representative's class)."""
+    n, den = cleared_point(rs, x)
+    p = pairings(rs, n)
+    count = reduce_dominant(rs, n, p)
+    return tuple(F(v, den) for v in n), count, level_class(rs, p, 1, den)
 
 
 # -- Fraction reference ------------------------------------------------------
-
-def ref_dominant(rs, x):
-    cur = list(F(c) for c in x)
-    g = gram(rs)
-    count = 0
-    while True:
-        w = mul_vec(g, tuple(cur))
-        for i, wi in enumerate(w):
-            if wi < 0:
-                cur[i] -= 2 * wi / g[i][i]
-                count += 1
-                break
-        else:
-            return tuple(cur), count
-
 
 def ref_reflect(rs, x, i):
     cur = list(F(c) for c in x)
     w = mul_vec(gram(rs), tuple(cur))[i]
     cur[i] -= 2 * w / gram(rs)[i][i]
     return tuple(cur)
-
-
-def ref_classify(p, x):
-    rs = p.system
-    x = tuple(F(c) for c in x)
-    w = mul_vec(gram(rs), x)
-    if any(wi < 0 for wi in w):
-        return SliceClass.NOT_DOMINANT
-    level = sum((F(di) * wi for di, wi in zip(rs.highest_root, w)), F(0))
-    if level > 1:
-        return SliceClass.OUTSIDE
-    if level == 1:
-        return SliceClass.ON_CUT_FACE
-    return SliceClass.INTERIOR
 
 
 # -- the Fraction slice pipeline -----------------------------------------------
@@ -95,9 +81,8 @@ def fraction_conjugate(entry, rs, h):
 
 
 def fraction_classify(entry, rs, h):
-    dom, nrefl = dominant_representative(rs, h)
-    scaled = tuple(entry.psi_sq_killing * c for c in dom)
-    return classify_point(build_polytope(rs), scaled), dom, nrefl
+    dom, nrefl = dominant_reference(rs, h)
+    return level_reference(rs, tuple(entry.psi_sq_killing * c for c in dom)), dom, nrefl
 
 
 def fraction_cut_details(label, h):
@@ -154,15 +139,16 @@ def _cases(kind):
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_kernel_matches_fraction_reference(kind):
-    rs, poly, rng, points = _cases(kind)
+    rs, _poly, rng, points = _cases(kind)
     label = _label(kind)
     psi_sq = resolve(label).psi_sq_killing
     assert resolve(label).restricted == kind
     for x in points:
-        dom = dominant_representative(rs, x)
-        assert dom == ref_dominant(rs, x)
-        assert classify_point(poly, x) is ref_classify(poly, x)
-        assert classify_point(poly, dom[0]) is ref_classify(poly, dom[0])
+        dom, count, cls = kernel(rs, x)
+        assert (dom, count) == dominant_reference(rs, x)
+        assert cls is level_reference(rs, dom)
+        assert (count > 0) == (level_reference(rs, x) is None)
+        assert kernel(rs, dom) == (dom, 0, cls)
         i = rng.randrange(rs.rank)
         assert reflect_simple(rs, x, i) == ref_reflect(rs, x, i)
         h = tuple(c / psi_sq for c in x)
@@ -171,18 +157,20 @@ def test_kernel_matches_fraction_reference(kind):
 
 def test_constructed_points_reach_every_class():
     # The point sets above are not all of one kind: across the small
-    # systems they hit every class and both conjugacy answers.
-    classes, conj = set(), set()
+    # systems they hit every class, dominant and non-dominant points, and
+    # both conjugacy answers.
+    classes, dominant, conj = set(), set(), set()
     for kind in IN_CAP_KINDS[:8] + IN_CAP_KINDS[-5:]:
-        rs, poly, _rng, points = _cases(kind)
+        rs, _poly, _rng, points = _cases(kind)
         label = _label(kind)
         psi_sq = resolve(label).psi_sq_killing
         for x in points:
-            classes.add(classify_point(poly, x))
-            classes.add(classify_point(poly, dominant_representative(rs, x)[0]))
+            _dom, count, cls = kernel(rs, x)
+            classes.add(cls)
+            dominant.add(count == 0)
             conj.add(is_conjugate(label, tuple(c / psi_sq for c in x)))
     assert classes == set(SliceClass)
-    assert conj == {True, False}
+    assert dominant == conj == {True, False}
 
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
@@ -192,12 +180,12 @@ def test_reflection_count_is_inversion_count(kind):
     # count equals the number of such roots, hence at most their number.
     # The pairings (r, x) are dot_gram's formula, one Gram product per point.
     rs, _poly, _rng, points = _cases(kind)
-    positive = [r for r in rs.indivisible_roots if sum(r) > 0]
+    positive = [r for r in indivisible_roots(rs) if sum(r) > 0]
     assert len(positive) <= root_count(kind) // 2 <= MAX_ROOTS
     for x in points:
         w = mul_vec(gram(rs), x)
         negative = sum(1 for r in positive if dot(r, w) < 0)
-        assert dominant_representative(rs, x)[1] == negative <= len(positive)
+        assert kernel(rs, x)[1] == negative <= len(positive)
 
 
 @pytest.mark.parametrize("kind", [RootKind(fam, l) for l in (40, 128)
@@ -220,7 +208,7 @@ def test_dominant_is_signed_sort_past_root_cap(kind):
         v = to_epsilon(simple, x)
         pairings = positive_pairings(kind.family, v)
         assert on_wall == (0 in pairings)
-        y, count = dominant_representative(rs, x)
+        y, count, _ = kernel(rs, x)
         assert to_epsilon(simple, y) == signed_sort(kind.family, v)
         assert count == sum(p < 0 for p in pairings)
 

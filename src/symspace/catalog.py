@@ -11,7 +11,8 @@ The restriction factors are classification data; where the black-node set
 of the involution's Satake diagram is embedded (standard Araki data,
 translated to this package's node numbering) they are independently
 cross-checkable: the factor is 1 exactly when every black node is
-orthogonal to the highest root.
+orthogonal to the highest root.  The check reads the ambient kind only:
+like every report-path module, this one imports no ``roots``.
 
 Low-rank coincidences (b1=a1, c2=b2, d3=a3) are resolved here through an
 alias table; `ambient`/`restricted` always hold a buildable kind while
@@ -26,7 +27,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .killing import canonical_kind, killing_data, perp_simple_indices
+from .killing import canonical_kind, highest_root_neighbours, killing_data
 from .linalg import format_rational
 from .dynkin import MAX_RANK, InvalidRank, RootKind, check_rank, kinds, parse_kind
 
@@ -380,16 +381,14 @@ def restriction_factor_crosscheck(entry: SpaceEntry) -> bool:
     """Check the stored factor against the black-node criterion.
 
     The factor is 1 exactly when every black node of the Satake diagram is
-    orthogonal to the highest ambient root; returns whether the embedded
-    data agrees with the stored factor.
+    orthogonal to the highest ambient root, i.e. none is one of its
+    ``highest_root_neighbours``; returns whether the embedded data agrees
+    with the stored factor, for any entry ``resolve`` returns.
     """
     if entry.satake_black_nodes is None:
         raise MissingSatakeData(f"no black-node data for {entry.label}")
-    from .roots import build
-    black = entry.satake_black_nodes
-    perp = perp_simple_indices(build(entry.ambient))
-    all_perp = sum(i + 1 in black for i in perp) == black.size
-    return all_perp == (entry.restriction_factor == 1)
+    meets = any(i in entry.satake_black_nodes for i in highest_root_neighbours(entry.ambient))
+    return meets == (entry.restriction_factor != 1)
 
 
 def check_param_bound(param_bound: int) -> None:

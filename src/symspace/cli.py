@@ -120,11 +120,11 @@ def cmd_rootsystem(args) -> int:
     rs = roots.build(kind)
     data = roots.to_json_dict(rs)
     poly = polytope.build_polytope(rs)
-    data["polytope"] = polytope.to_json_dict(poly)
-    if kind.is_reduced:
-        kd = killing.killing_data(kind)
-        data["killing"] = killing.to_json_dict(kd)
-    if args.format == "json":
+    kd = killing.killing_data(kind) if kind.is_reduced else None
+    if args.format == "json":         # the only format that prints every vertex
+        data["polytope"] = polytope.to_json_dict(poly)
+        if kd:
+            data["killing"] = killing.to_json_dict(kd)
         _write_json(data)
         return 0
     rows = [
@@ -139,7 +139,7 @@ def cmd_rootsystem(args) -> int:
         ["d_sq", format_rational(poly.d_sq)],
         ["argmax vertex", str(poly.argmax_vertex)],
     ]
-    if kind.is_reduced:
+    if kd:
         rows.append(["killing delta_sq", format_rational(kd.delta_sq)])
         rows.append(["perp subsystem", " ".join(str(k) for k in kd.perp_subsystem) or "-"])
     _emit_rows(["field", "value"], rows, args.format)

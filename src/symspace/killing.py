@@ -10,21 +10,18 @@ delta (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX), so
 nothing here enumerates roots and every rank is answered alike.
 ``killing_data`` reads only the kind, and is the one place that formula
 is written: ``catalog`` takes each ambient delta_sq from it.  The simple
-roots orthogonal to delta, which the catalog's Satake cross-check reads,
-come off the integer Gram matrix.
+roots not orthogonal to delta, which the catalog's Satake cross-check
+reads, come off the kind too: like every report-path module, this one
+imports no ``roots``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .dynkin import RootKind, root_count
 from .linalg import format_rational
-
-if TYPE_CHECKING:                     # a report loads this module without roots
-    from .roots import RootSystem
 
 
 class NonReducedInput(ValueError):
@@ -50,12 +47,15 @@ def canonical_kind(family: str, rank: int) -> RootKind:
     return RootKind(family, rank)
 
 
-def perp_simple_indices(rs: RootSystem) -> tuple[int, ...]:
-    """0-based indices i with (a_i, delta) = 0 (equivalently, delta - a_i
-    is not a root), from g (a_i, delta) = (M psi)_i with gram = M/g of
-    ``int_gram``; needs no root list, so it holds at any rank."""
-    m, _ = rs.int_gram
-    return tuple(i for i, row in enumerate(m) if sum(map(mul, row, rs.highest_root)) == 0)
+def highest_root_neighbours(kind: RootKind) -> tuple[int, ...]:
+    """The 1-based simple roots not orthogonal to delta: the nodes that the
+    extended Dynkin diagram's extra node is joined to (same Plates)."""
+    fam, l = kind.family, kind.rank
+    if fam == "a":
+        return (1, l) if l > 1 else (1,)
+    if fam in ("b", "d"):
+        return (2,)
+    return (6,) if fam == "e" and l < 8 else (1,)     # (1,): c, e8, f4, g2 and bc
 
 
 # Orthogonal-subsystem types per ambient family, including low-rank cases;

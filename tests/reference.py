@@ -35,7 +35,11 @@ of ``killing`` that the per-family formulas replaced in
 root through Fraction Gram products and type their components by root
 count, and ``killing_self_consistency`` recomputes (delta, delta) as a
 trace sum over the enumerated roots.  They share no helper with
-``killing``.
+``killing``.  ``perp_simple_indices_by_gram`` (the zero entries of the
+integer Gram product with the highest root) and
+``perp_simple_indices_by_roots`` (delta - a_i not a root) are the two
+references for ``killing.highest_root_neighbours``, which reads the
+simple roots not orthogonal to delta off the kind.
 """
 
 from fractions import Fraction
@@ -45,7 +49,7 @@ from operator import mul
 
 import numpy as np
 
-from symspace.killing import KillingData, NonReducedInput, canonical_kind, perp_simple_indices
+from symspace.killing import KillingData, NonReducedInput, canonical_kind
 from symspace.linalg import DimensionMismatch
 from symspace.oracle import float_simple_roots
 from symspace.roots import RootKind, RootSystem, SliceClass
@@ -213,6 +217,13 @@ def inner(rs, u, v) -> Fraction:
 def root_norm_sq(rs, r) -> Fraction:
     """Squared length of a root given by its simple-root coefficients."""
     return dot_gram(gram(rs), r, r)
+
+
+def perp_simple_indices_by_gram(rs) -> tuple[int, ...]:
+    """0-based indices i with (a_i, delta) = 0: the zero entries of the
+    integer Gram product (M psi)_i, with gram = M/g of ``rs.int_gram``."""
+    m, _ = rs.int_gram
+    return tuple(i for i, row in enumerate(m) if sum(map(mul, row, rs.highest_root)) == 0)
 
 
 def perp_simple_indices_by_roots(rs) -> tuple[int, ...]:
@@ -416,7 +427,7 @@ def perp_decomposition(rs: RootSystem) -> tuple[RootKind, ...]:
 
 
 def _decompose(rs: RootSystem, perp: frozenset) -> tuple[RootKind, ...]:
-    comps = _graph_components(rs, perp_simple_indices(rs))
+    comps = _graph_components(rs, perp_simple_indices_by_gram(rs))
     kinds = [_identify_component(rs, comp, perp) for comp in comps]
     return tuple(sorted(kinds, key=lambda k: (k.family, k.rank)))
 

@@ -10,10 +10,9 @@ from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData
                               NodeSet, SpaceLabel, enumerate_table, parse_label,
                               resolve, restriction_factor_crosscheck, to_json_dict)
 from symspace.dynkin import kinds
-from symspace.killing import perp_simple_indices
 from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
 
-from reference import killing_delta_sq
+from reference import killing_delta_sq, perp_simple_indices_by_gram
 
 
 def test_parse_label_grammar():
@@ -219,7 +218,7 @@ def test_black_nodes_match_set_criterion():
         assert all(i in black for i in nodes) and 0 not in black
         assert len(black.ranges) <= 2 and bool(black) == bool(nodes)
         if entry.ambient.rank <= MAX_RANK:
-            perp = {i + 1 for i in perp_simple_indices(build(entry.ambient))}
+            perp = {i + 1 for i in perp_simple_indices_by_gram(build(entry.ambient))}
             want = (set(nodes) <= perp) == (entry.restriction_factor == 1)
             assert restriction_factor_crosscheck(entry) == want, str(entry.label)
             checked += 1
@@ -251,10 +250,11 @@ def test_entry_json_black_node_limit():
 
 
 @pytest.mark.parametrize("label", ["AIII:p=20,q=30", "CII:p=10,q=20",
-                                   "BDI:p=10,q=31"])
+                                   "BDI:p=10,q=31", "AII:n=100", "AIII:p=1,q=200",
+                                   f"CII:p=2,q={BIG}", "BDI:p=2,q=301"])
 def test_satake_crosscheck_past_root_cap(label):
-    # Ambient systems of more than MAX_ROOTS roots: the check reads only
-    # the Gram matrix and the highest root.
+    # Ambient systems of more than MAX_ROOTS roots, the last four past
+    # MAX_RANK, where none can be built: the check reads only the kind.
     entry = resolve(label)
     assert root_count(entry.ambient) > MAX_ROOTS
     assert restriction_factor_crosscheck(entry)

@@ -60,6 +60,22 @@ def test_rootsystem_refuses_before_polytope_solve(monkeypatch, capsys, kind):
     assert calls == []
 
 
+@pytest.mark.parametrize("fmt", ["text", "markdown", "tsv"])
+def test_rootsystem_formats_only_what_it_prints(monkeypatch, capsys, fmt):
+    # Only JSON lists every vertex and the Killing data's fields; the other
+    # formats print their rows without formatting either.
+    from symspace import killing, polytope
+
+    def unused(_):
+        raise AssertionError("formatted for JSON only")
+
+    monkeypatch.setattr(polytope, "to_json_dict", unused)
+    monkeypatch.setattr(killing, "to_json_dict", unused)
+    code, out, err = run(capsys, "rootsystem", "a40", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "killing delta_sq" in out
+
+
 # Classical root counts, written out here apart from dynkin.root_count.
 PAST_ROOT_CAP = {"a40": 40 * 41, "bc40": 2 * 40 * 40 + 2 * 40, "d64": 2 * 64 * 63,
                  "c128": 2 * 128 * 128}
@@ -287,6 +303,36 @@ def test_stdout_matches_golden_digest(capsys, digest, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the parser's own text, 80 columns wide: the help of symspace
+# and of each command on stdout with exit 0, and two usage errors on stderr
+# with exit 2.  The wording is argparse's under Python 3.11, the version CI
+# runs and the floor pyproject states.
+PARSER_TEXT = {
+    "--help": (0, "72c0d0b305d8c19463f86876b75ef6d09089de3ef4b5493a0dbb2bb6fb081705"),
+    "rootsystem --help": (0, "defe1efc82ccea944ddb85d1e3b267e1353d6cdc872a94a1d0f3d034a26e8383"),
+    "space --help": (0, "81dc2bc279cdea604357acb73c626c0b9b360563b50d310c0eea55fbe2290427"),
+    "table --help": (0, "4e2548db9f0d9d9e47777d8970a552711771b560ab6e89dc15242abda9f59cf1"),
+    "cut --help": (0, "f0af4e2cef077dd865e56b63a2d2a0e888a14ad4fee097d20cdf603ab62b88bb"),
+    "product --help": (0, "eac26d7aa44dcba474088d85a36f768567c3f41f96981c5109fcad568729f1c2"),
+    "verify --help": (0, "f2140c53b9c8b5ddb25ec0d49f0cb71147ded27cfce48b69ef0a22266884f452"),
+    "table 4.3": (2, "74f950145b3197130403c608ce8105add834ebca72c46ecfe2854d1ea868665a"),
+    "cut AI:n=3": (2, "f78d9ef49648ab137f6e5d944357eb8cb90906f365630c83e5b8f9cc34901bed"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_TEXT))
+def test_parser_text_matches_golden_digest(monkeypatch, capsys, argv):
+    # argparse wraps its text to $COLUMNS less 2.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split())
+    out = capsys.readouterr()
+    code, digest = PARSER_TEXT[argv]
+    text, other = (out.out, out.err) if code == 0 else (out.err, out.out)
+    assert (exit_.value.code, other) == (code, "")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_verify_exit_1_on_failure(capsys, monkeypatch):
     from symspace import verify
     from symspace.oracle import OracleReport
@@ -398,6 +444,19 @@ def test_console_script_is_the_main_block_entry():
     assert proc.stdout.endswith("\n0 True\n"), proc.stderr
 
 
+def test_python_floor_is_the_ci_version():
+    # sys.get_int_max_str_digits, which every label's parser calls, came in
+    # Python 3.11 (3.10 has it only from 3.10.7): the floor pyproject states
+    # is the version CI runs.
+    import tomllib
+    root = Path(SRC).parent
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    versions = re.findall(r'python-version:\s*"([^"]+)"', workflow)
+    assert versions and {f">={v}" for v in versions} == {floor}
+    assert sys.version_info >= tuple(map(int, floor.removeprefix(">=").split(".")))
+
+
 @pytest.mark.parametrize("samples", ["999", "1000001", "10000000000"])
 def test_verify_samples_out_of_range_exit_2(samples):
     start = time.perf_counter()
@@ -496,6 +555,37 @@ def test_no_module_imports_another_modules_private_names():
                 found += [(path.name, node.module, a.name) for a in node.names
                           if a.name.startswith("_")]
     assert found == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports anywhere: at the top, in
+    a function body or under ``if TYPE_CHECKING``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("symspace.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("symspace")):
+            module = (node.module or "").removeprefix("symspace").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return found
+
+
+def test_report_path_imports_no_systems_layer():
+    # The report path reads kinds and closed forms: none of its modules
+    # imports the root systems, the polytope, the slice predicates, the
+    # checks or the command line, and the tests' references compute the
+    # simple roots orthogonal to the highest root themselves.
+    systems = {"roots", "polytope", "geometry", "oracle", "verify", "cli"}
+    report_path = ["dynkin", "killing", "catalog", "reporting", "linalg", "closedform"]
+    found = {m: _package_imports(Path(SRC) / "symspace" / f"{m}.py") & systems
+             for m in report_path}
+    assert found == {m: set() for m in report_path}
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text())
+    assert [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("symspace")
+            for a in node.names if "perp" in a.name] == []
 
 
 def test_cli_import_skips_dataclasses():

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 import pytest
 
 from symspace.closedform import delta_sq_closed_form
-from symspace.killing import NonReducedInput, killing_data, perp_simple_indices, to_json_dict
+from symspace.dynkin import MAX_RANK, kinds
+from symspace.killing import (NonReducedInput, highest_root_neighbours, killing_data,
+                              to_json_dict)
 from symspace.roots import RootKind, build, root_count
 
 from reference import (gram, killing_data_by_roots, killing_delta_sq,
                        killing_self_consistency, mul_vec, perp_decomposition,
-                       perp_simple_indices_by_roots, perp_subsystem)
+                       perp_simple_indices_by_gram, perp_simple_indices_by_roots,
+                       perp_subsystem)
 from test_roots import ALL_KINDS
 from test_slice_kernel import IN_CAP_KINDS
 
@@ -72,19 +75,25 @@ def test_perp_decomposition_matches_table(kind):
     assert got == EXPECTED_PERP[kind.family](kind.rank)
 
 
-@pytest.mark.parametrize("kind", REDUCED_KINDS, ids=str)
+def _not_perp(rs, perp) -> tuple[int, ...]:
+    """The 1-based simple roots outside ``perp``, a tuple of 0-based indices."""
+    return tuple(i + 1 for i in range(rs.rank) if i not in perp)
+
+
+@pytest.mark.parametrize("kind", kinds(("a", "b", "c", "d", "bc"), MAX_RANK), ids=str)
 def test_perp_simple_indices_equal_orthogonal_walls(kind):
+    # The neighbours read off the kind are the simple roots off the walls
+    # of the Gram product with the highest root, at every rank.
     rs = build(kind)
-    w = mul_vec(gram(rs), tuple(F(c) for c in rs.highest_root))
-    assert set(perp_simple_indices(rs)) == {i for i, wi in enumerate(w) if wi == 0}
+    assert highest_root_neighbours(kind) == _not_perp(rs, perp_simple_indices_by_gram(rs))
 
 
-@pytest.mark.parametrize("kind", [k for k in IN_CAP_KINDS if k.is_reduced], ids=str)
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_perp_simple_indices_match_root_membership(kind):
-    # The pairing test agrees with "delta - a_i is not a root" wherever
-    # the roots can be listed; for a1, delta - a_1 = 0 and (a_1, delta) != 0.
+    # The neighbours are the i with delta - a_i a root wherever the roots
+    # can be listed; for a1, delta - a_1 = 0 and (a_1, delta) != 0.
     rs = build(kind)
-    assert perp_simple_indices(rs) == perp_simple_indices_by_roots(rs)
+    assert highest_root_neighbours(kind) == _not_perp(rs, perp_simple_indices_by_roots(rs))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)

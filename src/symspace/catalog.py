@@ -84,8 +84,8 @@ class _NodeList(list):
     """A NodeSet's nodes as a JSON array.  ``json`` encodes a list by
     iterating it (the unindented encoder through a copy), so the nodes are
     made one at a time while they are written, not held: a million of them
-    as a list of ints took 38 MB.  Its length and equality are those of the
-    sorted node list; its own list storage stays empty."""
+    as a list of ints took 38 MB.  Its length is that of the sorted node
+    list; its own list storage stays empty."""
 
     __slots__ = ("nodes",)
 
@@ -97,12 +97,6 @@ class _NodeList(list):
 
     def __len__(self) -> int:
         return self.nodes.size
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
-    def __ne__(self, other) -> bool:
-        return list(self) != other
 
 
 class SpaceLabel(NamedTuple):

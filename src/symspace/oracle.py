@@ -25,9 +25,9 @@ kinds grouped by rank and draws each rank's sample once, a block of rows
 at a time: each block is normalized and then checked against every kind
 of the rank before the next is drawn, so no array larger than a block is
 alive and memory does not grow with the sample count.  Each block's row
-sums follow numpy's pairwise summation order for rows of up to 128 (8
-lanes), so every float is the one a whole-array ``sum(axis=1)`` gives and
-the pinned ``verify`` TSVs hold.
+sums follow numpy's pairwise summation order at any width, so every float
+is the one a whole-array ``sum(axis=1)`` gives and the pinned ``verify``
+TSVs hold.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynkin import RootKind, kinds
+from .dynkin import RootKind, kinds, root_count
 from .linalg import format_rational
-from .polytope import CartanPolytope, tree_adjugate
+from .polytope import CartanPolytope, build_polytope, tree_adjugate
+from .roots import RootSystem, build
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -68,14 +69,16 @@ _PAIRWISE_BLOCK = 128       # numpy sums a row longer than this by recursion
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)``, bit for bit, one column at a time.
 
-    numpy adds a row of n <= 128 floats to the reduction's identity 0.0 by
-    pairwise summation: for n < 8, left to right; else in 8 lanes, the
-    columns k, k+8, ... in lane k % 8, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the last n % 8 columns.
+    numpy adds a row of n floats to the reduction's identity 0.0 by
+    pairwise summation: for n < 8, left to right; for n <= 128, in 8
+    lanes, the columns k, k+8, ... in lane k % 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the last n % 8 columns;
+    past 128, as the sum of the two halves split at n//2 - (n//2) % 8.
     """
     n = a.shape[1]
     if n > _PAIRWISE_BLOCK:
-        raise ValueError(f"row sums follow numpy's order only up to {_PAIRWISE_BLOCK} columns")
+        h = n // 2 - n // 2 % 8
+        return _row_sums(a[:, :h]) + _row_sums(a[:, h:])
     if n < 8:
         s = np.zeros(len(a))
         for k in range(n):
@@ -274,35 +277,27 @@ def _float_closure(simples: list[tuple[float, ...]], cap: int = 600) -> list[np.
     return list(found)
 
 
-def closure_count_oracle(kind: RootKind) -> OracleReport:
-    """Regenerate the root system from Euclidean coordinates and recount.
+def closure_count_oracle(rs: RootSystem) -> OracleReport:
+    """Regenerate the roots of ``rs`` from Euclidean coordinates and recount.
 
     Also rebuilds the Gram matrix of the simple roots from coordinates
-    (normalized by the highest root) and compares it to the exact one.
+    (normalized by the highest root of ``rs``) and compares it to the one
+    of ``rs``.
     """
-    from .roots import build, highest_root_coeffs, root_count
-
+    kind = rs.kind
     simples = float_simple_roots(kind)
     closure = _float_closure(simples)
     count = len(closure)
     if kind.family == "bc":
-        sq = [float(np.array(r) @ np.array(r)) for r in closure]
+        sq = [float(r @ r) for r in closure]
         cutoff = (min(sq) + max(sq)) / 2 if max(sq) > min(sq) * 1.5 else max(sq) + 1
         count += sum(1 for x in sq if x < cutoff)
 
     exact_count = root_count(kind)
-    rs = build(kind)
     m, g = rs.int_gram
-    coeffs = highest_root_coeffs(kind)
-    psi = np.zeros(len(simples[0]))
-    for c, s in zip(coeffs, simples):
-        psi += c * np.array(s)
-    scale = float(psi @ psi)
-    gram_err = 0.0
-    for i in range(kind.rank):
-        for j in range(kind.rank):
-            num = float(np.array(simples[i]) @ np.array(simples[j])) / scale
-            gram_err = max(gram_err, abs(num - m[i][j] / g))
+    s = np.array(simples)
+    psi = np.array(rs.highest_root, dtype=float) @ s
+    gram_err = float(np.abs((s @ s.T) / (psi @ psi) - np.divide(m, g)).max())
     # len(rs.roots) runs the exact enumeration and its self-checks
     passed = count == exact_count == len(rs.roots) and gram_err <= 1e-9
     return OracleReport(
@@ -317,9 +312,6 @@ def closure_count_oracle(kind: RootKind) -> OracleReport:
 
 def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list[OracleReport]:
     """Every oracle check over all families up to max_rank, deterministically ordered."""
-    from .polytope import build_polytope
-    from .roots import build
-
     reports: list[OracleReport] = []
     for _, group in groupby(sorted(kinds(("a", "b", "c", "d", "bc"), max_rank),
                                    key=lambda kind: kind.rank),
@@ -327,7 +319,7 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
         polytopes = []
         for k in group:
             rs = build(k)
-            reports.append(closure_count_oracle(k))
+            reports.append(closure_count_oracle(rs))
             m, g = rs.int_gram
             reports.append(inverse_oracle(m, g, tree_adjugate(k), name=f"gram {k}"))
             polytopes.append(build_polytope(rs))

@@ -16,10 +16,11 @@ that the height-ordered one of ``RootSystem.positive_roots`` replaced;
 ``dot_product_conjugate`` is the conjugacy test
 that the root chain of ``geometry`` replaced: one integer dot product of
 the point with a Killing-Gram row per positive root.
-``epsilon_simple_roots``, ``to_epsilon``, ``signed_sort`` and
-``positive_pairings`` are the classical families in epsilon-coordinates,
-where the Weyl group permutes the coordinates and changes their signs:
-the slice reference past the root-enumeration cap.
+``epsilon_simple_roots``, ``to_epsilon``, ``signed_sort``,
+``positive_pairings`` and ``epsilon_conjugate`` are the classical
+families in epsilon-coordinates, where the Weyl group permutes the
+coordinates and changes their signs: the slice reference past the
+root-enumeration cap, conjugacy included, with no root listed.
 ``dominant_reference`` and ``level_reference`` are the Fraction versions
 of the integer slice kernel of ``roots`` (``reduce_dominant`` and
 ``level_class``): Gram products recomputed after every reflection, and the
@@ -379,6 +380,27 @@ def positive_pairings(family: str, v) -> list[Fraction]:
         if family != "d":
             out += v
     return out
+
+
+def epsilon_conjugate(family: str, simple, psi_sq, h) -> bool:
+    """Whether the Killing-unit point h pairs to a nonzero integer with some
+    positive root, from epsilon-coordinates alone, with no root listed:
+    psi_sq * h in epsilon-coordinates is paired with e_i - e_j for i < j;
+    also e_i + e_j for b, c, d and bc; e_i for b and bc; and 2 e_i for c
+    and bc (bc's doubled roots, which ``positive_pairings`` omits).  Each
+    pairing is divided by |psi|^2, the length of the highest root: 2 e_1
+    for c and bc, of length 4, and a root of length 2 otherwise."""
+    v = to_epsilon(simple, [psi_sq * Fraction(x) for x in h])
+    n = len(v)
+    out = [v[i] - v[j] for i in range(n) for j in range(i + 1, n)]
+    if family != "a":
+        out += [v[i] + v[j] for i in range(n) for j in range(i + 1, n)]
+    if family in ("b", "bc"):
+        out += v
+    if family in ("c", "bc"):
+        out += [2 * x for x in v]
+    psi_len = 4 if family in ("c", "bc") else 2
+    return any(x and (x / psi_len).denominator == 1 for x in out)
 
 
 def indivisible_roots(rs) -> frozenset[tuple[int, ...]]:

@@ -244,7 +244,7 @@ def test_black_nodes_cost_nothing_per_node(label, size, inside, outside):
 def test_entry_json_black_node_limit():
     entry = resolve(f"CII:p=1,q={MAX_LISTED_NODES}")
     nodes = to_json_dict(entry)["satake_black_nodes"]
-    assert nodes == [1, *range(3, MAX_LISTED_NODES + 2)]
+    assert list(nodes) == [1, *range(3, MAX_LISTED_NODES + 2)]
     with pytest.raises(InvalidParams, match="exceed the JSON limit of 1000000"):
         to_json_dict(resolve(f"CII:p=1,q={MAX_LISTED_NODES + 1}"))
 
@@ -322,7 +322,7 @@ def test_entry_json_nodes_encode_as_their_list(label):
     # or without an indent, and read as the sorted list of the nodes.
     d = to_json_dict(resolve(label))
     nodes = sorted(resolve(label).satake_black_nodes)
-    assert d["satake_black_nodes"] == nodes and len(d["satake_black_nodes"]) == len(nodes)
+    assert list(d["satake_black_nodes"]) == nodes and len(d["satake_black_nodes"]) == len(nodes)
     for indent in (None, 2):
         assert json.dumps(d, indent=indent) == json.dumps({**d, "satake_black_nodes": nodes},
                                                           indent=indent)

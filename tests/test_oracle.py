@@ -1,10 +1,13 @@
+import ast
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from symspace import oracle, roots
 from symspace.dynkin import kinds
 from symspace.linalg import format_rational
 from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
@@ -13,7 +16,7 @@ from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
                              float_simple_roots, inverse_oracle,
                              simplex_max_oracle, standard_suite)
 from symspace.polytope import build_polytope, tree_adjugate
-from symspace.roots import RootKind, build, parse_kind
+from symspace.roots import RootKind, build
 
 from reference import cleared, gram, int_inverse
 
@@ -75,6 +78,14 @@ def test_simplex_max_e6():
     [rep] = simplex_max_oracle([build_polytope(build("e6"))], 5000, seed=5)
     assert rep.passed
     assert rep.exact == "8/3"
+
+
+@pytest.mark.parametrize("kind", [RootKind(fam, l) for l in (40, 128)
+                                  for fam in ("a", "b", "c", "d", "bc")], ids=str)
+def test_simplex_max_past_suite_rank(kind):
+    # rank + 1 = 129 weight columns at rank 128: the row sums split the row.
+    [rep] = simplex_max_oracle([build_polytope(build(kind))], 2000, seed=7)
+    assert rep.passed, rep.tsv_row()
 
 
 def test_simplex_sample_floor():
@@ -156,22 +167,17 @@ def test_dirichlet_weights_match_one_draw(samples):
     assert np.concatenate(blocks).tobytes() == e[:, 1:].tobytes()
 
 
-@pytest.mark.parametrize("width", range(1, 129))
+@pytest.mark.parametrize("width", [*range(1, 129), 129, 136, 200, 256, 257, 513])
 def test_row_sums_match_numpy(width):
     """numpy's pairwise row sums, bit for bit, on rows of mixed magnitudes
     and signs, signed zeros included, over a row count that is not a
-    multiple of the block."""
+    multiple of the block; past 128 columns numpy splits each row."""
     rng = np.random.default_rng(width)
     rows = _BLOCK_ROWS + 1001
     a = rng.standard_normal((rows, width)) * np.exp(rng.uniform(-30, 30, (rows, width)))
     a[:3] = -0.0
     a[3:6, ::2] = -0.0
     assert _row_sums(a).tobytes() == a.sum(axis=1).tobytes()
-
-
-def test_row_sums_refuse_recursive_widths():
-    with pytest.raises(ValueError, match="128"):
-        _row_sums(np.ones((2, 129)))
 
 
 def _bareiss(rows):
@@ -211,19 +217,49 @@ def test_inverse_oracle_ill_conditioned_skip():
     assert rep.passed and "skipped" in rep.note
 
 
-@pytest.mark.parametrize("kind,count", [("b2", 8), ("d4", 24), ("bc2", 12)])
+@pytest.mark.parametrize("kind,count", [("b2", 8), ("d4", 24), ("bc2", 12),
+                                        # the largest enumerated kind of each family
+                                        ("a21", 462), ("b15", 450), ("c15", 450),
+                                        ("d16", 480), ("bc15", 480)])
 def test_closure_counts(kind, count):
-    rep = closure_count_oracle(parse_kind(kind))
-    assert rep.passed
+    rep = closure_count_oracle(build(kind))
+    assert rep.passed, rep.tsv_row()
     assert rep.numeric == count
 
 
 def test_closure_counts_exceptionals():
     for name, count in (("e6", 72), ("e7", 126), ("e8", 240),
                         ("f4", 48), ("g2", 12)):
-        rep = closure_count_oracle(parse_kind(name))
+        rep = closure_count_oracle(build(name))
         assert rep.passed, rep
         assert rep.numeric == count
+
+
+def test_closure_count_checks_the_system_given():
+    # A system whose Gram pair is another kind's fails the Gram comparison.
+    rs = build("b3")
+    wrong = rs._replace(int_gram=build("c3").int_gram)
+    assert closure_count_oracle(rs).passed
+    assert not closure_count_oracle(wrong).passed
+
+
+def test_suite_builds_each_kind_once(monkeypatch):
+    built = []
+
+    def counting_build(kind):
+        built.append(str(kind))
+        return roots.build(kind)
+
+    monkeypatch.setattr(oracle, "build", counting_build)
+    standard_suite(seed=0, samples=1000, max_rank=8)
+    assert sorted(built) == sorted(map(str, SUITE_KINDS)) and len(built) == 39
+
+
+def test_oracle_functions_import_nothing():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            assert not [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))], fn.name
 
 
 def test_suite_deterministic():

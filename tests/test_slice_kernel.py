@@ -17,7 +17,9 @@ reduce, multiply by psi_sq_killing, classify) is kept below as the
 reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.  It
 calls no kernel function.  Conjugacy runs along a height-ordered chain of
 the positive roots from one pairing vector; the integer dot-product route
-it replaced is ``reference.dot_product_conjugate``.
+it replaced is ``reference.dot_product_conjugate``, and
+``reference.epsilon_conjugate`` checks it from epsilon-coordinates with
+no root listed.
 """
 
 import fractions
@@ -37,7 +39,7 @@ from symspace.roots import (MAX_ROOTS, InvalidRank, RootKind, SliceClass, build,
                             cleared_point, level_class, pairings, reduce_dominant, root_count)
 
 from reference import (IN_CAP_KINDS, dominant_reference, dot, dot_product_conjugate,
-                       epsilon_simple_roots, gram, indivisible_roots, level_reference, mul_vec,
+                       epsilon_conjugate, epsilon_simple_roots, gram, indivisible_roots, level_reference, mul_vec,
                        positive_pairings, scaled, signed_sort, to_epsilon)
 
 
@@ -310,6 +312,41 @@ def test_root_chain_matches_dot_product_route(kind):
             assert chain_walk(rs, pairings(rs, n), a, den) is want, x
             answers.add(want)
         assert True in answers
+
+
+# -- conjugacy against the epsilon-coordinate reference -------------------------
+
+# Every classical family whose roots are enumerated, its largest enumerated
+# rank included, and bc1 from both AIII:p=1,q=1 and FII.
+EPSILON_LABELS = ("AI:n=2", "AII:n=5", "AI:n=22", "EIV", "BDI:p=2,q=5", "GROUP:b7",
+                  "BDI:p=15,q=17", "CI:n=3", "DIII:n=6", "CI:n=15", "BDI:p=4,q=4",
+                  "GROUP:d16", "AIII:p=1,q=1", "FII", "EIII", "AIII:p=15,q=16")
+
+
+@pytest.mark.parametrize("label", EPSILON_LABELS)
+def test_conjugacy_matches_epsilon_reference(label):
+    # Coordinates over small denominators pair to integers often, those
+    # over 7-digit ones almost never; each point mixes the two in its own
+    # proportion.
+    entry = resolve(label)
+    kind, psi_sq = entry.restricted, entry.psi_sq_killing
+    simple = epsilon_simple_roots(kind)
+    rng = random.Random(f"epsilon {label}")
+    answers, doubled_only = set(), 0
+    for i in range(300):
+        dens = [rng.randint(1, 4) if rng.random() < i % 3 / 2 else rng.randint(10 ** 6, 10 ** 7)
+                for _ in range(kind.rank)]
+        h = tuple(F(rng.randint(-6 * d, 6 * d), d) / psi_sq for d in dens)
+        want = epsilon_conjugate(kind.family, simple, psi_sq, h)
+        assert is_conjugate(label, h) is want, h
+        assert cut_details(label, h).conjugate is want, h
+        answers.add(want)
+        # bc's indivisible roots are b's at half the scale, so this counts
+        # the points that pair to an integer only with a doubled root 2 e_i.
+        if kind.family == "bc":
+            doubled_only += want and not epsilon_conjugate("b", simple, psi_sq / 2, h)
+    assert answers == {True, False}
+    assert doubled_only or kind.family != "bc"
 
 
 # -- the geometry predicates against the Fraction pipeline ---------------------

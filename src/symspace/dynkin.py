@@ -46,7 +46,7 @@ _MIN_RANK = {"a": 1, "b": 2, "c": 3, "d": 4, "bc": 1}
 
 class InvalidRank(ValueError):
     """Raised for a family/rank combination outside the classification,
-    or beyond the MAX_RANK / MAX_ROOTS limits."""
+    or beyond the MAX_RANK limit."""
 
 
 class _RootKindFields(NamedTuple):

@@ -16,15 +16,15 @@ this module; callers supply slice coordinates.
 A point's denominators are cleared once, h = n/D, and the predicates
 then call the integer slice kernel of ``roots`` on one pairing vector
 p = nA (A the Cartan matrix): ``reduce_dominant``, then ``level_class``
-for the cut face and ``chain_walk`` for conjugacy.  What this module
+for the cut face and ``conjugate`` for conjugacy.  What this module
 adds is the Killing-unit glue: a label gives the restricted system and
 psi_sq_killing = a/b, and h in Killing units is the point a n / (b D)
 in the kernel's Gram units, which the kernel reads as (a, b D).  A root
 and its negative pair to opposite values, so the positive roots decide
-conjugacy alone.  Conjugacy is refused past MAX_ROOTS, where the roots
-are not enumerated; the cut face needs only p.  Fractions are built
-only for the dominant representative ``cut_details`` returns.  The
-predicates take a label, or a catalog entry, used as it is.
+conjugacy alone; the classical kinds answer with no root listed, at
+every rank.  Fractions are built only for the dominant representative
+``cut_details`` returns.  The predicates take a label, or a catalog
+entry, used as it is.
 
 ``CutDetails`` is a named tuple: immutable, and equal to a plain tuple
 of its fields.
@@ -40,7 +40,7 @@ from .catalog import SpaceEntry, SpaceLabel, resolve
 from .reporting import (DEFAULT_METRIC, EmptyProduct, GeometryReport,  # re-exported
                         MetricSpec, NoCanonicalMetric, kappa_relation_check,
                         product, report, report_json_dict)
-from .roots import (RootKind, RootSystem, SliceClass, build, chain_walk, cleared_point,
+from .roots import (RootKind, RootSystem, SliceClass, build, cleared_point, conjugate,
                     level_class, pairings, reduce_dominant)
 
 
@@ -85,7 +85,7 @@ def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
     system, Killing units, divided by pi.
     """
     rs, psi_sq, n, d = _slice_point(label, h)
-    return chain_walk(rs, pairings(rs, n), psi_sq.numerator, psi_sq.denominator * d)
+    return conjugate(rs, pairings(rs, n), psi_sq.numerator, psi_sq.denominator * d)
 
 
 def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
@@ -108,10 +108,8 @@ def cut_details(label: SpaceEntry | SpaceLabel | str, h) -> CutDetails:
     rs, psi_sq, n, d = _slice_point(label, h)
     a, den = psi_sq.numerator, psi_sq.denominator * d
     p = pairings(rs, n)
-    # Conjugacy first: it needs the roots, so a system past MAX_ROOTS is
-    # refused before any work on the point, whatever the point is.
-    conjugate = chain_walk(rs, p, a, den)
+    conj = conjugate(rs, p, a, den)
     nrefl = reduce_dominant(rs, n, p)
     return CutDetails(classification=level_class(rs, p, a, den),
                       dominant_representative=tuple(Fraction(v, d) for v in n),
-                      reflections=nrefl, conjugate=conjugate)
+                      reflections=nrefl, conjugate=conj)

@@ -7,29 +7,31 @@ integer Gram tree (``dynkin.gram_tree``) as dense rows M over one positive
 denominator g, gram = M/g with the highest root of squared length 1, and
 reads the Cartan matrix off them; that is all the Cartan polytope needs.
 The roots themselves (integer coefficient vectors over the simple roots)
-are enumerated on first access, and only for systems of at most
-MAX_ROOTS roots.  One pass builds the positive roots level by level in
-height from simple-root strings, and records how each is reached from a
-root one level below: the chain that ``chain_walk`` follows.  The root
-counts that ``to_json_dict`` reports are the closed forms of
+are enumerated on first access, which no command needs.  One pass builds
+the positive roots level by level in height from simple-root strings,
+and records how each is reached from a root one level below: the chain
+that ``conjugate`` follows for the exceptional kinds.  The root counts
+that ``to_json_dict`` reports are the closed forms of
 ``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
 arithmetic.  It takes a point as (n, D) (``cleared_point``) and its
 pairing vector p = nA, A the Cartan matrix (``pairings``).
 ``reduce_dominant`` keeps p current as it reflects into the dominant
-chamber.  ``level_class`` and ``chain_walk`` read the point as
+chamber.  ``level_class`` and ``conjugate`` read the point as
 x = a n / den in Gram units (``geometry`` passes psi_sq_killing = a/b as
 a and b D), and only they read g: as (M n)_k = M_kk p_k / 2, a root r
 pairs with x to a v_r / (2 g den), v_r = sum_k r_k M_kk p_k.
-``level_class`` reads the cut-face level (x, psi) in O(l); ``chain_walk``
-asks whether some positive root pairs to a nonzero integer.  Every
-positive root past the simple ones is a root one level below plus a
-simple root a_j (Humphreys, Introduction to Lie Algebras and
-Representation Theory, 10.2), so each v_r is v_parent + M_jj p_j: one
-addition per positive root.  ``level_class`` takes the pairing vector of
-a dominant point, so ``reduce_dominant`` runs first; the predicates of
-``geometry`` are the kernel's callers.
+``level_class`` reads the cut-face level (x, psi) in O(l); ``conjugate``
+asks whether some positive root pairs to a nonzero integer: in O(l) from
+epsilon-coordinates for the classical families (Bourbaki, Lie Groups and
+Lie Algebras, Ch. VI, Plates I-IV), and for the exceptional ones (at
+most 120 positive roots) along the chain, where every positive root past
+the simple ones is a root one level below plus a simple root a_j
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.2), one addition per root.  ``level_class`` takes the pairing vector
+of a dominant point, so ``reduce_dominant`` runs first; the predicates
+of ``geometry`` are the kernel's callers.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
@@ -48,8 +50,6 @@ from typing import NamedTuple
 from .dynkin import (MAX_RANK, InvalidRank, RootKind, check_rank,  # re-exported
                      gram_tree, highest_root_coeffs, parse_kind, root_count)
 from .linalg import DimensionMismatch, clear_denominators, format_rational
-
-MAX_ROOTS = 500     # largest root system whose roots are enumerated
 
 
 def cartan_matrix(kind: RootKind) -> tuple[tuple[int, ...], ...]:
@@ -71,7 +71,6 @@ class RootSystem(_RootSystemFields):
     ``int_gram`` is the pair (M, g) with gram = M/g: integer rows over
     one positive denominator, in lowest terms.  ``positive_roots``, and
     from it ``roots``, are enumerated on first access; they raise
-    InvalidRank for systems of more than MAX_ROOTS roots, and
     RuntimeError on corrupt Cartan data.  ``cartan_rows``, the sparse
     Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
     built once, on first access.  No ``__slots__``: the cached
@@ -102,9 +101,6 @@ class RootSystem(_RootSystemFields):
         """
         kind, l, cartan = self.kind, self.rank, self.cartan
         count = root_count(kind)
-        if count > MAX_ROOTS:
-            raise InvalidRank(f"{kind} has {count} roots; "
-                              f"enumeration is limited to {MAX_ROOTS}")
         roots = [tuple(int(i == j) for i in range(l)) for j in range(l)]
         index = {r: i for i, r in enumerate(roots)}
         pairings = list(cartan)               # <r, a_k^vee> = sum_i r_i A[i][k]
@@ -267,22 +263,44 @@ def reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
     return count
 
 
-def chain_walk(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
+def conjugate(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
     """True when some positive root pairs to a nonzero integer with the
     point a n / den, given p = nA: when some v_r is nonzero and divisible
-    by q = 2 g den / gcd(a, 2 g den).  Each v_r past the simple roots is
-    the v of its chain parent plus one v of a simple root.  InvalidRank
-    past MAX_ROOTS, where the roots are not enumerated."""
-    _, chain = rs.positive_roots
+    by q = 2 g den / gcd(a, 2 g den).  The exceptional kinds walk the chain:
+    each v_r is the v of its chain parent plus one v of a simple root.  For
+    a, b, c, d and bc, T is twice the epsilon-coordinates of the v, and a
+    root takes (T_i - T_j)/2 for e_i - e_j, (T_i + T_j)/2 for e_i + e_j,
+    T_i/2 for e_i (b, bc) and T_i for 2 e_i (c, bc); one T is kept per
+    residue class mod 2q, as a class with a second value answers at once."""
     q = 2 * rs.int_gram[1] * den
     q //= gcd(a, q)
     v = list(map(mul, rs.gram_diagonal, p))
-    for x in v:
-        if x and x % q == 0:
+    family, l = rs.kind.family, rs.rank
+    if family in ("e", "f", "g"):
+        _, chain = rs.positive_roots
+        for x in v:
+            if x and x % q == 0:
+                return True
+        for parent, j in chain:
+            x = v[parent] + v[j]
+            if x and x % q == 0:
+                return True
+            v.append(x)
+        return False
+    if family == "a":
+        t, k = [0], l                                     # T_l = 0
+    elif family == "d":
+        t, k = [v[l - 1] - v[l - 2], v[l - 2] + v[l - 1]], l - 2
+    else:
+        t, k = [v[l - 1] if family == "c" else 2 * v[l - 1]], l - 1
+    for x in reversed(v[:k]):                             # T_i = T_{i+1} + 2 v_i
+        t.append(t[-1] + 2 * x)
+    m, seen = 2 * q, {}
+    short = m if family == "b" else q if family in ("c", "bc") else 0
+    for x in t:
+        r = x % m
+        if (family != "a" and seen.get(-r % m, -x) != -x      # e_i + e_j
+                or x and short and r % short == 0             # e_i, 2 e_i
+                or seen.setdefault(r, x) != x):               # e_i - e_j
             return True
-    for parent, j in chain:
-        x = v[parent] + v[j]
-        if x and x % q == 0:
-            return True
-        v.append(x)
     return False

@@ -14,17 +14,18 @@ reference for both.
 that the height-ordered one of ``RootSystem.positive_roots`` replaced;
 ``indivisible_roots`` drops the doubled roots from the enumerated ones; and
 ``dot_product_conjugate`` is the conjugacy test
-that the root chain of ``geometry`` replaced: one integer dot product of
-the point with a Killing-Gram row per positive root.
+that the kernel's ``roots.conjugate`` replaced: one integer dot product of
+the point with a Killing-Gram row per enumerated positive root (the rows
+are cached per system and Killing length).
 ``epsilon_simple_roots``, ``to_epsilon``, ``signed_sort``,
 ``positive_pairings`` and ``epsilon_conjugate`` are the classical
 families in epsilon-coordinates, where the Weyl group permutes the
-coordinates and changes their signs: the slice reference past the
-root-enumeration cap, conjugacy included, with no root listed.
+coordinates and changes their signs: the slice reference at any rank,
+conjugacy included, with no root listed.
 ``dominant_reference`` and ``level_reference`` are the Fraction versions
 of the integer slice kernel of ``roots`` (``reduce_dominant`` and
-``level_class``): Gram products recomputed after every reflection, and the
-level (x, psi) of a point in Gram units.
+``level_class``): Fraction Gram pairings kept current through the
+reflected Gram row, and the level (x, psi) of a point in Gram units.
 ``three_pass_clear_denominators`` is the definition that the
 one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
@@ -55,7 +56,10 @@ from symspace.linalg import DimensionMismatch
 from symspace.oracle import float_simple_roots
 from symspace.roots import RootKind, RootSystem, SliceClass
 
-# Every kind whose roots are enumerated: at most MAX_ROOTS roots.
+# The root count up to which roots were once enumerated, and past which
+# conjugacy was refused; the tests still run the enumeration-based
+# references on every kind within it.
+FORMER_ROOT_CAP = 500
 IN_CAP_KINDS = (
     [RootKind("a", l) for l in range(1, 22)]
     + [RootKind("b", l) for l in range(2, 16)]
@@ -240,6 +244,7 @@ def perp_simple_indices_by_roots(rs) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=8)
 def killing_weights(rs, psi_sq) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Killing-Gram row action of each positive root of ``rs``, as integer
     rows W over one denominator den: the Killing pairing of h with the
@@ -264,17 +269,23 @@ def dot_product_conjugate(rs, psi_sq, n, d) -> bool:
 
 def dominant_reference(rs, x) -> tuple[tuple[Fraction, ...], int]:
     """(the dominant point of the Weyl orbit of x, the reflection count):
-    reflect at the lowest-index wall with (a_i, x) < 0 until none is left,
-    recomputing every pairing through the Fraction Gram matrix."""
+    reflect at the lowest-index wall with (a_i, x) < 0 until none is left.
+    The pairings w = Gram x are Fractions through the Fraction Gram
+    matrix; s_i moves x_i by c = 2 w_i / (a_i, a_i), so w moves by c times
+    Gram row i."""
     cur = [Fraction(c) for c in x]
     g = gram(rs)
+    w = list(mul_vec(g, tuple(cur)))
     count = 0
     while True:
-        w = mul_vec(g, tuple(cur))
         i = next((i for i, wi in enumerate(w) if wi < 0), None)
         if i is None:
             return tuple(cur), count
-        cur[i] -= 2 * w[i] / g[i][i]
+        c = 2 * w[i] / g[i][i]
+        cur[i] -= c
+        for k, gik in enumerate(g[i]):
+            if gik:
+                w[k] -= c * gik
         count += 1
 
 

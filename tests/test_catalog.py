@@ -10,9 +10,9 @@ from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData
                               NodeSet, SpaceLabel, enumerate_table, parse_label,
                               resolve, restriction_factor_crosscheck, to_json_dict)
 from symspace.dynkin import kinds
-from symspace.roots import MAX_RANK, MAX_ROOTS, RootKind, build, root_count
+from symspace.roots import MAX_RANK, RootKind, build, root_count
 
-from reference import killing_delta_sq, perp_simple_indices_by_gram
+from reference import FORMER_ROOT_CAP, killing_delta_sq, perp_simple_indices_by_gram
 
 
 def test_parse_label_grammar():
@@ -152,12 +152,12 @@ def test_psi_sq_from_ambient_killing_form():
 
 
 def test_psi_sq_invariant_full_sweep():
-    # every table entry whose ambient closure fits under the guard
-    from symspace.roots import root_count
+    # every table entry whose ambient system is small enough to enumerate
+    # its roots quickly
     checked = 0
     for which in ("4.1", "4.2"):
         for e in enumerate_table(which, 12):
-            if root_count(e.ambient) > 500:
+            if root_count(e.ambient) > FORMER_ROOT_CAP:
                 continue
             assert e.psi_sq_killing == \
                 e.restriction_factor * killing_delta_sq(build(e.ambient)), e.label
@@ -201,7 +201,7 @@ def test_satake_crosscheck_sweep():
         if entry.satake_black_nodes is None or entry.ambient.rank > MAX_RANK:
             continue
         assert restriction_factor_crosscheck(entry), str(entry.label)
-        past_cap += root_count(entry.ambient) > MAX_ROOTS
+        past_cap += root_count(entry.ambient) > FORMER_ROOT_CAP
     assert past_cap > 0
 
 
@@ -253,10 +253,10 @@ def test_entry_json_black_node_limit():
                                    "BDI:p=10,q=31", "AII:n=100", "AIII:p=1,q=200",
                                    f"CII:p=2,q={BIG}", "BDI:p=2,q=301"])
 def test_satake_crosscheck_past_root_cap(label):
-    # Ambient systems of more than MAX_ROOTS roots, the last four past
+    # Ambient systems past the former 500-root cap, the last four past
     # MAX_RANK, where none can be built: the check reads only the kind.
     entry = resolve(label)
-    assert root_count(entry.ambient) > MAX_ROOTS
+    assert root_count(entry.ambient) > FORMER_ROOT_CAP
     assert restriction_factor_crosscheck(entry)
 
 

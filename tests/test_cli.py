@@ -14,10 +14,14 @@ from pathlib import Path
 import pytest
 
 import symspace
-from symspace.catalog import parse_label
+from symspace.catalog import parse_label, resolve
 from symspace.cli import FORMATS, main
 from symspace.closedform import d_sq_closed_form, delta_sq_closed_form, expected
 from symspace.dynkin import parse_kind
+from symspace.roots import RootKind, RootSystem, build
+
+from reference import epsilon_conjugate, epsilon_simple_roots
+from test_slice_kernel import _space_label
 
 SRC = str(Path(symspace.__file__).resolve().parents[1])
 
@@ -83,8 +87,9 @@ PAST_ROOT_CAP = {"a40": 40 * 41, "bc40": 2 * 40 * 40 + 2 * 40, "d64": 2 * 64 * 6
 
 @pytest.mark.parametrize("kind", sorted(PAST_ROOT_CAP))
 def test_rootsystem_past_root_cap_matches_closedform(capsys, kind):
-    # Past the 500-root cap nothing is enumerated: the counts are the
-    # closed forms, and d_sq and delta_sq agree with closedform's.
+    # Past the former 500-root cap: the counts are the closed forms, and
+    # d_sq and delta_sq agree with closedform's (no root is enumerated:
+    # test_classical_commands_enumerate_no_roots).
     k = parse_kind(kind)
     want = {"root count": str(PAST_ROOT_CAP[kind]),
             "indivisible roots": str(PAST_ROOT_CAP[kind] - 2 * k.rank * (k.family == "bc")),
@@ -624,6 +629,70 @@ def test_product_past_enumeration_limit(capsys):
         str(sum((w.d_radicand for w in want), Fraction(0)))
 
 
+@pytest.fixture
+def no_classical_roots(monkeypatch):
+    """Enumerating the roots of a classical system fails the test; the
+    exceptional kinds, whose conjugacy walks their roots, still enumerate."""
+    def guard(name):
+        lazy = vars(RootSystem)[name]
+
+        def get(rs):
+            if rs.kind.family not in ("e", "f", "g"):
+                raise AssertionError(f"{rs.kind}: {name} enumerated")
+            return lazy.__get__(rs, RootSystem)
+        return property(get)      # a data descriptor: shadows cached values too
+    for name in ("positive_roots", "roots"):
+        monkeypatch.setattr(RootSystem, name, guard(name))
+
+
+@pytest.mark.parametrize("family", ["a", "b", "c", "d", "bc"])
+@pytest.mark.parametrize("rank", [40, 128])
+def test_classical_commands_enumerate_no_roots(no_classical_roots, capsys, family, rank):
+    kind = RootKind(family, rank)
+    with pytest.raises(AssertionError, match="enumerated"):
+        build(kind).roots                           # the guard is on
+    label = _space_label(kind)
+    point = ",".join(["1/3", "1/2"] + ["0"] * (rank - 2))
+    for argv in (("rootsystem", str(kind)), ("space", label),
+                 ("product", label, "GROUP:e8", label), ("cut", label, "--point", point)):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
+
+
+@pytest.mark.parametrize("which", ["4.1", "4.2"])
+def test_table_enumerates_no_roots(no_classical_roots, capsys, which):
+    code, out, err = run(capsys, "table", which, "--max-param", "128", "--format", "tsv")
+    assert (code, err) == (0, "")
+    restricted = {line.split("\t")[2] for line in out.splitlines()[1:]}
+    ranks = (40,) if which == "4.1" else (40, 128)
+    families = ("a", "b", "c", "d", "bc") if which == "4.1" else ("a", "b", "c", "d")
+    assert {f"{fam}{l}" for fam in families for l in ranks} <= restricted
+
+
+# cut on each classical family at rank 128 (DIII:n=256 restricts to c128),
+# in a fresh process; conjugacy from epsilon-coordinates.
+CUT_128 = ["GROUP:a128", "BDI:p=128,q=129", "DIII:n=256", "AIII:p=128,q=129", "GROUP:d128"]
+
+
+@pytest.mark.parametrize("label", CUT_128)
+def test_cut_at_rank_128_fresh(label):
+    entry = resolve(label)
+    kind, psi_sq = entry.restricted, entry.psi_sq_killing
+    assert kind.rank == 128
+    answers = set()
+    for h in ([4 / psi_sq] + [Fraction(0)] * 127,       # e_1 - e_3: an integer
+              [Fraction(1, 5 + i % 3) for i in range(128)]):
+        proc = run_python("-m", "symspace.cli", "cut", label,
+                          "--point", ",".join(map(str, h)), "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, ""), label
+        data = json.loads(proc.stdout)
+        want = epsilon_conjugate(kind.family, epsilon_simple_roots(kind), psi_sq, h)
+        assert data["conjugate"] is want
+        answers.add(want)
+    assert answers == {True, False}
+
+
 # int() reads at most L digits (4300 by default): past that a parameter or a
 # rank is refused by name, and a label with q (or a rank) of L digits gives
 # psi_sq = 1/(p+q) (or the name SU(l+1)) one digit more than can be printed.
@@ -634,7 +703,7 @@ L = sys.get_int_max_str_digits()
     pytest.param(argv, message, id=name or " ".join(argv[:2]))
     for argv, message, name in [
         (("rootsystem", "c129"), None, None),
-        (("cut", "GROUP:a30", "--point", ",".join(["1"] + ["0"] * 29)), None, None),
+        (("cut", "GROUP:a30", "--point", "1,0"), "point length 2 != rank 30", None),
         (("space", "GROUP:a129"), None, None),
         (("space", "AI:n=99999999999"), None, None),
         (("table", "4.1", "--max-param", "100000"), None, None),

@@ -11,7 +11,7 @@ from symspace.geometry import (CutDetails, EmptyProduct, MetricSpec,
                                report, report_json_dict)
 from symspace.linalg import DimensionMismatch, PiSqrtValue
 from symspace.polytope import build_polytope, reflect_simple
-from symspace.roots import InvalidRank, SliceClass, build
+from symspace.roots import SliceClass, build
 
 
 def test_report_ai4():
@@ -164,33 +164,16 @@ def test_cut_details_fields():
 
 
 def test_cut_classify_needs_no_roots():
-    # GROUP:a30 has 930 roots, past the enumeration limit: the cut face
-    # needs only the Gram matrix, conjugacy needs the roots.
+    # GROUP:a30 has 930 roots, past the former enumeration cap: the cut
+    # face needs only the Gram matrix, and conjugacy reads the classical
+    # epsilon-coordinates, so no root is listed.  The origin pairs to 0
+    # with every root.
     origin = (0,) * 30
     assert cut_classify("GROUP:a30", origin) is SliceClass.INTERIOR
-    with pytest.raises(InvalidRank):
-        is_conjugate("GROUP:a30", origin)
-    with pytest.raises(InvalidRank):
-        cut_details("GROUP:a30", origin)
-
-
-def test_cut_details_refuses_before_reflecting(monkeypatch):
-    # Past the enumeration limit cut_details is refused before the
-    # dominant-chamber reduction runs.  geometry reduces through the
-    # integer kernel, so that is the function that must not be reached.
-    import symspace.geometry as geometry
-
-    def unreachable(*_args):
-        raise AssertionError("reduce_dominant ran before the refusal")
-
-    monkeypatch.setattr(geometry, "reduce_dominant", unreachable)
-    point = tuple(F(i % 7 - 3, 5) for i in range(40))
-    with pytest.raises(InvalidRank):
-        cut_details("BDI:p=40,q=40", point)
-    # Within the limit the patched kernel is reached, so the refusal
-    # above is not vacuous.
-    with pytest.raises(AssertionError, match="reduce_dominant"):
-        cut_details("BDI:p=6,q=9", point[:6])
+    assert is_conjugate("GROUP:a30", origin) is False
+    assert cut_details("GROUP:a30", origin) == CutDetails(
+        classification=SliceClass.INTERIOR, dominant_representative=(F(0),) * 30,
+        reflections=0, conjugate=False)
 
 
 def test_cut_face_implies_conjugate_random():

@@ -285,20 +285,15 @@ def test_roots_enumerated_on_first_access():
     assert rs.int_gram is rs.int_gram and rs.cartan_rows is rs.cartan_rows
 
 
-@pytest.mark.parametrize("name", ["a21", "b15", "c15", "d16", "bc15"])
+@pytest.mark.parametrize("name", ["a21", "b15", "c15", "d16", "bc15",
+                                  "a22", "b16", "c16", "d17", "bc16", "a128"])
 def test_largest_enumerable_systems(name):
+    # The largest systems within the former 500-root cap, the smallest past
+    # it and a128: enumeration has no limit but the rank's.
     rs = build(name)
     assert len(rs.roots) == root_count(rs.kind)
-
-
-@pytest.mark.parametrize("name", ["a22", "b16", "c16", "d17", "bc16", "a128"])
-def test_enumeration_refused_past_max_roots(name):
-    rs = build(name)                  # the Cartan data is still available
-    assert len(rs.int_gram[0]) == rs.rank
-    with pytest.raises(InvalidRank):
-        rs.roots
-    with pytest.raises(InvalidRank):
-        indivisible_roots(rs)
+    doubled = 2 * rs.rank if rs.kind.family == "bc" else 0
+    assert len(indivisible_roots(rs)) == root_count(rs.kind) - doubled
 
 
 def test_build_refuses_rank_past_limit():

@@ -146,3 +146,5 @@ def test_cut_classify_along_ray_past_root_cap(label):
         assert cut_classify(label, face) is SliceClass.ON_CUT_FACE
         assert cut_classify(label, _scaled(face, F(j, j + 1))) is SliceClass.INTERIOR
         assert cut_classify(label, _scaled(face, F(j + 1, j))) is SliceClass.OUTSIDE
+        assert is_conjugate(label, face)
+        assert not is_conjugate(label, _scaled(face, F(j, j + 1)))

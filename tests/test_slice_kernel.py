@@ -15,17 +15,20 @@ The geometry predicates clear a point's denominators once and stay in
 integers; the Fraction pipeline they replaced (convert every coordinate,
 reduce, multiply by psi_sq_killing, classify) is kept below as the
 reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.  It
-calls no kernel function.  Conjugacy runs along a height-ordered chain of
-the positive roots from one pairing vector; the integer dot-product route
-it replaced is ``reference.dot_product_conjugate``, and
-``reference.epsilon_conjugate`` checks it from epsilon-coordinates with
-no root listed.
+calls no kernel function.  Conjugacy (``roots.conjugate``) reads one
+pairing vector: by residue classes of epsilon-coordinates for the
+classical families, along a height-ordered chain of the positive roots
+for the exceptional ones.  The integer dot-product route it replaced,
+``reference.dot_product_conjugate``, checks it on every kind within the
+former root cap, and ``reference.epsilon_conjugate`` checks it from
+epsilon-coordinates with no root listed, at ranks 40 and 128 too.
 """
 
 import fractions
 import random
 import tracemalloc
 from fractions import Fraction as F
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -35,12 +38,13 @@ from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
 from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
 from symspace.linalg import DimensionMismatch, clear_denominators
 from symspace.polytope import build_polytope, reflect_simple
-from symspace.roots import (MAX_ROOTS, InvalidRank, RootKind, SliceClass, build, chain_walk,
-                            cleared_point, level_class, pairings, reduce_dominant, root_count)
+from symspace.roots import (InvalidRank, RootKind, SliceClass, build, cleared_point, conjugate,
+                            level_class, pairings, reduce_dominant, root_count)
 
-from reference import (IN_CAP_KINDS, dominant_reference, dot, dot_product_conjugate,
-                       epsilon_conjugate, epsilon_simple_roots, gram, indivisible_roots, level_reference, mul_vec,
-                       positive_pairings, scaled, signed_sort, to_epsilon)
+from reference import (FORMER_ROOT_CAP, IN_CAP_KINDS, dominant_reference, dot,
+                       dot_product_conjugate, epsilon_conjugate, epsilon_simple_roots, gram,
+                       indivisible_roots, level_reference, mul_vec, positive_pairings, scaled,
+                       signed_sort, to_epsilon)
 
 
 def kernel(rs, x):
@@ -183,7 +187,7 @@ def test_reflection_count_is_inversion_count(kind):
     # The pairings (r, x) are dot_gram's formula, one Gram product per point.
     rs, _poly, _rng, points = _cases(kind)
     positive = [r for r in indivisible_roots(rs) if sum(r) > 0]
-    assert len(positive) <= root_count(kind) // 2 <= MAX_ROOTS
+    assert len(positive) <= root_count(kind) // 2 <= FORMER_ROOT_CAP
     for x in points:
         w = mul_vec(gram(rs), x)
         negative = sum(1 for r in positive if dot(r, w) < 0)
@@ -219,7 +223,7 @@ def test_dominant_is_signed_sort_past_root_cap(kind):
 def test_cut_classify_weyl_invariant_past_root_cap(label):
     entry = resolve(label)
     rs = build(entry.restricted)
-    assert root_count(rs.kind) > MAX_ROOTS
+    assert root_count(rs.kind) > FORMER_ROOT_CAP
     rng = random.Random(label)
     psi_sq, l = entry.psi_sq_killing, rs.rank
     # The mean of the vertices lies on the cut face and on no wall, so
@@ -235,9 +239,10 @@ def test_cut_classify_weyl_invariant_past_root_cap(label):
             moved = reflect_simple(rs, moved, i)
         assert moved != h
         assert cut_classify(label, moved) is cut_classify(label, h)
+        assert is_conjugate(label, moved) is is_conjugate(label, h)
 
 
-# -- the root chain against the dot-product route ------------------------------
+# -- conjugacy against the dot-product route -----------------------------------
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_root_chain_lists_each_positive_root_once(kind):
@@ -287,6 +292,8 @@ def _big_points(rs, poly, psi_sq, rng):
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_root_chain_matches_dot_product_route(kind):
+    # The kernel's residue classes (classical kinds) and chain (exceptional
+    # ones) against one dot product per enumerated positive root.
     rs, poly, rng, points = _cases(kind)
     label = _label(kind)
     psi_sq = resolve(label).psi_sq_killing
@@ -297,7 +304,7 @@ def test_root_chain_matches_dot_product_route(kind):
         n, d = clear_denominators(h)
         want = dot_product_conjugate(rs, psi_sq, n, d)
         a, den = psi_sq.numerator, psi_sq.denominator * d
-        assert chain_walk(rs, pairings(rs, n), a, den) is want, h
+        assert conjugate(rs, pairings(rs, n), a, den) is want, h
         assert is_conjugate(label, h) is want
         answers.add(want)
     assert answers == {True, False}
@@ -309,7 +316,7 @@ def test_root_chain_matches_dot_product_route(kind):
             n, d = clear_denominators(tuple(c / stand_in for c in x))
             want = dot_product_conjugate(rs, stand_in, n, d)
             a, den = stand_in.numerator, stand_in.denominator * d
-            assert chain_walk(rs, pairings(rs, n), a, den) is want, x
+            assert conjugate(rs, pairings(rs, n), a, den) is want, x
             answers.add(want)
         assert True in answers
 
@@ -345,6 +352,45 @@ def test_conjugacy_matches_epsilon_reference(label):
         # the points that pair to an integer only with a doubled root 2 e_i.
         if kind.family == "bc":
             doubled_only += want and not epsilon_conjugate("b", simple, psi_sq / 2, h)
+    assert answers == {True, False}
+    assert doubled_only or kind.family != "bc"
+
+
+@pytest.mark.parametrize("kind", [RootKind(fam, l) for l in (40, 128)
+                                  for fam in ("a", "b", "c", "d", "bc")], ids=str)
+def test_conjugacy_matches_epsilon_reference_at_high_rank(kind):
+    # Past the former root cap, through a type I label and through the
+    # kernel with stand-in Killing lengths whose numerator reaches the
+    # modulus; bc's doubled roots decide some points alone.
+    label = _space_label(kind)
+    rs = build(kind)
+    simple = epsilon_simple_roots(kind)
+    rng = random.Random(f"epsilon high rank {kind}")
+    psi_sq = resolve(label).psi_sq_killing
+    answers, doubled_only = set(), 0
+    for i in range(40):
+        stand_in = (psi_sq, F(3, 7), F(5, 2), F(12))[i % 4]
+        dens = [rng.randint(1, 4) if rng.random() < i % 3 / 2 else rng.randint(10 ** 6, 10 ** 7)
+                for _ in range(kind.rank)]
+        if i % 8 == 7:       # repeated and zero epsilon-coordinates
+            dens = [1] * kind.rank
+        h = tuple(F(rng.randint(-2 * d, 2 * d), d) / stand_in for d in dens)
+        if kind.family == "bc" and i % 8 == 3:
+            # Killing-scaled epsilon-coordinates (2, generic, ...): only 2 e_1
+            # pairs to an integer.  x = sum x_i a_i has e_k-coordinate
+            # x_k - x_{k-1}, so x is the running sum.
+            eps = [F(2)] + [F(rng.randint(-10 ** 7, 10 ** 7), rng.randint(10 ** 6, 10 ** 7))
+                            for _ in range(kind.rank - 1)]
+            h = tuple(c / stand_in for c in accumulate(eps))
+        want = epsilon_conjugate(kind.family, simple, stand_in, h)
+        n, d = clear_denominators(h)
+        got = conjugate(rs, pairings(rs, n), stand_in.numerator, stand_in.denominator * d)
+        assert got is want, h
+        if stand_in is psi_sq:
+            assert is_conjugate(label, h) is want and cut_details(label, h).conjugate is want
+        answers.add(want)
+        if kind.family == "bc":
+            doubled_only += want and not epsilon_conjugate("b", simple, stand_in / 2, h)
     assert answers == {True, False}
     assert doubled_only or kind.family != "bc"
 

@@ -7,12 +7,12 @@ integer Gram tree (``dynkin.gram_tree``) as dense rows M over one positive
 denominator g, gram = M/g with the highest root of squared length 1, and
 reads the Cartan matrix off them; that is all the Cartan polytope needs.
 The roots themselves (integer coefficient vectors over the simple roots)
-are enumerated on first access, which no command needs.  One pass builds
-the positive roots level by level in height from simple-root strings,
-and records how each is reached from a root one level below: the chain
-that ``conjugate`` follows for the exceptional kinds.  The root counts
-that ``to_json_dict`` reports are the closed forms of
-``dynkin.root_count``.
+are enumerated on first access, at any rank; only ``oracle`` and the
+exceptional kinds' conjugacy test read them.  One pass builds the
+positive roots level by level in height from simple-root strings, and
+records how each is reached from a root one level below: the chain that
+``conjugate`` follows for the exceptional kinds.  The root counts that
+``to_json_dict`` reports are the closed forms of ``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
 arithmetic.  It takes a point as (n, D) (``cleared_point``) and its
@@ -25,13 +25,12 @@ pairs with x to a v_r / (2 g den), v_r = sum_k r_k M_kk p_k.
 ``level_class`` reads the cut-face level (x, psi) in O(l); ``conjugate``
 asks whether some positive root pairs to a nonzero integer: in O(l) from
 epsilon-coordinates for the classical families (Bourbaki, Lie Groups and
-Lie Algebras, Ch. VI, Plates I-IV), and for the exceptional ones (at
-most 120 positive roots) along the chain, where every positive root past
-the simple ones is a root one level below plus a simple root a_j
-(Humphreys, Introduction to Lie Algebras and Representation Theory,
-10.2), one addition per root.  ``level_class`` takes the pairing vector
-of a dominant point, so ``reduce_dominant`` runs first; the predicates
-of ``geometry`` are the kernel's callers.
+Lie Algebras, Ch. VI, Plates I-IV), and along the chain for the
+exceptional ones (at most 120 positive roots): every positive root past
+the simple ones is a root one level below plus a simple root (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 10.2), one
+addition per root.  ``reduce_dominant`` runs before ``level_class``,
+which takes a dominant point; ``geometry``'s predicates call the kernel.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
@@ -266,12 +265,12 @@ def reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
 def conjugate(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
     """True when some positive root pairs to a nonzero integer with the
     point a n / den, given p = nA: when some v_r is nonzero and divisible
-    by q = 2 g den / gcd(a, 2 g den).  The exceptional kinds walk the chain:
-    each v_r is the v of its chain parent plus one v of a simple root.  For
-    a, b, c, d and bc, T is twice the epsilon-coordinates of the v, and a
-    root takes (T_i - T_j)/2 for e_i - e_j, (T_i + T_j)/2 for e_i + e_j,
-    T_i/2 for e_i (b, bc) and T_i for 2 e_i (c, bc); one T is kept per
-    residue class mod 2q, as a class with a second value answers at once."""
+    by q = 2 g den / gcd(a, 2 g den).  The exceptional kinds walk the
+    chain.  For the classical ones T is twice the epsilon-coordinates of
+    the v, and roots take (T_i -+ T_j)/2, T_i/2 (b, bc) and T_i (c, bc).
+    Past a, each T takes the sign that puts its residue r mod 2q at most q;
+    two T in one class then make a root iff they differ, or are equal,
+    nonzero and r is 0 or q.  One T is kept per class."""
     q = 2 * rs.int_gram[1] * den
     q //= gcd(a, q)
     v = list(map(mul, rs.gram_diagonal, p))
@@ -287,20 +286,25 @@ def conjugate(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
                 return True
             v.append(x)
         return False
-    if family == "a":
-        t, k = [0], l                                     # T_l = 0
-    elif family == "d":
-        t, k = [v[l - 1] - v[l - 2], v[l - 2] + v[l - 1]], l - 2
-    else:
-        t, k = [v[l - 1] if family == "c" else 2 * v[l - 1]], l - 1
-    for x in reversed(v[:k]):                             # T_i = T_{i+1} + 2 v_i
-        t.append(t[-1] + 2 * x)
+    # T_l = 0 (a) or T_{l-1} (d's leaf is last), then T_i = T_{i+1} + 2 v_i.
+    x = (0 if family == "a" else v[l - 1] - v[l - 2] if family == "d"
+         else v[l - 1] if family == "c" else 2 * v[l - 1])
+    t = [x]
+    for y in reversed(v[:l - (family != "a")]):
+        x += 2 * y
+        t.append(x)
     m, seen = 2 * q, {}
+    signed = family != "a"
     short = m if family == "b" else q if family in ("c", "bc") else 0
     for x in t:
         r = x % m
-        if (family != "a" and seen.get(-r % m, -x) != -x      # e_i + e_j
-                or x and short and r % short == 0             # e_i, 2 e_i
-                or seen.setdefault(r, x) != x):               # e_i - e_j
+        if signed and r > q:
+            x, r = -x, m - r
+        y = seen.get(r)
+        if y is None:
+            if x and short and r % short == 0:            # e_i, 2 e_i
+                return True
+            seen[r] = x
+        elif y != x or signed and x and r % q == 0:       # e_i - e_j, e_i + e_j
             return True
     return False

@@ -7,9 +7,9 @@ the tests of ``test_polytope`` call them through the same helper.  Their
 references are rational-arithmetic versions,
 ``reference.dominant_reference`` and ``reference.level_reference``, and
 ``ref_reflect`` below is one for ``polytope.reflect_simple``: Gram
-products in ``fractions.Fraction``, recomputed after every reflection.
-The kernel must agree with them exactly, on every kind whose roots can
-be enumerated.
+products in ``fractions.Fraction`` (``dominant_reference`` keeps its
+pairings current through each reflected Gram row).  The kernel must
+agree with them exactly, on every kind within the former 500-root cap.
 
 The geometry predicates clear a point's denominators once and stay in
 integers; the Fraction pipeline they replaced (convert every coordinate,

@@ -6,9 +6,11 @@ and closed by numeric reflections, matrix inverses come from
 partial-pivot LU (numpy), and the polytope maximum is attacked by random
 sampling of the simplex.  Agreement with the exact values is then
 evidence, not tautology.  The exact inverse of each Gram matrix is the
-one the program uses, ``polytope.tree_adjugate``; the suite's two fixed
-matrices (the 3x3 Hilbert matrix and the identity) bring their known
-inverses.  All randomness flows from an explicit seed through numpy's
+one the program uses, (det M, adj M), which the suite reads from the
+polytope it built for that kind; the suite's two fixed matrices (the 3x3
+Hilbert matrix and the identity) bring their known inverses.  The
+simplex check reads the vertices as floats straight from the adjugate:
+int/int true division is correctly rounded, as ``float(Fraction)`` is.  All randomness flows from an explicit seed through numpy's
 PCG64 generator, so reports are bit-reproducible.
 
 The closure keeps a reflected vector unless it lies within 1e-7
@@ -39,7 +41,7 @@ import numpy as np
 
 from .dynkin import RootKind, kinds, root_count
 from .linalg import format_rational
-from .polytope import CartanPolytope, build_polytope, tree_adjugate
+from .polytope import CartanPolytope, build_polytope
 from .roots import RootSystem, build
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -126,8 +128,9 @@ def simplex_max_oracle(polytopes: list[CartanPolytope], samples: int,
         raise ValueError("the polytopes of one simplex check share one rank")
     forms = []
     for p in polytopes:
-        m, g = p.system.int_gram
-        forms.append((np.array([[float(c) for c in v] for v in p.vertices]),
+        (m, g), d = p.system.int_gram, p.system.highest_root
+        forms.append((np.array([[g * x / (p.det * dj) for x in row]   # correctly rounded
+                                for row, dj in zip(p.adjugate, d)]),
                       np.array([[x / g for x in row] for row in m])))
     sampled = np.full(len(forms), -np.inf)
     for w in _weight_blocks(seed, samples, rank):
@@ -320,9 +323,9 @@ def standard_suite(seed: int, samples: int = 100_000, max_rank: int = 8) -> list
         for k in group:
             rs = build(k)
             reports.append(closure_count_oracle(rs))
-            m, g = rs.int_gram
-            reports.append(inverse_oracle(m, g, tree_adjugate(k), name=f"gram {k}"))
-            polytopes.append(build_polytope(rs))
+            p = build_polytope(rs)
+            reports.append(inverse_oracle(*rs.int_gram, (p.det, p.adjugate), name=f"gram {k}"))
+            polytopes.append(p)
         reports.extend(simplex_max_oracle(polytopes, samples, seed))   # one draw per rank
     hilbert = [[60 // (i + j + 1) for j in range(3)] for i in range(3)]  # 1/(i+j+1)
     # The classical integer inverse of the Hilbert matrix, 60 * (60 H)^{-1}.

@@ -12,7 +12,9 @@ path product times the prefix and suffix continuants along its chain
 (Usmani, Linear Algebra Appl. 212/213, 1994, for the chain), so both
 come from one fold of the tree (``dynkin.fold_tree``) and no general
 solve.  The farthest vertex and its norm come from the minors of the
-same fold (``dynkin.farthest_vertex``).
+same fold (``dynkin.farthest_vertex``).  ``CartanPolytope`` holds det M
+and adj M as integers; its ``vertices`` and ``vertex_norms_sq`` are
+formed from them, as Fractions, each time they are read.
 The squared norm is convex, so its maximum over the far face is attained
 at a vertex; the minimum over the far face is attained at psi/(psi,psi).
 
@@ -38,11 +40,25 @@ from .roots import RootSystem, cleared_point
 
 class CartanPolytope(NamedTuple):
     system: RootSystem
-    vertices: tuple[Vector, ...]          # e_1..e_l in simple-root coordinates
-    vertex_norms_sq: tuple[Fraction, ...]
-    i_sq: Fraction                        # squared distance of the nearest far-face point
-    d_sq: Fraction                        # squared distance of the farthest vertex
-    argmax_vertex: int                    # 0-based index into vertices
+    det: int                               # det M
+    adjugate: tuple[tuple[int, ...], ...]  # adj M, symmetric
+    i_sq: Fraction                         # squared distance of the nearest far-face point
+    d_sq: Fraction                         # squared distance of the farthest vertex
+    argmax_vertex: int                     # 0-based index into vertices
+
+    @property
+    def vertices(self) -> tuple[Vector, ...]:
+        """e_1..e_l in simple-root coordinates: e_j = g adj[j] / (det d_j)."""
+        g, d = self.system.int_gram[1], self.system.highest_root
+        return tuple(tuple(Fraction(g * x, self.det * dj) for x in row)
+                     for row, dj in zip(self.adjugate, d))
+
+    @property
+    def vertex_norms_sq(self) -> tuple[Fraction, ...]:
+        """|e_j|^2 = g adj[j][j] / (det d_j^2)."""
+        g, d = self.system.int_gram[1], self.system.highest_root
+        return tuple(Fraction(g * row[j], self.det * dj * dj)
+                     for j, (row, dj) in enumerate(zip(self.adjugate, d)))
 
 
 def tree_adjugate(kind: RootKind) -> tuple[int, list[list[int]]]:
@@ -79,23 +95,13 @@ def tree_adjugate(kind: RootKind) -> tuple[int, list[list[int]]]:
 def build_polytope(rs: RootSystem) -> CartanPolytope:
     """The polytope: with gram = M/g and (det M, adj M) from
     ``tree_adjugate``, inv(Gram) = g adj M / det M gives the vertices and,
-    on its diagonal, the norms; ``farthest_vertex`` picks the largest."""
-    g = rs.int_gram[1]
+    on its diagonal, the norms, both formed when read;
+    ``farthest_vertex`` picks the largest."""
     det, adj = tree_adjugate(rs.kind)
-    d = rs.highest_root
-    l = rs.rank
-    verts = tuple(tuple(Fraction(g * adj[k][j], det * d[j]) for k in range(l))
-                  for j in range(l))
-    norms = tuple(Fraction(g * adj[j][j], det * dj * dj) for j, dj in enumerate(d))
     d_sq, argmax = farthest_vertex(rs.kind)
-    return CartanPolytope(
-        system=rs,
-        vertices=verts,
-        vertex_norms_sq=norms,
-        i_sq=Fraction(1),                # gram_tree scales (psi, psi) to 1
-        d_sq=d_sq,
-        argmax_vertex=argmax,
-    )
+    return CartanPolytope(system=rs, det=det, adjugate=tuple(map(tuple, adj)),
+                          i_sq=Fraction(1),      # gram_tree scales (psi, psi) to 1
+                          d_sq=d_sq, argmax_vertex=argmax)
 
 
 def reflect_simple(rs: RootSystem, x, i: int) -> Vector:

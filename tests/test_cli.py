@@ -67,7 +67,7 @@ def test_rootsystem_refuses_before_polytope_solve(monkeypatch, capsys, kind):
 @pytest.mark.parametrize("fmt", ["text", "markdown", "tsv"])
 def test_rootsystem_formats_only_what_it_prints(monkeypatch, capsys, fmt):
     # Only JSON lists every vertex and the Killing data's fields; the other
-    # formats print their rows without formatting either.
+    # formats print their rows without formatting either, and form no vertex.
     from symspace import killing, polytope
 
     def unused(_):
@@ -75,9 +75,11 @@ def test_rootsystem_formats_only_what_it_prints(monkeypatch, capsys, fmt):
 
     monkeypatch.setattr(polytope, "to_json_dict", unused)
     monkeypatch.setattr(killing, "to_json_dict", unused)
-    code, out, err = run(capsys, "rootsystem", "a40", "--format", fmt)
-    assert (code, err) == (0, "")
-    assert "killing delta_sq" in out
+    monkeypatch.setattr(polytope.CartanPolytope, "vertices", property(unused))
+    for kind in ("a40", "a128"):
+        code, out, err = run(capsys, "rootsystem", kind, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "killing delta_sq" in out
 
 
 # Classical root counts, written out here apart from dynkin.root_count.
@@ -396,7 +398,8 @@ def test_fresh_process_refusal_matches_main(capsys, argv, code):
 
 
 @pytest.mark.parametrize("argv", ["table 4.1 --max-param 128",
-                                  "space AIII:p=1,q=1000000 --format json"])
+                                  "space AIII:p=1,q=1000000 --format json",
+                                  "rootsystem a128 --format json"])
 def test_closed_stdout_ends_quietly(argv):
     # As `| head -n 1` does: read one line, then close the pipe.  The process
     # ends as a shell shows one killed by SIGPIPE, with nothing on stderr.

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symspace import oracle, roots
+from symspace import oracle, polytope, roots
 from symspace.dynkin import kinds
 from symspace.linalg import format_rational
 from symspace.oracle import (_BLOCK_ROWS, RNG_ALGORITHM, OracleReport,
@@ -84,8 +84,12 @@ def test_simplex_max_e6():
                                   for fam in ("a", "b", "c", "d", "bc")], ids=str)
 def test_simplex_max_past_suite_rank(kind):
     # rank + 1 = 129 weight columns at rank 128: the row sums split the row.
-    [rep] = simplex_max_oracle([build_polytope(build(kind))], 2000, seed=7)
+    # The reference reads float() of the Fraction vertices, so this pins the
+    # oracle's int/int floats of the adjugate bit for bit at large rank.
+    p = build_polytope(build(kind))
+    [rep] = simplex_max_oracle([p], 2000, seed=7)
     assert rep.passed, rep.tsv_row()
+    assert rep == fresh_draw_simplex(p, 2000, 7)
 
 
 def test_simplex_sample_floor():
@@ -244,15 +248,21 @@ def test_closure_count_checks_the_system_given():
 
 
 def test_suite_builds_each_kind_once(monkeypatch):
-    built = []
+    # One build and one tree fold per kind: the inverse oracle reads the
+    # adjugate of the polytope the suite built.
+    built, folded = [], []
 
     def counting_build(kind):
         built.append(str(kind))
         return roots.build(kind)
 
+    fold = polytope.tree_adjugate
     monkeypatch.setattr(oracle, "build", counting_build)
+    monkeypatch.setattr(polytope, "tree_adjugate", lambda k: folded.append(k) or fold(k))
     standard_suite(seed=0, samples=1000, max_rank=8)
     assert sorted(built) == sorted(map(str, SUITE_KINDS)) and len(built) == 39
+    assert sorted(folded, key=str) == sorted(SUITE_KINDS, key=str)
+    assert len(folded) == 39 and not hasattr(oracle, "tree_adjugate")
 
 
 def test_oracle_functions_import_nothing():

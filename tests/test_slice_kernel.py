@@ -119,12 +119,13 @@ def _gram_points(rs, poly, rng):
     """A random point, and cut-face and conjugate points in Gram units
     with a copy of each moved by a random Weyl word."""
     l, psi = rs.rank, rs.highest_root
+    verts = poly.vertices                # formed on each read
     picks = rng.sample(range(l), min(l, 3))
     weights = [F(rng.randint(1, 5)) for _ in picks]
-    face = tuple(sum(w * poly.vertices[j][k] for w, j in zip(weights, picks))
+    face = tuple(sum(w * verts[j][k] for w, j in zip(weights, picks))
                  / sum(weights) for k in range(l))
     j = rng.randrange(l)
-    conj = tuple(rng.randint(1, 3) * psi[j] * c for c in poly.vertices[j])
+    conj = tuple(rng.randint(1, 3) * psi[j] * c for c in verts[j])
     out = [tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) / sum(psi) for _ in range(l))]
     for x in (face, conj, tuple(c / 2 for c in conj)):
         out.append(x)

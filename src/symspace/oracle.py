@@ -10,8 +10,9 @@ one the program uses, (det M, adj M), which the suite reads from the
 polytope it built for that kind; the suite's two fixed matrices (the 3x3
 Hilbert matrix and the identity) bring their known inverses.  The
 simplex check reads the vertices as floats straight from the adjugate:
-int/int true division is correctly rounded, as ``float(Fraction)`` is.  All randomness flows from an explicit seed through numpy's
-PCG64 generator, so reports are bit-reproducible.
+int/int true division is correctly rounded, as ``float(Fraction)`` is.
+All randomness flows from an explicit seed through numpy's PCG64
+generator, so reports are bit-reproducible.
 
 The closure keeps a reflected vector unless it lies within 1e-7
 (Chebyshev) of a vector already found.  It works one frontier at a time:
@@ -129,7 +130,7 @@ def simplex_max_oracle(polytopes: list[CartanPolytope], samples: int,
     forms = []
     for p in polytopes:
         (m, g), d = p.system.int_gram, p.system.highest_root
-        forms.append((np.array([[g * x / (p.det * dj) for x in row]   # correctly rounded
+        forms.append((np.array([[g * x / (p.det * dj) for x in row]   # rounded once
                                 for row, dj in zip(p.adjugate, d)]),
                       np.array([[x / g for x in row] for row in m])))
     sampled = np.full(len(forms), -np.inf)

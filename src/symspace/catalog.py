@@ -15,8 +15,10 @@ orthogonal to the highest root.  The check reads the ambient kind only:
 like every report-path module, this one imports no ``roots``.
 
 Low-rank coincidences (b1=a1, c2=b2, d3=a3) are resolved here through an
-alias table; `ambient`/`restricted` always hold a buildable kind while
+alias table; `ambient`/`restricted` always hold a canonical kind while
 `ambient_name`/`restricted_name` keep the nominal classification label.
+Every label the grammar accepts resolves, at any rank: the rank limit is
+not the catalog's but ``dynkin.gram_tree``'s.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 from .killing import canonical_kind, highest_root_neighbours, killing_data
 from .linalg import format_rational
-from .dynkin import MAX_RANK, InvalidRank, RootKind, check_rank, kinds, parse_kind
+from .dynkin import MAX_RANK, InvalidRank, RootKind, kinds, parse_kind
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -120,9 +122,9 @@ class SpaceEntry(NamedTuple):
     label: SpaceLabel
     name: str                     # manifold, e.g. "SU(4)/SO(4)" or "G_{2,5}(R)"
     space_type: str               # "I" or "II"
-    ambient: RootKind             # buildable ambient kind (aliased if needed)
+    ambient: RootKind             # canonical ambient kind (aliased if needed)
     ambient_name: str             # nominal ambient label
-    restricted: RootKind          # buildable restricted kind
+    restricted: RootKind          # canonical restricted kind
     restricted_name: str          # nominal restricted label
     restriction_factor: Fraction
     psi_sq_killing: Fraction      # squared Killing length of the highest restricted root
@@ -200,7 +202,7 @@ _GROUP_NAMES = {"a": lambda l: f"SU({l + 1})", "b": lambda l: f"Spin({2 * l + 1}
 # any rank passes through these caches, which stay bounded.
 @lru_cache(maxsize=1024)
 def _nominal(family: str, rank: int) -> tuple[RootKind, str]:
-    """(buildable kind, nominal label) of a nominal pair, e.g. (b2, "c2"):
+    """(canonical kind, nominal label) of a nominal pair, e.g. (b2, "c2"):
     rank coincidences collapse."""
     # so(4) splits into two a1 ideals swapped by the involution; the halving
     # factor carries the whole reduction, so the buildable ambient is a
@@ -214,14 +216,6 @@ def _nominal(family: str, rank: int) -> tuple[RootKind, str]:
 def _psi_sq(ambient: RootKind, halving: int) -> Fraction:
     """psi_sq_killing for the restriction factor 1/halving (1 or 2)."""
     return killing_data(ambient).delta_sq / halving
-
-
-def _restricted(family: str, rank: int) -> Nominal:
-    """The nominal restricted pair; past MAX_RANK, InvalidRank (as ``build``
-    would raise) before anything as large as the label's parameters is built."""
-    if rank > MAX_RANK:
-        check_rank(RootKind(family, rank))
-    return family, rank
 
 
 def _entry(label, name, space_type, ambient_nominal: Nominal,
@@ -278,39 +272,36 @@ def _resolve(label: SpaceLabel) -> SpaceEntry:
         if n < 2:
             raise InvalidParams("AI requires n >= 2")
         return _entry(label, f"SU({n})/SO({n})", "I", ("a", n - 1),
-                      _restricted("a", n - 1), ONE, NodeSet())
+                      ("a", n - 1), ONE, NodeSet())
 
     if s == "AII":
         n = _need(label.n, "n", "AII")
         if n < 2:
             raise InvalidParams("AII requires n >= 2")
-        restr = _restricted("a", n - 1)
         satake = NodeSet(range(1, 2 * n, 2))
         return _entry(label, f"SU({2 * n})/Sp({n})", "I", ("a", 2 * n - 1),
-                      restr, HALF, satake)
+                      ("a", n - 1), HALF, satake)
 
     if s == "AIII":
         p, q = _need_pq(label, "AIII")
-        restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = NodeSet(range(p + 1, q))
-        return _entry(label, f"G_{{{p},{q}}}(C)", "I", ("a", p + q - 1), restr,
-                      ONE, satake)
+        return _entry(label, f"G_{{{p},{q}}}(C)", "I", ("a", p + q - 1),
+                      ("bc" if p == 1 or p < q else "c", p), ONE, satake)
 
     if s == "CI":
         n = _need(label.n, "n", "CI")
         if n < 1:
             raise InvalidParams("CI requires n >= 1")
-        return _entry(label, f"Sp({n})/U({n})", "I", ("c", n), _restricted("c", n),
+        return _entry(label, f"Sp({n})/U({n})", "I", ("c", n), ("c", n),
                       ONE, NodeSet())
 
     if s == "CII":
         p, q = _need_pq(label, "CII")
-        restr = _restricted("bc" if p == 1 or p < q else "c", p)
         satake = None
         if p + q >= 3:
             satake = NodeSet(range(1, 2 * p, 2), range(2 * p + 1, p + q + 1))
-        return _entry(label, f"G_{{{p},{q}}}(H)", "I", ("c", p + q), restr,
-                      HALF, satake)
+        return _entry(label, f"G_{{{p},{q}}}(H)", "I", ("c", p + q),
+                      ("bc" if p == 1 or p < q else "c", p), HALF, satake)
 
     if s == "BDI":
         return _resolve_bdi(label)
@@ -319,10 +310,9 @@ def _resolve(label: SpaceLabel) -> SpaceEntry:
         n = _need(label.n, "n", "DIII")
         if n < 4:
             raise InvalidParams("DIII requires n >= 4")
-        restr = _restricted("bc" if n % 2 else "c", n // 2)
         satake = NodeSet(range(1, n, 2))        # the odd nodes below n
-        return _entry(label, f"SO({2 * n})/U({n})", "I", ("d", n), restr,
-                      ONE, satake)
+        return _entry(label, f"SO({2 * n})/U({n})", "I", ("d", n),
+                      ("bc" if n % 2 else "c", n // 2), ONE, satake)
 
     raise InvalidParams(f"unknown series {s!r}")  # pragma: no cover
 
@@ -352,7 +342,7 @@ def _resolve_bdi(label: SpaceLabel) -> SpaceEntry:
         restr = ("a", 1)
         factor = HALF if q >= 3 else ONE
     else:
-        restr = _restricted("b" if p < q else "d", p)
+        restr = ("b" if p < q else "d", p)
         factor = ONE
     total = p + q
     if total % 2 == 1:

@@ -157,11 +157,11 @@ def _metric_from_args(args):
     # smallest, for product), with eps = 1/(2 ric).  psi_sq = factor / h, with
     # factor 1 or 1/2 and h the ambient dual Coxeter number, is 1/N with
     # N <= 2(p+q+1) for the p,q series and N < 600 for the other rows.  A
-    # label parameter has at most L digits (int()'s limit, L below) and
-    # p <= MAX_RANK, so N has at most L+1.  The value's digits can cancel
-    # only against N and the 2 of 1/(2 ric), at most L+2 of them: past 2L+2
-    # digits the radicand could not be printed anyway.  L = 0 means Python's
-    # limit is off, and then so is this bound.
+    # label parameter has at most L digits (int()'s limit, L below), so N
+    # has at most L+1.  The value's digits can cancel only against N and the
+    # 2 of 1/(2 ric), at most L+2 of them: past 2L+2 digits the radicand
+    # could not be printed anyway.  L = 0 means Python's limit is off, and
+    # then so is this bound.
     limit = sys.get_int_max_str_digits()
     max_digits = 2 * limit + 2 if limit else 0
     if args.epsilon is not None:

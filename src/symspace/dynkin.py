@@ -8,9 +8,10 @@ and 0 off the edges, and the coefficients of its highest root.
 ``gram_tree`` reads that diagram, once, into the integer Gram matrix M/g
 in the shape of its tree, and every consumer reads the tree: ``roots``
 builds the dense Gram and Cartan matrices from it, and
-``polytope.tree_adjugate`` and ``farthest_vertex`` fold it.  ``kinds``
-lists the kinds of every family up to a rank, in the order of the tables,
-and ``parse_kind`` reads one kind from its name.
+``polytope.tree_adjugate`` and ``farthest_vertex`` fold it.  So the
+package's one rank limit, MAX_RANK, is checked in ``gram_tree`` and
+nowhere else.  ``kinds`` lists the kinds of every family up to a rank, in
+the order of the tables, and ``parse_kind`` reads one kind from its name.
 
 A Dynkin diagram is a tree, and elimination on a tree makes no fill-in
 (Parter, SIAM Rev. 3, 1961): ``fold_tree`` reads the determinants of its
@@ -38,7 +39,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-MAX_RANK = 128      # largest rank ``build`` accepts
+MAX_RANK = 128      # the one rank limit, checked by ``gram_tree`` alone
 
 _EXCEPTIONAL_RANKS = {"e": (6, 7, 8), "f": (4,), "g": (2,)}
 _MIN_RANK = {"a": 1, "b": 2, "c": 3, "d": 4, "bc": 1}
@@ -98,13 +99,6 @@ def parse_kind(text: str) -> RootKind:
     if limit and len(digits) > limit:
         raise InvalidRank(f"the rank of a root-system kind has more than {limit} digits")
     return RootKind(fam, int(digits))
-
-
-def check_rank(kind: RootKind) -> RootKind:
-    """Return ``kind``; raise InvalidRank when its rank exceeds MAX_RANK."""
-    if kind.rank > MAX_RANK:
-        raise InvalidRank(f"{kind}: rank {kind.rank} exceeds the limit of {MAX_RANK}")
-    return kind
 
 
 def kinds(families, max_rank: int) -> list[RootKind]:
@@ -181,6 +175,8 @@ def gram_tree(kind: RootKind) -> tuple[list[int], list[int], tuple[int, int, int
     Up to scale, M_kk = 2 L_k and M_ij = -max(L_i, L_j) on an edge, and
     g = psi^T M psi; all of them are then divided by their gcd.
     """
+    if kind.rank > MAX_RANK:
+        raise InvalidRank(f"{kind}: rank {kind.rank} exceeds the limit of {MAX_RANK}")
     lengths = _relative_lengths(kind)
     psi = highest_root_coeffs(kind)
     l = kind.rank
@@ -254,8 +250,8 @@ def farthest_vertex(kind: RootKind) -> tuple[Fraction, int]:
     """(d_sq, argmax_vertex) of the kind's polytope, from the minors of its
     Gram tree: the first largest norm, found by cross-multiplying the
     candidates (det M and g are positive), then one Fraction.  Cached per
-    kind; InvalidRank past MAX_RANK, so the cache holds at most those kinds."""
-    a, b, leaf, d, g = gram_tree(check_rank(kind))
+    kind; InvalidRank past MAX_RANK (from ``gram_tree``) is not cached."""
+    a, b, leaf, d, g = gram_tree(kind)
     det, minors = principal_minors(a, b, leaf)
     best = 0
     for j in range(1, kind.rank):

@@ -68,17 +68,13 @@ def perp_kinds_formula(kind: RootKind) -> tuple[RootKind, ...]:
     if fam == "b":
         if l == 2:
             return (RootKind("a", 1),)
-        if l == 3:
-            return (RootKind("a", 1), RootKind("a", 1))
         return (RootKind("a", 1), canonical_kind("b", l - 2))
     if fam == "c":
         return (canonical_kind("c", l - 1),)
     if fam == "d":
         if l == 4:
             return (RootKind("a", 1),) * 3
-        if l == 5:
-            return (RootKind("a", 1), RootKind("a", 3))
-        return (RootKind("a", 1), RootKind("d", l - 2))
+        return (RootKind("a", 1), canonical_kind("d", l - 2))
     if fam == "e":
         return {6: (RootKind("a", 5),),
                 7: (RootKind("d", 6),),

@@ -98,9 +98,10 @@ def report(label: SpaceEntry | SpaceLabel | str,
     """Compute the geometric quantities of a catalog space under a metric;
     a catalog entry (as ``enumerate_table`` yields) is used as it is."""
     entry = label if isinstance(label, SpaceEntry) else resolve(label)
+    # First, so a rank past MAX_RANK is refused before a missing preset.
+    d_sq = farthest_vertex(entry.restricted)[0]
     eps = _epsilon_for(entry, metric)
     psi_sq = entry.psi_sq_killing
-    d_sq = farthest_vertex(entry.restricted)[0]
     e, f = eps.numerator, eps.denominator
     a, b = psi_sq.numerator, psi_sq.denominator
     inj, kappa, ricci = _scaled(e, f, a, b)

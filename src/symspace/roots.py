@@ -46,7 +46,7 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .dynkin import (MAX_RANK, InvalidRank, RootKind, check_rank,  # re-exported
+from .dynkin import (MAX_RANK, InvalidRank, RootKind,  # re-exported
                      gram_tree, highest_root_coeffs, parse_kind, root_count)
 from .linalg import DimensionMismatch, clear_denominators, format_rational
 
@@ -157,8 +157,8 @@ def build(kind: RootKind | str) -> RootSystem:
     """Construct the Cartan data of the given kind; roots come on demand."""
     if isinstance(kind, str):
         kind = parse_kind(kind)
-    l = check_rank(kind).rank
     a, b, leaf, psi, g = gram_tree(kind)
+    l = kind.rank
     m = [[0] * l for _ in range(l)]
     for k, x in enumerate(a):
         m[k][k] = x

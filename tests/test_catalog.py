@@ -9,7 +9,7 @@ import pytest
 from symspace.catalog import (MAX_LISTED_NODES, InvalidParams, MissingSatakeData,
                               NodeSet, SpaceLabel, enumerate_table, parse_label,
                               resolve, restriction_factor_crosscheck, to_json_dict)
-from symspace.dynkin import kinds
+from symspace.dynkin import kinds, parse_kind
 from symspace.roots import MAX_RANK, RootKind, build, root_count
 
 from reference import FORMER_ROOT_CAP, killing_delta_sq, perp_simple_indices_by_gram
@@ -257,6 +257,20 @@ def test_satake_crosscheck_past_root_cap(label):
     # MAX_RANK, where none can be built: the check reads only the kind.
     entry = resolve(label)
     assert root_count(entry.ambient) > FORMER_ROOT_CAP
+    assert restriction_factor_crosscheck(entry)
+
+
+@pytest.mark.parametrize("label,restricted", [
+    ("AI:n=201", "a200"), ("AII:n=130", "a129"), ("AIII:p=200,q=300", "bc200"),
+    ("CI:n=129", "c129"), ("CII:p=129,q=129", "c129"), ("BDI:p=200,q=300", "b200"),
+    ("DIII:n=300", "c150"),
+])
+def test_resolve_past_rank_limit(label, restricted):
+    # The rank limit is the Gram tree's, not the catalog's: every label the
+    # grammar accepts resolves, and the Satake check reads only the kinds.
+    entry = resolve(label)
+    assert entry.restricted == parse_kind(restricted)
+    assert entry.restricted.rank > MAX_RANK
     assert restriction_factor_crosscheck(entry)
 
 

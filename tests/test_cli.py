@@ -707,6 +707,8 @@ L = sys.get_int_max_str_digits()
     for argv, message, name in [
         (("rootsystem", "c129"), None, None),
         (("cut", "GROUP:a30", "--point", "1,0"), "point length 2 != rank 30", None),
+        (("cut", "AI:n=201", "--point", "1/0"), "bad rational '1/0'",  # before the rank
+         "cut AI:n=201 1/0"),
         (("space", "GROUP:a129"), None, None),
         (("space", "AI:n=99999999999"), None, None),
         (("table", "4.1", "--max-param", "100000"), None, None),
@@ -721,6 +723,9 @@ L = sys.get_int_max_str_digits()
         (("space", f"GROUP:a{'9' * L}"),          # the name SU(l+1), in resolve
          f"GROUP: a printed value exceeds the limit of {L} digits; "
          "the label's parameters need fewer digits", "space GROUP:a<L digits>"),
+        (("space", f"AII:n={'9' * L}"),           # the name SU(2n), in resolve
+         f"AII: a printed value exceeds the limit of {L} digits; "
+         "the label's parameters need fewer digits", "space AII:n=<L digits>"),
     ]])
 def test_refused_inputs_exit_2(argv, message):
     proc = run_python("-m", "symspace.cli", *argv)
@@ -912,11 +917,17 @@ def test_verify_peak_rss_flat_in_samples():
     ("CII:p=1000000,q=1000000", "c1000000"),
     ("BDI:p=1000000,q=3000000", "b1000000"),
     ("DIII:n=2000001", "bc1000000"),
+    ("GROUP:a129 --canonical", "a129"),
+    ("AI:n=201 --canonical", "a200"),
 ])
 def test_over_rank_label_refused_before_black_nodes(label, kind):
+    # The rank is refused where the Gram tree is laid out, for series and
+    # GROUP labels alike, and before any metric preset is looked up.
     base_code, _, base_rss = peak_rss_kb("space", "AI:n=4")
     assert base_code == 0
-    code, err, rss = peak_rss_kb("space", label)
     rank = kind.lstrip("abc")
-    assert (code, err) == (2, f"error: {kind}: rank {rank} exceeds the limit of 128\n")
-    assert rss <= base_rss + 4096, (rss, base_rss)
+    commands = ("space", "product") if "--canonical" in label else ("space",)
+    for command in commands:
+        code, err, rss = peak_rss_kb(command, *label.split())
+        assert (code, err) == (2, f"error: {kind}: rank {rank} exceeds the limit of 128\n")
+        assert rss <= base_rss + 4096, (rss, base_rss)

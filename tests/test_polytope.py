@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symspace.closedform import d_sq_closed_form
-from symspace.dynkin import farthest_vertex, fold_tree, principal_minors
+from symspace.dynkin import (InvalidRank, farthest_vertex, fold_tree, gram_tree, parse_kind,
+                             principal_minors)
 from symspace.linalg import DimensionMismatch
 from symspace.polytope import build_polytope, reflect_simple, to_json_dict, tree_adjugate
 from symspace.roots import RootKind, SliceClass, build
@@ -139,6 +140,16 @@ def test_tree_adjugate_random_symmetric(monkeypatch, l):
             monkeypatch.setattr(polytope, "gram_tree", lambda kind: (*tree, None, None))
             y, delta = int_inverse(m)
             assert tree_adjugate(RootKind("a", l)) == (delta, y)
+
+
+@pytest.mark.parametrize("name", ["a129", "b129", "d129", "bc129"])
+def test_tree_layout_refuses_rank_past_limit(name):
+    # The one rank limit is checked where the Gram tree is laid out, so the
+    # public tree functions refuse past it just as ``build`` does.
+    kind = parse_kind(name)
+    for read in (gram_tree, tree_adjugate):
+        with pytest.raises(InvalidRank, match=f"^{name}: rank 129 exceeds the limit of 128$"):
+            read(kind)
 
 
 def test_build_polytope_makes_one_tree_solve(monkeypatch):

@@ -13,18 +13,19 @@ the highest root on the dominant chamber.
 Mapping a general tangent vector to its slice representative is outside
 this module; callers supply slice coordinates.
 
-A point's denominators are cleared once, h = n/D, and the predicates
-then call the integer slice kernel of ``roots`` on one pairing vector
-p = nA (A the Cartan matrix): ``reduce_dominant``, then ``level_class``
-for the cut face and ``conjugate`` for conjugacy.  What this module
+Each predicate makes one call of the integer slice kernel of ``roots``,
+``dominant_slice``, which reduces h to its dominant representative and
+reads both the class and conjugacy off the level (h, psi) there: the
+cut face is the first conjugate locus (Crittenden, Canad. J. Math. 14,
+1962; Sakai, Hokkaido Math. J. 6, 1977), so a point inside the
+polytope is not conjugate, one at an integer level is, and the root
+test runs only past the face at a non-integer level.  What this module
 adds is the Killing-unit glue: a label gives the restricted system and
-psi_sq_killing = a/b, and h in Killing units is the point a n / (b D)
-in the kernel's Gram units, which the kernel reads as (a, b D).  A root
-and its negative pair to opposite values, so the positive roots decide
-conjugacy alone; the classical kinds answer with no root listed, at
-every rank.  Fractions are built only for the dominant representative
-``cut_details`` returns.  The predicates take a label, or a catalog
-entry, used as it is.
+psi_sq_killing = a/b, and h in Killing units is the point a h / b in
+the kernel's Gram units.  Conjugacy is Weyl-invariant, and the classical
+kinds answer with no root listed, at every rank.  Fractions are built
+only for the dominant representative ``cut_details`` returns.  The
+predicates take a label, or a catalog entry, used as it is.
 
 ``CutDetails`` is a named tuple: immutable, and equal to a plain tuple
 of its fields.
@@ -40,8 +41,7 @@ from .catalog import SpaceEntry, SpaceLabel, resolve
 from .reporting import (DEFAULT_METRIC, EmptyProduct, GeometryReport,  # re-exported
                         MetricSpec, NoCanonicalMetric, kappa_relation_check,
                         product, report, report_json_dict)
-from .roots import (RootKind, RootSystem, SliceClass, build, cleared_point, conjugate,
-                    level_class, pairings, reduce_dominant)
+from .roots import RootKind, RootSystem, SliceClass, build, dominant_slice
 
 
 @lru_cache(maxsize=None)
@@ -67,15 +67,15 @@ class CutDetails(NamedTuple):
     conjugate: bool
 
 
-def _slice_point(label: SpaceEntry | SpaceLabel | str,
-                 h) -> tuple[RootSystem, Fraction, list[int], int]:
-    """(rs, psi_sq_killing, n, D) with h == n / D; a catalog entry is used
-    as it is."""
+def _slice(label: SpaceEntry | SpaceLabel | str,
+           h) -> tuple[list[int], int, int, SliceClass, bool]:
+    """``roots.dominant_slice`` of h, in Killing units, on the label's
+    restricted system; a catalog entry is used as it is."""
     if isinstance(label, SpaceEntry):
         rs, psi_sq = _system(label.restricted), label.psi_sq_killing
     else:
         rs, psi_sq = _slice_data(label)
-    return (rs, psi_sq, *cleared_point(rs, h))
+    return dominant_slice(rs, h, psi_sq.numerator, psi_sq.denominator)
 
 
 def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
@@ -84,8 +84,7 @@ def is_conjugate(label: SpaceEntry | SpaceLabel | str, h) -> bool:
     h is a rational vector in simple-root coordinates of the restricted
     system, Killing units, divided by pi.
     """
-    rs, psi_sq, n, d = _slice_point(label, h)
-    return conjugate(rs, pairings(rs, n), psi_sq.numerator, psi_sq.denominator * d)
+    return _slice(label, h)[4]
 
 
 def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
@@ -96,20 +95,13 @@ def cut_classify(label: SpaceEntry | SpaceLabel | str, h) -> SliceClass:
     the ray is still minimizing past this point, the cut face marks cut
     points, Outside lies beyond them.
     """
-    rs, psi_sq, n, d = _slice_point(label, h)
-    p = pairings(rs, n)
-    reduce_dominant(rs, n, p)
-    return level_class(rs, p, psi_sq.numerator, psi_sq.denominator * d)
+    return _slice(label, h)[3]
 
 
 def cut_details(label: SpaceEntry | SpaceLabel | str, h) -> CutDetails:
     """cut_classify's answer with the dominant representative, the number
     of reflections that reached it, and is_conjugate's answer."""
-    rs, psi_sq, n, d = _slice_point(label, h)
-    a, den = psi_sq.numerator, psi_sq.denominator * d
-    p = pairings(rs, n)
-    conj = conjugate(rs, p, a, den)
-    nrefl = reduce_dominant(rs, n, p)
-    return CutDetails(classification=level_class(rs, p, a, den),
+    n, d, nrefl, cls, conj = _slice(label, h)
+    return CutDetails(classification=cls,
                       dominant_representative=tuple(Fraction(v, d) for v in n),
                       reflections=nrefl, conjugate=conj)

@@ -39,10 +39,14 @@ class NegativeFactor(ValueError):
 
 def clear_denominators(xs) -> tuple[list[int], int]:
     """Return (D*x as integers, D) for D the lcm of the denominators of xs.
-    Each element is read once, through ``as_integer_ratio()``; only
-    elements that are neither int nor Fraction go through Fraction() first."""
-    pairs = [x.as_integer_ratio() if isinstance(x, (int, Fraction))
-             else Fraction(x).as_integer_ratio() for x in xs]
+    Each element is read once, through its ``as_integer_ratio()``; only
+    an element without one (a str, say) goes through Fraction() first."""
+    pairs = []
+    for x in xs:
+        try:
+            pairs.append(x.as_integer_ratio())
+        except AttributeError:
+            pairs.append(Fraction(x).as_integer_ratio())
     d = lcm(*[q for _, q in pairs])
     return [p * (d // q) for p, q in pairs], d
 

@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynkin import RootKind, farthest_vertex, fold_tree, gram_tree
-from .linalg import Vector, format_rational
-from .roots import RootSystem, cleared_point
+from .linalg import DimensionMismatch, Vector, clear_denominators, format_rational
+from .roots import RootSystem
 
 
 class CartanPolytope(NamedTuple):
@@ -107,7 +107,9 @@ def build_polytope(rs: RootSystem) -> CartanPolytope:
 def reflect_simple(rs: RootSystem, x, i: int) -> Vector:
     """Apply the simple reflection s_i to a coefficient vector, from the
     dense Cartan column i rather than the kernel's sparse rows."""
-    n, den = cleared_point(rs, x)
+    n, den = clear_denominators(x)
+    if len(n) != rs.rank:
+        raise DimensionMismatch(f"point length {len(n)} != rank {rs.rank}")
     n[i] -= sum(nj * row[i] for nj, row in zip(n, rs.cartan))
     return tuple(Fraction(v, den) for v in n)
 

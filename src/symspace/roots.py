@@ -15,26 +15,30 @@ records how each is reached from a root one level below: the chain that
 ``to_json_dict`` reports are the closed forms of ``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
-arithmetic.  It takes a point as (n, D) (``cleared_point``) and its
-pairing vector p = nA, A the Cartan matrix (``pairings``).
-``reduce_dominant`` keeps p current as it reflects into the dominant
-chamber.  ``level_class`` and ``conjugate`` read the point as
-x = a n / den in Gram units (``geometry`` passes psi_sq_killing = a/b as
-a and b D), and only they read g: as (M n)_k = M_kk p_k / 2, a root r
-pairs with x to a v_r / (2 g den), v_r = sum_k r_k M_kk p_k.
-``level_class`` reads the cut-face level (x, psi) in O(l); ``conjugate``
-asks whether some positive root pairs to a nonzero integer: in O(l) from
-epsilon-coordinates for the classical families (Bourbaki, Lie Groups and
-Lie Algebras, Ch. VI, Plates I-IV), and along the chain for the
-exceptional ones (at most 120 positive roots): every positive root past
-the simple ones is a root one level below plus a simple root (Humphreys,
-Introduction to Lie Algebras and Representation Theory, 10.2), one
-addition per root.  ``reduce_dominant`` runs before ``level_class``,
-which takes a dominant point; ``geometry``'s predicates call the kernel.
+arithmetic.  ``dominant_slice`` takes a point x, reads it as a x / b in
+Gram units (``geometry`` passes psi_sq_killing = a/b), and in one pass
+clears it to n / D, forms its pairing vector p = nA (A the Cartan
+matrix), reflects it into the dominant chamber keeping p current, and
+reads the level (x, psi) there.  Only the kernel reads g: as
+(M n)_k = M_kk p_k / 2, a root r pairs with x to a v_r / (2 g b D),
+v_r = sum_k r_k M_kk p_k.  On the dominant chamber every positive root
+pairs into [0, (x, psi)], and the cut face, the level 1, is the first
+conjugate locus (Crittenden, Canad. J. Math. 14, 1962; Sakai, Hokkaido
+Math. J. 6, 1977): a point below it is not conjugate and one at an
+integer level is, through psi.  Only a point past the face at a
+non-integer level runs ``conjugate``, which asks whether some positive
+root pairs to a nonzero integer: in O(l) from epsilon-coordinates for
+the classical families (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+Plates I-IV), and along the chain for the exceptional ones (at most 120
+positive roots): every positive root past the simple ones is a root one
+level below plus a simple root (Humphreys, Introduction to Lie Algebras
+and Representation Theory, 10.2), one addition per root.
+``geometry``'s predicates call the kernel.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
 its fields; it also keeps its lazily built members (the roots, their
-chain, the sparse Cartan rows and the Gram diagonal) in an instance dict.
+chain, the sparse Cartan rows, the Gram diagonal and the kernel's
+per-system data) in an instance dict.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ class RootSystem(_RootSystemFields):
     from it ``roots``, are enumerated on first access; they raise
     RuntimeError on corrupt Cartan data.  ``cartan_rows``, the sparse
     Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
-    built once, on first access.  No ``__slots__``: the cached
+    built once, on first access, as is ``kernel_data``, all that
+    ``dominant_slice`` reads of the system.  No ``__slots__``: the cached
     properties store their values in the instance dict, which
     ``cached_property`` writes directly, so refusing attribute assignment
     keeps the system immutable.
@@ -152,6 +157,12 @@ class RootSystem(_RootSystemFields):
         m, _ = self.int_gram
         return tuple(m[k][k] for k in range(self.rank))
 
+    @cached_property
+    def kernel_data(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], int]:
+        """(``cartan_rows``, psi_k M_kk, 2g): what ``dominant_slice`` reads."""
+        return (self.cartan_rows, tuple(map(mul, self.highest_root, self.gram_diagonal)),
+                2 * self.int_gram[1])
+
 
 def build(kind: RootKind | str) -> RootSystem:
     """Construct the Cartan data of the given kind; roots come on demand."""
@@ -202,64 +213,49 @@ class SliceClass(enum.Enum):
         return self.value
 
 
-def cleared_point(rs: RootSystem, x) -> tuple[list[int], int]:
-    """(n, D) with x == n / D, for a point in simple-root coordinates of rs."""
+def dominant_slice(rs: RootSystem, x, a: int, b: int
+                   ) -> tuple[list[int], int, int, SliceClass, bool]:
+    """(n, D, reflections, class, conjugate) for a point x in simple-root
+    coordinates of rs, read as the point a x / b in Gram units (a, b > 0):
+    n / D is x's dominant representative, reached by that many simple
+    reflections, and the class and conjugacy are the representative's.
+
+    One pass: clear x to n / D, form p = nA, and reflect at the lowest
+    violated wall (s_i sends n_i to n_i - p_i and changes only the p_k with
+    A[i][k] != 0, so no wall below the first such k can have become
+    violated).  On the dominant chamber the level (x, psi) is
+    a sum_k psi_k M_kk p_k / (2 g b D), and every positive root pairs into
+    [0, (x, psi)], psi - alpha being a sum of simple roots.  So a level
+    below 1 is not conjugate and an integer level is, through psi; only a
+    point past the face at a non-integer level runs ``conjugate``.
+    """
     n, den = clear_denominators(x)
-    if len(n) != rs.rank:
-        raise DimensionMismatch(f"point length {len(n)} != rank {rs.rank}")
-    return n, den
-
-
-def pairings(rs: RootSystem, n: list[int]) -> list[int]:
-    """p = nA for the numerators n of a point x over any common denominator:
-    p_k = sum_j n_j A[j][k] has the sign of (a_k, x)."""
-    p = [0] * rs.rank
-    for nj, row in zip(n, rs.cartan_rows):
+    rows, weights, two_g = rs.kernel_data
+    l = len(rows)
+    if len(n) != l:
+        raise DimensionMismatch(f"point length {len(n)} != rank {l}")
+    p = [0] * l
+    for nj, row in zip(n, rows):
         if nj:
-            for k, a in row:
-                p[k] += nj * a
-    return p
-
-
-def level_class(rs: RootSystem, p: list[int], a: int, den: int) -> SliceClass:
-    """Where the point a n / den sits, given p = nA (a > 0) for a dominant
-    point: no p_k is negative, as after ``reduce_dominant``.
-
-    With gram = M/g, (M n)_k = p_k M_kk / 2, so (a_k, x) has the sign of
-    p_k and the level (x, psi) is a sum_k psi_k M_kk p_k / (2 g den).
-    """
-    level = a * sum(map(mul, rs.highest_root, map(mul, rs.gram_diagonal, p)))
-    one = 2 * rs.int_gram[1] * den
-    if level > one:
-        return SliceClass.OUTSIDE
-    if level == one:
-        return SliceClass.ON_CUT_FACE
-    return SliceClass.INTERIOR
-
-
-def reduce_dominant(rs: RootSystem, n: list[int], p: list[int]) -> int:
-    """Reduce the numerators n of a point over any common denominator, with
-    p = nA, in place into the closed dominant chamber, keeping p its
-    pairing vector; returns the reflection count.
-
-    s_i sends n_i to n_i - p_i; that changes only the p_k with
-    A[i][k] != 0, and no wall below the first such k can have become
-    violated.
-    """
-    rows = rs.cartan_rows
-    count = 0
-    i = 0
-    while i < rs.rank:
+            for k, c in row:
+                p[k] += nj * c
+    count = i = 0
+    while i < l:
         c = p[i]
         if c >= 0:
             i += 1
             continue
         n[i] -= c
-        for k, a in rows[i]:
-            p[k] -= c * a
+        for k, e in rows[i]:
+            p[k] -= c * e
         count += 1
         i = rows[i][0][0]
-    return count
+    level = a * sum(map(mul, weights, p))
+    one = two_g * b * den
+    if level < one:
+        return n, den, count, SliceClass.INTERIOR, False
+    cls = SliceClass.ON_CUT_FACE if level == one else SliceClass.OUTSIDE
+    return n, den, count, cls, level % one == 0 or conjugate(rs, p, a, b * den)
 
 
 def conjugate(rs: RootSystem, p: list[int], a: int, den: int) -> bool:

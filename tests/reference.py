@@ -23,9 +23,11 @@ families in epsilon-coordinates, where the Weyl group permutes the
 coordinates and changes their signs: the slice reference at any rank,
 conjugacy included, with no root listed.
 ``dominant_reference`` and ``level_reference`` are the Fraction versions
-of the integer slice kernel of ``roots`` (``reduce_dominant`` and
-``level_class``): Fraction Gram pairings kept current through the
-reflected Gram row, and the level (x, psi) of a point in Gram units.
+of the integer slice kernel of ``roots`` (``dominant_slice``): Fraction
+Gram pairings kept current through the reflected Gram row, and the level
+(x, psi) of a point in Gram units.  ``pairings`` forms the pairing vector
+p = nA that ``roots.conjugate`` reads, which the kernel forms inside its
+one pass.
 ``three_pass_clear_denominators`` is the definition that the
 one-pass ``linalg.clear_denominators`` replaced.  ``realized_gram`` and
 ``realized_cartan`` read the Dynkin diagram off the Euclidean realization
@@ -267,6 +269,12 @@ def dot_product_conjugate(rs, psi_sq, n, d) -> bool:
     return False
 
 
+def pairings(rs: RootSystem, n) -> list[int]:
+    """p = nA for the numerators n of a point over any common denominator,
+    A the Cartan matrix: the pairing vector ``roots.conjugate`` reads."""
+    return [sum(nj * row[k] for nj, row in zip(n, rs.cartan)) for k in range(rs.rank)]
+
+
 def dominant_reference(rs, x) -> tuple[tuple[Fraction, ...], int]:
     """(the dominant point of the Weyl orbit of x, the reflection count):
     reflect at the lowest-index wall with (a_i, x) < 0 until none is left.
@@ -400,8 +408,12 @@ def epsilon_conjugate(family: str, simple, psi_sq, h) -> bool:
     also e_i + e_j for b, c, d and bc; e_i for b and bc; and 2 e_i for c
     and bc (bc's doubled roots, which ``positive_pairings`` omits).  Each
     pairing is divided by |psi|^2, the length of the highest root: 2 e_1
-    for c and bc, of length 4, and a root of length 2 otherwise."""
+    for c and bc, of length 4, and a root of length 2 otherwise.  The
+    coordinates are cleared to n / D once, so a pairing qualifies when its
+    integer numerator is nonzero and divisible by |psi|^2 D."""
     v = to_epsilon(simple, [psi_sq * Fraction(x) for x in h])
+    d = lcm(*(x.denominator for x in v))
+    v = [x.numerator * (d // x.denominator) for x in v]
     n = len(v)
     out = [v[i] - v[j] for i in range(n) for j in range(i + 1, n)]
     if family != "a":
@@ -410,8 +422,8 @@ def epsilon_conjugate(family: str, simple, psi_sq, h) -> bool:
         out += v
     if family in ("c", "bc"):
         out += [2 * x for x in v]
-    psi_len = 4 if family in ("c", "bc") else 2
-    return any(x and (x / psi_len).denominator == 1 for x in out)
+    q = (4 if family in ("c", "bc") else 2) * d
+    return any(x and x % q == 0 for x in out)
 
 
 def indivisible_roots(rs) -> frozenset[tuple[int, ...]]:

@@ -1,24 +1,28 @@
 """The integer slice kernel against the Fraction formulas it replaced.
 
-The dominant reduction and the cut-face level of the kernel of ``roots``
-(``cleared_point``, ``pairings``, ``reduce_dominant``, ``level_class``)
-are called here through one helper, ``kernel``, on points in Gram units;
-the tests of ``test_polytope`` call them through the same helper.  Their
-references are rational-arithmetic versions,
-``reference.dominant_reference`` and ``reference.level_reference``, and
-``ref_reflect`` below is one for ``polytope.reflect_simple``: Gram
-products in ``fractions.Fraction`` (``dominant_reference`` keeps its
-pairings current through each reflected Gram row).  The kernel must
-agree with them exactly, on every kind within the former 500-root cap.
+The one pass of the kernel of ``roots`` (``dominant_slice``: clear, pair,
+reduce to the dominant chamber, read the level) is called here through
+one helper, ``kernel``, on points in Gram units; the tests of
+``test_polytope`` call it through the same helper.  Its references are
+rational-arithmetic versions, ``reference.dominant_reference`` and
+``reference.level_reference``, and ``ref_reflect`` below is one for
+``polytope.reflect_simple``: Gram products in ``fractions.Fraction``
+(``dominant_reference`` keeps its pairings current through each
+reflected Gram row).  The kernel must agree with them exactly, on every
+kind within the former 500-root cap.
 
 The geometry predicates clear a point's denominators once and stay in
 integers; the Fraction pipeline they replaced (convert every coordinate,
 reduce, multiply by psi_sq_killing, classify) is kept below as the
 reference for ``cut_classify``, ``is_conjugate`` and ``cut_details``.  It
-calls no kernel function.  Conjugacy (``roots.conjugate``) reads one
-pairing vector: by residue classes of epsilon-coordinates for the
-classical families, along a height-ordered chain of the positive roots
-for the exceptional ones.  The integer dot-product route it replaced,
+calls no kernel function.  Conjugacy is read off the dominant level when
+it can be: below the cut face no point is conjugate and at an integer
+level every point is, and the tests of the three regimes check that
+``roots.conjugate`` runs only past the face at a non-integer level.
+There it reads one pairing vector (``reference.pairings``): by residue
+classes of epsilon-coordinates for the classical families, along a
+height-ordered chain of the positive roots for the exceptional ones.
+The integer dot-product route it replaced,
 ``reference.dot_product_conjugate``, checks it on every kind within the
 former root cap, and ``reference.epsilon_conjugate`` checks it from
 epsilon-coordinates with no root listed, at ranks 40 and 128 too.
@@ -33,28 +37,26 @@ from types import SimpleNamespace
 
 import pytest
 
-from symspace import geometry
+from symspace import geometry, roots
 from symspace.catalog import InvalidParams, SpaceLabel, parse_label, resolve
 from symspace.geometry import CutDetails, cut_classify, cut_details, is_conjugate
 from symspace.linalg import DimensionMismatch, clear_denominators
 from symspace.polytope import build_polytope, reflect_simple
-from symspace.roots import (InvalidRank, RootKind, SliceClass, build, cleared_point, conjugate,
-                            level_class, pairings, reduce_dominant, root_count)
+from symspace.roots import (InvalidRank, RootKind, SliceClass, build, conjugate, dominant_slice,
+                            root_count)
 
 from reference import (FORMER_ROOT_CAP, IN_CAP_KINDS, dominant_reference, dot,
                        dot_product_conjugate, epsilon_conjugate, epsilon_simple_roots, gram,
-                       indivisible_roots, level_reference, mul_vec, positive_pairings, scaled,
-                       signed_sort, to_epsilon)
+                       indivisible_roots, level_reference, mul_vec, pairings, positive_pairings,
+                       scaled, signed_sort, to_epsilon)
 
 
 def kernel(rs, x):
     """The slice kernel on a point x in Gram units, run as ``cut_details``
     runs it at scale 1: (the dominant representative, the reflection count
     that reached it, the representative's class)."""
-    n, den = cleared_point(rs, x)
-    p = pairings(rs, n)
-    count = reduce_dominant(rs, n, p)
-    return tuple(F(v, den) for v in n), count, level_class(rs, p, 1, den)
+    n, den, count, cls, _ = dominant_slice(rs, x, 1, 1)
+    return tuple(F(v, den) for v in n), count, cls
 
 
 # -- Fraction reference ------------------------------------------------------
@@ -394,6 +396,125 @@ def test_conjugacy_matches_epsilon_reference_at_high_rank(kind):
             doubled_only += want and not epsilon_conjugate("b", simple, stand_in / 2, h)
     assert answers == {True, False}
     assert doubled_only or kind.family != "bc"
+
+
+# -- the three regimes of the dominant pass ------------------------------------
+
+# On the dominant chamber every positive root alpha pairs with x into
+# [0, (x, psi)], and the vertex e_j of the polytope pairs with alpha to
+# alpha_j / psi_j.  So x = sum_j c_j psi_j e_j pairs with alpha to
+# sum_j c_j alpha_j, and its level (x, psi) is sum_j c_j psi_j.
+
+class RootTestRan(Exception):
+    pass
+
+
+def _moved(rs, rng, x):
+    for i in _word(rng, rs.rank, rs.rank):
+        x = reflect_simple(rs, x, i)
+    return x
+
+
+def _level_point(rs, verts, c):
+    """(sum_j c_j psi_j e_j, its level) in Gram units, for c a dict {j: c_j}."""
+    psi = rs.highest_root
+    x = tuple(sum(cj * psi[j] * verts[j][k] for j, cj in c.items()) for k in range(rs.rank))
+    return x, sum(cj * psi[j] for j, cj in c.items())
+
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
+def test_interior_and_integer_levels_skip_root_test(monkeypatch, kind):
+    # Below the cut face nothing is conjugate, and at an integer level psi
+    # itself pairs to a nonzero integer: the level decides, and the root
+    # test never runs, on dominant points or on Weyl-moved copies of them.
+    rs = build(kind)
+    label = _space_label(kind)
+    psi_sq = resolve(label).psi_sq_killing
+    verts = build_polytope(rs).vertices
+    rng = random.Random(f"levels {kind}")
+    l, psi = rs.rank, rs.highest_root
+
+    def raise_(*_args):
+        raise RootTestRan
+
+    monkeypatch.setattr(roots, "conjugate", raise_)
+    with pytest.raises(RootTestRan):                    # past the face, level 3/2
+        is_conjugate(label, tuple(F(3, 2) * c / psi_sq for c in psi))
+    points = [((0,) * l, 0)]
+    for t in (1, 2, 3):
+        points += [(tuple(F(t, 4) * c for c in psi), F(t, 4)), (tuple(t * c for c in psi), t)]
+    for j in rng.sample(range(l), min(l, 3)):
+        points.append(_level_point(rs, verts, {j: 1}))                   # psi_j e_j
+    for total in (F(1, 3), F(9, 10), 1, 1, 2):
+        picks = rng.sample(range(l), min(l, 3))
+        weights = [F(rng.randint(1, 5)) for _ in picks]
+        w = sum(weights)
+        face = tuple(sum(total * wi / w * verts[j][k] for wi, j in zip(weights, picks))
+                     for k in range(l))                                   # level total
+        points.append((face, total))
+    seen = set()
+    for x, level in points:
+        cls = (SliceClass.INTERIOR if level < 1 else
+               SliceClass.ON_CUT_FACE if level == 1 else SliceClass.OUTSIDE)
+        conj = level >= 1
+        for y in (x, _moved(rs, rng, x)):
+            h = tuple(c / psi_sq for c in y)
+            assert cut_classify(label, h) is cls, (level, h)
+            assert is_conjugate(label, h) is conj, (level, h)
+            d = cut_details(label, h)
+            assert (d.classification, d.conjugate) == (cls, conj), (level, h)
+        seen.add(cls)
+    assert seen == set(SliceClass)
+
+
+@pytest.mark.parametrize("kind", IN_CAP_KINDS + [RootKind(fam, 40) for fam in
+                                                 ("a", "b", "c", "d", "bc")], ids=str)
+def test_non_integer_level_past_face_runs_root_test(monkeypatch, kind):
+    # Past the face at a non-integer level the level cannot decide: the
+    # root test runs once per call, and agrees with the dot-product route,
+    # or past the former root cap with the epsilon-coordinate reference.
+    rs = build(kind)
+    label = _space_label(kind)
+    psi_sq = resolve(label).psi_sq_killing
+    verts = build_polytope(rs).vertices
+    rng = random.Random(f"past the face {kind}")
+    l, psi = rs.rank, rs.highest_root
+    points = [tuple(F(t, s) * c for c in psi) for t, s in ((3, 2), (5, 3), (7, 4), (11, 6))]
+    if l > 1:
+        # psi_j e_j + e_k / 2 pairs to 1 with a_j, at level psi_j + 1/2.
+        j, k = rng.sample(range(l), 2)
+        points.append(_level_point(rs, verts, {j: 1, k: F(1, 2 * psi[k])})[0])
+    steps = (0, F(1, 2), F(1, 3), F(2, 3), 1, F(3, 2), F(5, 4))
+    while len(points) < 14:
+        c = {j: rng.choice(steps) for j in rng.sample(range(l), min(l, 3))}
+        x, level = _level_point(rs, verts, c)
+        if level > 1 and level.denominator > 1:
+            points.append(x)
+    calls = [0]
+    root_test = roots.conjugate
+
+    def counting(*args):
+        calls[0] += 1
+        return root_test(*args)
+
+    monkeypatch.setattr(roots, "conjugate", counting)
+    simple = epsilon_simple_roots(kind) if root_count(kind) > FORMER_ROOT_CAP else None
+    answers = set()
+    for x in points:
+        for y in (x, _moved(rs, rng, x)):
+            h = tuple(c / psi_sq for c in y)
+            if simple is None:
+                n, d = clear_denominators(h)
+                want = dot_product_conjugate(rs, psi_sq, n, d)
+            else:
+                want = epsilon_conjugate(kind.family, simple, psi_sq, h)
+            calls[0] = 0
+            assert is_conjugate(label, h) is want, h
+            d = cut_details(label, h)
+            assert (d.classification, d.conjugate) == (SliceClass.OUTSIDE, want), h
+            assert calls[0] == 2
+            answers.add(want)
+    assert answers == ({True, False} if l > 1 else {False})
 
 
 # -- the geometry predicates against the Fraction pipeline ---------------------

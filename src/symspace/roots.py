@@ -9,10 +9,9 @@ reads the Cartan matrix off them; that is all the Cartan polytope needs.
 The roots themselves (integer coefficient vectors over the simple roots)
 are enumerated on first access, at any rank; only ``oracle`` and the
 exceptional kinds' conjugacy test read them.  One pass builds the
-positive roots level by level in height from simple-root strings, and
-records how each is reached from a root one level below: the chain that
-``conjugate`` follows for the exceptional kinds.  The root counts that
-``to_json_dict`` reports are the closed forms of ``dynkin.root_count``.
+positive roots level by level in height from simple-root strings.  The
+root counts that ``to_json_dict`` reports are the closed forms of
+``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
 arithmetic.  ``dominant_slice`` takes a point x, reads it as a x / b in
@@ -29,16 +28,12 @@ integer level is, through psi.  Only a point past the face at a
 non-integer level runs ``conjugate``, which asks whether some positive
 root pairs to a nonzero integer: in O(l) from epsilon-coordinates for
 the classical families (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
-Plates I-IV), and along the chain for the exceptional ones (at most 120
-positive roots): every positive root past the simple ones is a root one
-level below plus a simple root (Humphreys, Introduction to Lie Algebras
-and Representation Theory, 10.2), one addition per root.
-``geometry``'s predicates call the kernel.
+Plates I-IV), and root by root for the exceptional ones (at most 120
+positive roots).  ``geometry``'s predicates call the kernel.
 
 ``RootSystem`` is a named tuple, immutable and equal to a plain tuple of
-its fields; it also keeps its lazily built members (the roots, their
-chain, the sparse Cartan rows, the Gram diagonal and the kernel's
-per-system data) in an instance dict.
+its fields; it also keeps its lazily built members (the roots and the
+kernel's per-system table) in an instance dict.
 """
 
 from __future__ import annotations
@@ -74,13 +69,11 @@ class RootSystem(_RootSystemFields):
     ``int_gram`` is the pair (M, g) with gram = M/g: integer rows over
     one positive denominator, in lowest terms.  ``positive_roots``, and
     from it ``roots``, are enumerated on first access; they raise
-    RuntimeError on corrupt Cartan data.  ``cartan_rows``, the sparse
-    Cartan rows, and ``gram_diagonal``, the diagonal of M, are also
-    built once, on first access, as is ``kernel_data``, all that
-    ``dominant_slice`` reads of the system.  No ``__slots__``: the cached
-    properties store their values in the instance dict, which
-    ``cached_property`` writes directly, so refusing attribute assignment
-    keeps the system immutable.
+    RuntimeError on corrupt Cartan data.  ``kernel_data``, all that
+    ``dominant_slice`` reads of the system, is also built once, on first
+    access.  No ``__slots__``: the cached properties store their values in
+    the instance dict, which ``cached_property`` writes directly, so
+    refusing attribute assignment keeps the system immutable.
     """
 
     def __setattr__(self, name, value):
@@ -90,10 +83,8 @@ class RootSystem(_RootSystemFields):
         raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
-    def positive_roots(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
-        """(roots, chain): the positive roots in order of height, the simple
-        roots first, and for each later root roots[l + i] a pair
-        chain[i] = (parent, j) with roots[l + i] = roots[parent] + a_j.
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots in order of height, the simple roots first.
 
         Built level by level from a_j-strings: for a positive root b not
         proportional to a_j, b + a_j is a root iff p > <b, a_j^vee>, p the
@@ -109,7 +100,6 @@ class RootSystem(_RootSystemFields):
         index = {r: i for i, r in enumerate(roots)}
         pairings = list(cartan)               # <r, a_k^vee> = sum_i r_i A[i][k]
         below = [[0] * l for _ in range(l)]   # a_k-string length below each root
-        chain = []
 
         def reach(b: int, j: int) -> None:
             r = roots[b]
@@ -120,7 +110,6 @@ class RootSystem(_RootSystemFields):
                     raise RuntimeError(f"{kind}: more than {count // 2} positive roots")
                 i = index[new] = len(roots)
                 roots.append(new)
-                chain.append((b, j))
                 pairings.append(tuple(map(add, pairings[b], cartan[j])))
                 below.append([0] * l)
             below[i][j] = below[b][j] + 1
@@ -139,29 +128,20 @@ class RootSystem(_RootSystemFields):
             raise RuntimeError(f"{kind}: generated {2 * len(roots)} roots, expected {count}")
         if roots[-1] != self.highest_root:
             raise RuntimeError(f"{kind}: highest root {roots[-1]} != expected {self.highest_root}")
-        return tuple(roots), tuple(chain)
+        return tuple(roots)
 
     @cached_property
     def roots(self) -> frozenset[tuple[int, ...]]:
-        positive, _ = self.positive_roots
+        positive = self.positive_roots
         return frozenset(positive).union(tuple(-x for x in r) for r in positive)
 
     @cached_property
-    def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero entries (k, A[i][k]) of each Cartan row i, by increasing k."""
-        return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan)
-
-    @cached_property
-    def gram_diagonal(self) -> tuple[int, ...]:
-        """M_kk of ``int_gram``."""
-        m, _ = self.int_gram
-        return tuple(m[k][k] for k in range(self.rank))
-
-    @cached_property
     def kernel_data(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], int]:
-        """(``cartan_rows``, psi_k M_kk, 2g): what ``dominant_slice`` reads."""
-        return (self.cartan_rows, tuple(map(mul, self.highest_root, self.gram_diagonal)),
-                2 * self.int_gram[1])
+        """What ``dominant_slice`` reads: the nonzero entries (k, A[i][k]) of
+        each Cartan row i by increasing k, the weights psi_k M_kk, and 2g."""
+        m, g = self.int_gram
+        return (tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan),
+                tuple(psi * m[k][k] for k, psi in enumerate(self.highest_root)), 2 * g)
 
 
 def build(kind: RootKind | str) -> RootSystem:
@@ -260,28 +240,21 @@ def dominant_slice(rs: RootSystem, x, a: int, b: int
 
 def conjugate(rs: RootSystem, p: list[int], a: int, den: int) -> bool:
     """True when some positive root pairs to a nonzero integer with the
-    point a n / den, given p = nA: when some v_r is nonzero and divisible
-    by q = 2 g den / gcd(a, 2 g den).  The exceptional kinds walk the
-    chain.  For the classical ones T is twice the epsilon-coordinates of
-    the v, and roots take (T_i -+ T_j)/2, T_i/2 (b, bc) and T_i (c, bc).
+    point a n / den, given p = nA: when some v_r = sum_k r_k v_k, v_k =
+    M_kk p_k, is nonzero and divisible by q = 2 g den / gcd(a, 2 g den).
+    The exceptional kinds form v_r for each positive root r.  For the
+    classical ones T is twice the epsilon-coordinates of the v_k, and
+    roots take (T_i -+ T_j)/2, T_i/2 (b, bc) and T_i (c, bc).
     Past a, each T takes the sign that puts its residue r mod 2q at most q;
     two T in one class then make a root iff they differ, or are equal,
     nonzero and r is 0 or q.  One T is kept per class."""
-    q = 2 * rs.int_gram[1] * den
+    m, g = rs.int_gram
+    q = 2 * g * den
     q //= gcd(a, q)
-    v = list(map(mul, rs.gram_diagonal, p))
+    v = [m[k][k] * x for k, x in enumerate(p)]
     family, l = rs.kind.family, rs.rank
     if family in ("e", "f", "g"):
-        _, chain = rs.positive_roots
-        for x in v:
-            if x and x % q == 0:
-                return True
-        for parent, j in chain:
-            x = v[parent] + v[j]
-            if x and x % q == 0:
-                return True
-            v.append(x)
-        return False
+        return any(x and x % q == 0 for x in (sum(map(mul, r, v)) for r in rs.positive_roots))
     # T_l = 0 (a) or T_{l-1} (d's leaf is last), then T_i = T_{i+1} + 2 v_i.
     x = (0 if family == "a" else v[l - 1] - v[l - 2] if family == "d"
          else v[l - 1] if family == "c" else 2 * v[l - 1])

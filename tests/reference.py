@@ -15,8 +15,9 @@ that the height-ordered one of ``RootSystem.positive_roots`` replaced;
 ``indivisible_roots`` drops the doubled roots from the enumerated ones; and
 ``dot_product_conjugate`` is the conjugacy test
 that the kernel's ``roots.conjugate`` replaced: one integer dot product of
-the point with a Killing-Gram row per enumerated positive root (the rows
-are cached per system and Killing length).
+the point itself with a Killing-Gram row per enumerated positive root (the
+rows are cached per system and Killing length).  The kernel pairs roots
+only for the exceptional kinds, and with its pairing vector.
 ``epsilon_simple_roots``, ``to_epsilon``, ``signed_sort``,
 ``positive_pairings`` and ``epsilon_conjugate`` are the classical
 families in epsilon-coordinates, where the Weyl group permutes the
@@ -152,8 +153,9 @@ def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def cleared(m) -> tuple[list[list[int]], int]:
-    """(D*m as integer rows, D) for D = lcm of the denominators of m."""
-    m = matrix(m)
+    """(D*m as integer rows, D) for D = lcm of the denominators of m; an
+    entry already a Fraction is read as it is."""
+    m = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in m]
     d = lcm(*(x.denominator for r in m for x in r))
     return [[x.numerator * (d // x.denominator) for x in r] for r in m], d
 

@@ -405,16 +405,15 @@ def test_closed_stdout_ends_quietly(argv):
     # ends as a shell shows one killed by SIGPIPE, with nothing on stderr.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "symspace.cli", *argv.split()],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    with subprocess.Popen([sys.executable, "-m", "symspace.cli", *argv.split()],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 

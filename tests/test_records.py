@@ -43,13 +43,13 @@ def test_fields_cannot_be_assigned(name):
 
 def test_root_system_has_no_new_attributes():
     rs = build("g2")
-    rs.cartan_rows                   # a cached property fills the instance dict
+    rs.kernel_data                   # a cached property fills the instance dict
     for attr in ("extra", "roots", "int_gram"):
         with pytest.raises(AttributeError):
             setattr(rs, attr, None)
     with pytest.raises(AttributeError):
-        del rs.cartan_rows
-    assert rs.cartan_rows is rs.cartan_rows
+        del rs.kernel_data
+    assert rs.kernel_data is rs.kernel_data
 
 
 def test_public_names_resolve():

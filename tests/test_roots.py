@@ -158,8 +158,11 @@ def test_int_gram_matches_gram():
         assert g > 0 and all(type(x) is int for row in m for x in row)
         assert gcd(g, *(x for row in m for x in row)) == 1    # lowest terms
         assert rs.int_gram is rs.int_gram
-        assert rs.cartan_rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
-                                       for row in rs.cartan)
+        rows, weights, two_g = rs.kernel_data
+        assert rows == tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                             for row in rs.cartan)
+        assert weights == tuple(psi * m[k][k] for k, psi in enumerate(rs.highest_root))
+        assert two_g == 2 * g
 
 
 def fraction_lengths(kind):
@@ -282,7 +285,7 @@ def test_roots_enumerated_on_first_access():
     assert "positive_roots" not in vars(rs)
     assert len(rs.roots) == 240
     assert rs.roots is rs.roots
-    assert rs.int_gram is rs.int_gram and rs.cartan_rows is rs.cartan_rows
+    assert rs.int_gram is rs.int_gram and rs.kernel_data is rs.kernel_data
 
 
 @pytest.mark.parametrize("name", ["a21", "b15", "c15", "d16", "bc15",

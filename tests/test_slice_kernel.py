@@ -20,8 +20,8 @@ it can be: below the cut face no point is conjugate and at an integer
 level every point is, and the tests of the three regimes check that
 ``roots.conjugate`` runs only past the face at a non-integer level.
 There it reads one pairing vector (``reference.pairings``): by residue
-classes of epsilon-coordinates for the classical families, along a
-height-ordered chain of the positive roots for the exceptional ones.
+classes of epsilon-coordinates for the classical families, and root by
+root over the height-ordered positive roots for the exceptional ones.
 The integer dot-product route it replaced,
 ``reference.dot_product_conjugate``, checks it on every kind within the
 former root cap, and ``reference.epsilon_conjugate`` checks it from
@@ -249,23 +249,20 @@ def test_cut_classify_weyl_invariant_past_root_cap(label):
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_root_chain_lists_each_positive_root_once(kind):
+    # The positive roots that the exceptional root test pairs, each once and
+    # in order of height.
     rs = build(kind)
     l = rs.rank
-    _, chain = rs.positive_roots
-    listed = [tuple(int(i == j) for i in range(l)) for j in range(l)]
-    for parent, j in chain:
-        assert 0 <= parent < len(listed) and 0 <= j < l
-        r = list(listed[parent])
-        r[j] += 1                              # parent + a_j
-        assert tuple(r) in rs.roots
-        listed.append(tuple(r))
+    listed = rs.positive_roots
+    assert listed[:l] == tuple(tuple(int(i == j) for i in range(l)) for j in range(l))
     positive = [r for r in rs.roots if sum(r) > 0]
     assert len(listed) == len(set(listed)) == len(positive)
     assert set(listed) == set(positive)
     heights = [sum(r) for r in listed]
     assert heights == sorted(heights)
+    assert listed[-1] == rs.highest_root
     if kind.family == "bc":
-        # The doubled roots 2r, r short, are reached through the chain too.
+        # The doubled roots 2r, r short, are listed with their halves.
         doubled = [r for r in listed if all(c % 2 == 0 for c in r)]
         assert len(doubled) == l
         assert all(tuple(c // 2 for c in r) in listed for r in doubled)
@@ -295,8 +292,9 @@ def _big_points(rs, poly, psi_sq, rng):
 
 @pytest.mark.parametrize("kind", IN_CAP_KINDS, ids=str)
 def test_root_chain_matches_dot_product_route(kind):
-    # The kernel's residue classes (classical kinds) and chain (exceptional
-    # ones) against one dot product per enumerated positive root.
+    # The kernel's residue classes (classical kinds) and root-by-root
+    # pairings (exceptional ones) against one dot product per enumerated
+    # positive root.
     rs, poly, rng, points = _cases(kind)
     label = _label(kind)
     psi_sq = resolve(label).psi_sq_killing

@@ -40,13 +40,18 @@ class NegativeFactor(ValueError):
 def clear_denominators(xs) -> tuple[list[int], int]:
     """Return (D*x as integers, D) for D the lcm of the denominators of xs.
     Each element is read once, through its ``as_integer_ratio()``; only
-    an element without one (a str, say) goes through Fraction() first."""
+    an element without one (a str, say) goes through Fraction() first.
+    An infinite element or a zero denominator raises ValueError, as NaN
+    and an unreadable str do."""
     pairs = []
     for x in xs:
         try:
-            pairs.append(x.as_integer_ratio())
-        except AttributeError:
-            pairs.append(Fraction(x).as_integer_ratio())
+            try:
+                pairs.append(x.as_integer_ratio())
+            except AttributeError:
+                pairs.append(Fraction(x).as_integer_ratio())
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"coordinate {x!r} is not a finite rational") from None
     d = lcm(*[q for _, q in pairs])
     return [p * (d // q) for p, q in pairs], d
 

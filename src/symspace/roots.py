@@ -8,10 +8,10 @@ denominator g, gram = M/g with the highest root of squared length 1, and
 reads the Cartan matrix off them; that is all the Cartan polytope needs.
 The roots themselves (integer coefficient vectors over the simple roots)
 are enumerated on first access, at any rank; only ``oracle`` and the
-exceptional kinds' conjugacy test read them.  One pass builds the
-positive roots level by level in height from simple-root strings.  The
-root counts that ``to_json_dict`` reports are the closed forms of
-``dynkin.root_count``.
+exceptional kinds' conjugacy test read them.  The positive roots are
+raised from the simple ones by simple reflections, on the kernel's
+sparse Cartan rows.  The root counts that ``to_json_dict`` reports are
+the closed forms of ``dynkin.root_count``.
 
 The slice kernel works in integers, with the same answers as rational
 arithmetic.  ``dominant_slice`` takes a point x, reads it as a x / b in
@@ -42,7 +42,7 @@ import enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .dynkin import (MAX_RANK, InvalidRank, RootKind,  # re-exported
@@ -86,46 +86,37 @@ class RootSystem(_RootSystemFields):
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots in order of height, the simple roots first.
 
-        Built level by level from a_j-strings: for a positive root b not
-        proportional to a_j, b + a_j is a root iff p > <b, a_j^vee>, p the
-        length of the a_j-string below b (Humphreys, Introduction to Lie
-        Algebras and Representation Theory, 10.2).  A root is reached from
-        every root one a_j below it, which records its string lengths for the
-        next level.  On bc's non-reduced set the rule fails only for the one
-        proportional pair a_l, 2a_l, so 2a_l is seeded at height 2.
+        Every positive root that is not simple is s_j r = r - <r, a_j^vee> a_j
+        for a lower positive root r with <r, a_j^vee> < 0 (Humphreys,
+        Introduction to Lie Algebras and Representation Theory, 10.2).  So
+        the list is walked while it grows, each root's pairings kept current
+        through the sparse Cartan row j of ``kernel_data``.  bc's Cartan
+        matrix is that of its indivisible set; twice each short root (a_l
+        coefficient 1) is appended after.
         """
-        kind, l, cartan = self.kind, self.rank, self.cartan
-        count = root_count(kind)
+        kind, l = self.kind, self.rank
+        rows, limit = self.kernel_data[0], root_count(kind) // 2
         roots = [tuple(int(i == j) for i in range(l)) for j in range(l)]
-        index = {r: i for i, r in enumerate(roots)}
-        pairings = list(cartan)               # <r, a_k^vee> = sum_i r_i A[i][k]
-        below = [[0] * l for _ in range(l)]   # a_k-string length below each root
-
-        def reach(b: int, j: int) -> None:
-            r = roots[b]
-            new = r[:j] + (r[j] + 1,) + r[j + 1:]
-            i = index.get(new)
-            if i is None:
-                if len(roots) == count // 2:  # corrupt Cartan data
-                    raise RuntimeError(f"{kind}: more than {count // 2} positive roots")
-                i = index[new] = len(roots)
-                roots.append(new)
-                pairings.append(tuple(map(add, pairings[b], cartan[j])))
-                below.append([0] * l)
-            below[i][j] = below[b][j] + 1
-
+        seen = set(roots)
+        pairings = list(map(list, self.cartan))   # <r, a_k^vee> = sum_i r_i A[i][k]
+        for r, p in zip(roots, pairings):
+            for j, c in enumerate(p):
+                if c < 0:
+                    new = r[:j] + (r[j] - c,) + r[j + 1:]
+                    if new not in seen:
+                        if len(roots) == limit:   # corrupt Cartan data
+                            raise RuntimeError(f"{kind}: more than {limit} positive roots")
+                        seen.add(new)
+                        roots.append(new)
+                        q = p.copy()
+                        for k, e in rows[j]:
+                            q[k] -= c * e
+                        pairings.append(q)
         if kind.family == "bc":
-            reach(l - 1, l - 1)               # 2 a_l
-        start, end = 0, l
-        for _ in range(sum(self.highest_root) - 1):
-            for b in range(start, end):
-                for j, (p, q) in enumerate(zip(below[b], pairings[b])):
-                    if p > q:
-                        reach(b, j)
-            start, end = end, len(roots)
-
-        if len(roots) != count // 2:
-            raise RuntimeError(f"{kind}: generated {2 * len(roots)} roots, expected {count}")
+            roots += [tuple(2 * x for x in r) for r in roots if r[-1] == 1]
+        roots.sort(key=sum)
+        if len(roots) != limit:
+            raise RuntimeError(f"{kind}: generated {2 * len(roots)} roots, expected {2 * limit}")
         if roots[-1] != self.highest_root:
             raise RuntimeError(f"{kind}: highest root {roots[-1]} != expected {self.highest_root}")
         return tuple(roots)
@@ -138,7 +129,8 @@ class RootSystem(_RootSystemFields):
     @cached_property
     def kernel_data(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], int]:
         """What ``dominant_slice`` reads: the nonzero entries (k, A[i][k]) of
-        each Cartan row i by increasing k, the weights psi_k M_kk, and 2g."""
+        each Cartan row i by increasing k (``positive_roots`` reads these
+        too), the weights psi_k M_kk, and 2g."""
         m, g = self.int_gram
         return (tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan),
                 tuple(psi * m[k][k] for k, psi in enumerate(self.highest_root)), 2 * g)

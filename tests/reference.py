@@ -10,8 +10,9 @@ package used for the polytope's vertices until ``polytope.tree_adjugate``
 replaced it, and for the vertex norms until the minors of the Gram tree
 (``dynkin.principal_minors``) did; it is kept verbatim as the exact
 reference for both.
-``reflection_closure`` is the root enumeration
-that the height-ordered one of ``RootSystem.positive_roots`` replaced;
+``reflection_closure`` is the full closure of the simple roots under the
+simple reflections, negatives included, that the raising closure of
+``RootSystem.positive_roots`` is checked against;
 ``indivisible_roots`` drops the doubled roots from the enumerated ones; and
 ``dot_product_conjugate`` is the conjugacy test
 that the kernel's ``roots.conjugate`` replaced: one integer dot product of

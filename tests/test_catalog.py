@@ -88,6 +88,12 @@ def test_invalid_params_messages():
                 "BDI:p=1,q=1", "DIII:n=3", "CI:n=0", "AIII:p=3,q=2"):
         with pytest.raises(InvalidParams):
             resolve(bad)
+    # Labels made in code, which the parser would have refused.
+    for label, message in ((SpaceLabel("GROUP"), "GROUP needs a root-system kind"),
+                           (SpaceLabel("AI"), "AI requires parameter n"),
+                           (SpaceLabel("AIII", p=2), "AIII requires parameter q")):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            resolve(label)
 
 
 def test_restricted_case_analysis():

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -140,6 +142,22 @@ def test_is_conjugate_examples():
     assert is_conjugate("AI:n=3", tuple(c / 2 for c in h)) is False
     with pytest.raises(DimensionMismatch):
         is_conjugate("AI:n=3", (1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), Decimal("Infinity"), "1/0",
+                                 float("nan"), "abc"], ids=repr)
+def test_unreadable_coordinate_refused_as_value_error(bad):
+    # Every refused input is a ValueError: an infinity or a zero denominator
+    # is named, as NaN and an unreadable str already were.
+    message = {"nan": "cannot convert NaN to integer ratio",
+               "'abc'": "Invalid literal for Fraction: 'abc'"}.get(
+        repr(bad), f"coordinate {bad!r} is not a finite rational")
+    point = (bad, F(1, 3))
+    for call in (lambda: cut_details("AI:n=3", point), lambda: is_conjugate("AI:n=3", point),
+                 lambda: cut_classify("AI:n=3", point),
+                 lambda: reflect_simple(build("a2"), point, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_cut_classify_examples():

@@ -199,4 +199,5 @@ def test_pi_sqrt_rendering():
 
 def test_format_rational():
     assert format_rational(F(3, 1)) == "3"
+    assert format_rational(3) == "3"                # not a Fraction: converted first
     assert format_rational(F(-4, 6)) == "-2/3"

@@ -226,6 +226,8 @@ def test_classify_not_dominant():
     assert kernel(rs, x)[1] > 0
     with pytest.raises(DimensionMismatch):
         kernel(rs, (1, 2, 3))
+    with pytest.raises(DimensionMismatch, match="^point length 1 != rank 2$"):
+        reflect_simple(rs, (1,), 0)
 
 
 def test_classify_vertices_on_face():

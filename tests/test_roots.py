@@ -82,11 +82,12 @@ def test_height_enumeration_matches_reflection_closure(kind):
     assert indivisible_roots(rs) == reflection_closure(rs.cartan)
 
 
-@pytest.mark.parametrize("name, a", [("e8", -3), ("a3", -2)])
+@pytest.mark.parametrize("name, a", [("e8", -3), ("a3", -2), ("bc3", -2), ("g2", -4)])
 def test_enumeration_stops_on_corrupt_cartan(name, a):
     # Cartan entries [0][1] = [1][0] = a.  Past root_count/2 positive roots
-    # the enumeration stops inside its loop; the corrupt e8 would otherwise
-    # build 72,143 positive roots first.
+    # the enumeration stops inside its loop; on these matrices the closure
+    # under simple reflections has no end.  bc's doubled roots come after
+    # the closure, so bc3 stops inside it too.
     good = build(name)
     cartan = [list(row) for row in good.cartan]
     cartan[0][1] = cartan[1][0] = a

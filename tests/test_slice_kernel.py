@@ -63,8 +63,8 @@ def kernel(rs, x):
 
 def ref_reflect(rs, x, i):
     cur = list(F(c) for c in x)
-    w = mul_vec(gram(rs), tuple(cur))[i]
-    cur[i] -= 2 * w / gram(rs)[i][i]
+    row = gram(rs)[i]
+    cur[i] -= 2 * dot(row, cur) / row[i]
     return tuple(cur)
 
 
